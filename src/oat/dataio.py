@@ -175,7 +175,33 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
+def _csv_rows(file: Path, count: int, width: int):
+    """Yield (i, row) for the data rows of a CSV file under a header line.
+
+    Raises ValueError unless there are exactly ``count`` rows of ``width``
+    fields each.
+    """
+    n = 0
+    with open(file, newline="") as f:
+        reader = csv.reader(f)
+        next(reader, None)
+        for n, row in enumerate(reader, 1):
+            if n > count:
+                raise ValueError(f"{file.name} has more than the {count} rows meta.json declares")
+            if len(row) != width:
+                raise ValueError(f"{file.name} row {n} has {len(row)} fields, expected {width}")
+            yield n - 1, row
+    if n != count:
+        raise ValueError(f"{file.name} has {n} rows, meta.json declares {count}")
+
+
 def load_dataset(path: str | Path) -> LabeledDataset:
+    """Read a directory written by save_dataset.
+
+    Raises ValueError when either CSV's row count differs from meta.json's,
+    a row has the wrong number of fields, or the ids of labels.csv differ
+    from those of samples.csv.
+    """
     path = Path(path)
     meta_file = path / "meta.json"
     if not meta_file.exists():
@@ -187,25 +213,22 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
     samples = np.zeros((count, dim))
     ids = np.zeros(count, dtype=np.int64)
-    with open(path / "samples.csv", newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for i, row in enumerate(reader):
-            ids[i] = int(row[0])
-            samples[i] = [float(v) for v in row[1:]]
+    for i, row in _csv_rows(path / "samples.csv", count, dim + 1):
+        ids[i] = int(row[0])
+        samples[i] = [float(v) for v in row[1:]]
 
     labels_file = path / "labels.csv"
     if not labels_file.exists():
         raise FileNotFoundError(f"no labels.csv under {path}")
     observed = np.zeros(count, dtype=np.int64)
     gt = np.zeros(count, dtype=np.int64) if meta["has_gt"] else None
-    with open(labels_file, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for i, row in enumerate(reader):
-            observed[i] = int(row[1])
-            if gt is not None:
-                gt[i] = int(row[2])
+    for i, row in _csv_rows(labels_file, count, 2 if gt is None else 3):
+        if int(row[0]) != ids[i]:
+            raise ValueError(f"labels.csv row {i + 1} has id {row[0]}, "
+                             f"samples.csv row {i + 1} has id {ids[i]}")
+        observed[i] = int(row[1])
+        if gt is not None:
+            gt[i] = int(row[2])
 
     return LabeledDataset(
         samples=samples,

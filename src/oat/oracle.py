@@ -126,9 +126,16 @@ def refurbish(oracle: ModelParams, ds: LabeledDataset, theta_r: float) -> Refurb
 def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) -> SplitSets:
     """Partition samples by whether the k-NN majority label agrees with theirs.
 
-    Distances are Euclidean; equal distances rank by lower sample index,
-    majority ties resolve to the lower class index. When feats is the index's
-    own point set, each query excludes itself.
+    Distances are squared Euclidean in the expansion form
+    ``|q|^2 + |p|^2 - 2 q.p``, computed in 256-query chunks. Equal distances
+    rank by lower sample index; equality is judged on those computed values,
+    which can round differently from the direct ``sum((q - p)^2)``, so on
+    exactly tied points the neighbor set can differ from a direct-difference
+    one. Majority ties resolve to the lower class index.
+
+    When feats is the index's own point set, each query excludes itself by
+    row, not by id: other rows holding a copy of it (the duplicates
+    oversampling appends, which share its id) still count as its neighbors.
     """
     if k >= len(index.points):
         raise ValueError(f"k={k} must be smaller than n={len(index.points)}")
@@ -146,13 +153,20 @@ def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) ->
         q = feats[start:start + chunk]
         d2 = (q * q).sum(axis=1)[:, None] + pts_sq[None, :] - 2.0 * (q @ pts.T)
         if self_query:
-            rows = np.arange(start, min(start + chunk, len(feats)))
-            d2[np.arange(len(rows)), rows] = np.inf
-        # stable sort: equal distances keep ascending index order
-        neighbor = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = labels[neighbor]
-        for i in range(len(votes)):
-            majority[start + i] = np.argmax(np.bincount(votes[i], minlength=num_classes))
+            rows = np.arange(len(q))
+            d2[rows, start + rows] = np.inf
+        # the k nearest are every column below the k-th smallest distance,
+        # then the lowest-index columns equal to it until the row has k
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        near = d2 <= kth
+        over = np.flatnonzero(near.sum(axis=1) > k)
+        if len(over):
+            tied = d2[over] == kth[over]
+            room = k - (d2[over] < kth[over]).sum(axis=1, keepdims=True)
+            near[over] &= ~tied | (np.cumsum(tied, axis=1) <= room)
+        row, col = np.nonzero(near)
+        votes = np.bincount(row * num_classes + labels[col], minlength=len(q) * num_classes)
+        majority[start:start + len(q)] = votes.reshape(len(q), num_classes).argmax(axis=1)
 
     clean = majority == labels
     return SplitSets(clean_idx=np.flatnonzero(clean), noisy_idx=np.flatnonzero(~clean))

@@ -81,23 +81,37 @@ class SplitMix64:
             if draw < threshold:
                 return draw % bound
 
-    def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
+    def _randints(self, bounds: np.ndarray) -> list[int]:
+        """randint(b) for each b of a uint64 array, in order.
+
+        One block of draws serves them all unless a draw would be rejected;
+        then the state is rewound and the draws are made one by one.
+        """
+        saved = self._state
+        draws = self._next_u64_array(len(bounds))
+        # randint accepts draw < (2**64 // b) * b, i.e. draw <= MASK - (2**64 mod b)
+        rem = (np.uint64(_MASK) % bounds + np.uint64(1)) % bounds
+        if np.all(draws <= np.uint64(_MASK) - rem):
+            return (draws % bounds).tolist()
+        self._state = saved
+        return [self.randint(int(b)) for b in bounds]
 
     def permutation(self, n: int) -> np.ndarray:
-        idx = np.arange(n)
-        self.shuffle(idx)
-        return idx
+        """arange(n) shuffled by Fisher-Yates, swapping i with randint(i + 1)
+        for i from n - 1 down to 1."""
+        items = list(range(n))
+        swaps = self._randints(np.arange(n, 1, -1, dtype=np.uint64))
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            items[i], items[j] = items[j], items[i]
+        return np.array(items, dtype=np.intp)
 
     def sample(self, n: int, m: int) -> np.ndarray:
         """m distinct indices from [0, n), in draw order (partial Fisher-Yates)."""
         if not 0 <= m <= n:
             raise ValueError(f"cannot sample {m} of {n}")
-        pool = np.arange(n)
-        for i in range(m):
-            j = i + self.randint(n - i)
+        pool = list(range(n))
+        swaps = self._randints(np.arange(n, n - m, -1, dtype=np.uint64))
+        for i, offset in enumerate(swaps):
+            j = i + offset
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:m].copy()
+        return np.array(pool[:m], dtype=np.intp)

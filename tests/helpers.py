@@ -62,6 +62,24 @@ def brute_force_knn_majority(points: np.ndarray, labels: np.ndarray, k: int,
     return majority
 
 
+def stable_sort_knn_majority(points: np.ndarray, labels: np.ndarray, k: int,
+                             num_classes: int) -> np.ndarray:
+    """Per-query reference on knn_split's own distances: the expansion-form d2
+    in 256-row chunks, self excluded, a full stable sort (lower index wins a
+    distance tie) and majority with lowest-class tie break."""
+    sq = (points * points).sum(axis=1)
+    majority = np.zeros(len(points), dtype=np.int64)
+    for start in range(0, len(points), 256):
+        q = points[start:start + 256]
+        d2 = (q * q).sum(axis=1)[:, None] + sq[None, :] - 2.0 * (q @ points.T)
+        for i in range(len(q)):
+            d2[i, start + i] = np.inf
+            nearest = np.argsort(d2[i], kind="stable")[:k]
+            counts = np.bincount(labels[nearest], minlength=num_classes)
+            majority[start + i] = int(np.argmax(counts))
+    return majority
+
+
 def tiny_dataset(n_per_class: int = 6, num_classes: int = 3, dim: int = 4,
                  seed: int = 0) -> LabeledDataset:
     rng = SplitMix64(seed).fork("tiny_dataset")

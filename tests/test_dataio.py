@@ -124,3 +124,47 @@ def test_dataset_invariants_enforced():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         LabeledDataset(samples=np.full((2, 2), 1.5), observed_labels=np.array([0, 1]),
                        gt_labels=None, num_classes=2, ids=np.arange(2))
+
+
+def _saved(tmp_path):
+    ds = gen_synthetic(SyntheticSpec(num_classes=2, dim=3, per_class=3,
+                                     cluster_spread=0.05, seed=6))
+    save_dataset(ds, tmp_path / "ds")
+    return tmp_path / "ds"
+
+
+def _edit_lines(file, edit):
+    lines = file.read_text().splitlines(keepends=True)
+    file.write_text("".join(edit(lines)))
+
+
+@pytest.mark.parametrize("name", ["samples.csv", "labels.csv"])
+def test_load_dataset_rejects_cut_rows(tmp_path, name):
+    path = _saved(tmp_path)
+    _edit_lines(path / name, lambda lines: lines[:-3])
+    with pytest.raises(ValueError, match=f"{name} has 3 rows, meta.json declares 6"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("name", ["samples.csv", "labels.csv"])
+def test_load_dataset_rejects_extra_row(tmp_path, name):
+    path = _saved(tmp_path)
+    _edit_lines(path / name, lambda lines: lines + lines[-1:])
+    with pytest.raises(ValueError, match=f"{name} has more than the 6 rows"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_short_sample_row(tmp_path):
+    path = _saved(tmp_path)
+    _edit_lines(path / "samples.csv",
+                lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + "\n"] + lines[3:])
+    with pytest.raises(ValueError, match="samples.csv row 2 has 3 fields, expected 4"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_id_mismatch(tmp_path):
+    path = _saved(tmp_path)
+    _edit_lines(path / "labels.csv",
+                lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:])
+    with pytest.raises(ValueError, match="labels.csv row 1 has id 1, samples.csv row 1 has id 0"):
+        load_dataset(path)

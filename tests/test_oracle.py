@@ -5,13 +5,16 @@ import pytest
 
 from oat import autodiff as ad
 from oat.autodiff import Value
+from oat.corruption import balanced_oversample
+from oat.dataio import LabeledDataset
 from oat.models import AT_MODEL, ORACLE, forward_features, forward_logits, init_model
 from oat.oracle import (AugmentationPolicy, KnnIndex, knn_split,
                         oracle_contrastive_loss, oracle_interaction_loss,
                         oracle_supervised_loss, predict_probs, refurbish)
 from oat.rng import SplitMix64
 
-from helpers import TINY_ARCH, brute_force_knn_majority, tiny_dataset
+from helpers import (TINY_ARCH, brute_force_knn_majority, stable_sort_knn_majority,
+                     tiny_dataset)
 
 
 def _oracle_with_fixed_logits(logit_rows):
@@ -123,6 +126,37 @@ def test_knn_split_duplicate_points_tie_by_index():
     split = knn_split(KnnIndex(points=pts, k=1), pts, labels, k=1)
     majority = brute_force_knn_majority(pts, labels, 1, 2)
     assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 30])
+@pytest.mark.parametrize("seed", range(3))
+def test_knn_split_grid_ties_match_stable_sort(seed, k):
+    # coarse-grid points plus duplicated rows: many rows have more columns
+    # at their k-th distance than fit, so the lowest-index fill decides
+    rng = SplitMix64(seed).fork("knn_grid")
+    n, d = 150 + 60 * seed, 1 + seed
+    grid = np.round(rng.uniform(n * d).reshape(n, d), 1)
+    pts = np.concatenate([grid, grid[rng.sample(n, n // 2)]])
+    labels = np.array([rng.randint(3) for _ in range(len(pts))], dtype=np.int64)
+    split = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
+    majority = stable_sort_knn_majority(pts, labels, k, 3)
+    assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels))
+
+
+def test_knn_split_oversampled_copies_vote_for_their_source():
+    # class 1 has one row at x=0.5 between class-0 rows; oversampling pads it
+    # to six rows sharing its id. Self-exclusion is by row, so each class-1
+    # row's k=5 nearest are the other five copies and it stays clean.
+    x = np.array([[0.1], [0.2], [0.3], [0.5], [0.7], [0.8], [0.9]])
+    labels = np.array([0, 0, 0, 1, 0, 0, 0])
+    ds = LabeledDataset(samples=x, observed_labels=labels, gt_labels=None,
+                        num_classes=2, ids=np.arange(7, dtype=np.int64))
+    over = balanced_oversample(ds, seed=0)
+    copies = np.flatnonzero(over.observed_labels == 1)
+    assert len(copies) == 6 and np.all(over.ids[copies] == 3)
+    split = knn_split(KnnIndex(points=over.samples, k=5), over.samples,
+                      over.observed_labels, k=5)
+    assert set(copies) <= set(split.clean_idx.tolist())
 
 
 def test_augmentation_stays_in_box():
