@@ -1,7 +1,7 @@
 """Oracle-guided adversarial training on noisy, imbalanced data (desk scale)."""
 
 from .adversary import AttackSpec, cw_margin_loss, pgd_attack
-from .autodiff import SgdOptimizer, Value, backward, detach, forward_op
+from .autodiff import SgdOptimizer, Value, backward, detach
 from .corruption import (ClassCounts, CorruptionSpec, apply_asymmetric_noise,
                          apply_exponential_imbalance, apply_symmetric_noise,
                          balanced_oversample, compute_ir, compute_nr, corrupt)
@@ -26,7 +26,7 @@ __all__ = [
     "apply_symmetric_noise", "at_model_loss", "backward", "balanced_oversample",
     "cli", "compute_ir", "compute_nr", "corrupt", "cw_margin_loss", "detach",
     "distribution_error", "estimate_label_distribution", "evaluate",
-    "forward_features", "forward_logits", "forward_op", "gen_synthetic",
+    "forward_features", "forward_logits", "gen_synthetic",
     "init_model", "knn_split", "load_dataset", "load_idx", "load_model",
     "lr_at_epoch", "oracle_contrastive_loss", "oracle_epoch",
     "oracle_interaction_loss", "oracle_supervised_loss", "pgd_attack",

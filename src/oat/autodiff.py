@@ -1,10 +1,18 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-A ``Value`` wraps a numpy buffer plus an accumulated gradient buffer and
-remembers the operation that produced it. ``backward`` walks the graph in
-reverse topological order and *adds* each pass's adjoints into ``.grad``,
-so gradients accumulate across calls and must be zeroed explicitly
-(``SgdOptimizer.step`` does this after applying the update).
+A ``Value`` wraps a numpy buffer and remembers the operation that produced it.
+Only two kinds of node hold a ``.grad`` buffer: leaves made with
+``requires_grad=True`` (parameters, attacked inputs), which get a zero buffer
+when they are made, and the root of a ``backward`` call, which gets one on
+demand. Intermediate nodes, constants and ``detach`` outputs keep
+``grad is None``.
+
+``backward`` walks the part of the graph that requires grad in reverse
+topological order. Constant operands are never visited, and each op's backward
+skips the adjoint of a constant operand (returns ``None`` for it). Each pass's
+adjoints are *added* into the leaves' and the root's ``.grad``, so gradients
+accumulate across calls and must be zeroed explicitly (``SgdOptimizer.step``
+does this after applying the update).
 
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
@@ -12,43 +20,39 @@ finite differences, which need the headroom.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# per-thread so parallel evaluation batches cannot toggle each other's graphs
-_tls = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_tls, "grad_enabled", True)
+_grad_enabled = True
 
 
 class no_grad:
     """Context manager suppressing graph construction (inference paths)."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _tls.grad_enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
 
     def __exit__(self, *exc):
-        _tls.grad_enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
 class Value:
-    """Node in the differentiation graph: data, grad, and producing op."""
+    """Node in the differentiation graph: data, grad (or None), and producing op."""
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "op", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
         self.requires_grad = bool(requires_grad)
+        self.grad: np.ndarray | None = np.zeros_like(self.data) if requires_grad else None
         self.parents: tuple[Value, ...] = ()
         self.op: str | None = None
-        self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None
+        self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,7 +62,8 @@ class Value:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Value(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
@@ -87,7 +92,7 @@ def as_value(x, requires_grad: bool = False) -> Value:
 def _make(data: np.ndarray, op: str, parents: tuple[Value, ...], backward_fn) -> Value:
     """Wrap an op result, recording the graph edge only when grads can flow."""
     out = Value(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = parents
         out.op = op
@@ -121,7 +126,8 @@ def add(a: Value, b: Value) -> Value:
     data = a.data + b.data
 
     def backward_fn(adj):
-        return _unbroadcast(adj, a.shape), _unbroadcast(adj, b.shape)
+        return (_unbroadcast(adj, a.shape) if a.requires_grad else None,
+                _unbroadcast(adj, b.shape) if b.requires_grad else None)
 
     return _make(data, "add", (a, b), backward_fn)
 
@@ -131,7 +137,8 @@ def sub(a: Value, b: Value) -> Value:
     data = a.data - b.data
 
     def backward_fn(adj):
-        return _unbroadcast(adj, a.shape), _unbroadcast(-adj, b.shape)
+        return (_unbroadcast(adj, a.shape) if a.requires_grad else None,
+                _unbroadcast(-adj, b.shape) if b.requires_grad else None)
 
     return _make(data, "sub", (a, b), backward_fn)
 
@@ -141,7 +148,8 @@ def mul(a: Value, b: Value) -> Value:
     data = a.data * b.data
 
     def backward_fn(adj):
-        return _unbroadcast(adj * b.data, a.shape), _unbroadcast(adj * a.data, b.shape)
+        return (_unbroadcast(adj * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(adj * a.data, b.shape) if b.requires_grad else None)
 
     return _make(data, "mul", (a, b), backward_fn)
 
@@ -151,8 +159,9 @@ def div(a: Value, b: Value) -> Value:
     data = a.data / b.data
 
     def backward_fn(adj):
-        ga = _unbroadcast(adj / b.data, a.shape)
-        gb = _unbroadcast(-adj * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(adj / b.data, a.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-adj * a.data / (b.data * b.data), b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _make(data, "div", (a, b), backward_fn)
@@ -190,11 +199,30 @@ def matmul(a: Value, b: Value) -> Value:
         a2 = am[None, :] if am.ndim == 1 else am
         b2 = bm[:, None] if bm.ndim == 1 else bm
         adj2 = adj.reshape((a2.shape[0], b2.shape[1]))
-        ga = adj2 @ b2.T
-        gb = a2.T @ adj2
-        return ga.reshape(am.shape), gb.reshape(bm.shape)
+        ga = (adj2 @ b2.T).reshape(am.shape) if a.requires_grad else None
+        gb = (a2.T @ adj2).reshape(bm.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(data, "matmul", (a, b), backward_fn)
+
+
+def linear(x: Value, w: Value, b: Value) -> Value:
+    """Affine layer ``x @ w + b`` as one node: (B, in) @ (in, out) + (out,).
+
+    Forward and backward do the arithmetic of ``add(matmul(x, w), b)`` in the
+    same order, so the results are bitwise equal to that two-node form.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ValueError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    data = x.data @ w.data + b.data
+
+    def backward_fn(adj):
+        return (adj @ w.data.T if x.requires_grad else None,
+                x.data.T @ adj if w.requires_grad else None,
+                adj.sum(axis=0) if b.requires_grad else None)
+
+    return _make(data, "linear", (x, w, b), backward_fn)
 
 
 def relu(a: Value) -> Value:
@@ -250,7 +278,7 @@ def mse(a: Value, b: Value) -> Value:
 
     def backward_fn(adj):
         g = (2.0 / n) * diff * adj
-        return g, -g
+        return g if a.requires_grad else None, -g if b.requires_grad else None
 
     return _make(data, "mse", (a, b), backward_fn)
 
@@ -297,7 +325,8 @@ def dot(a: Value, b: Value) -> Value:
 
     def backward_fn(adj):
         adj_e = np.asarray(adj)[..., None] if a.data.ndim > 1 else adj
-        return adj_e * b.data, adj_e * a.data
+        return (adj_e * b.data if a.requires_grad else None,
+                adj_e * a.data if b.requires_grad else None)
 
     return _make(np.asarray(data), "dot", (a, b), backward_fn)
 
@@ -338,7 +367,7 @@ def detach(a: Value) -> Value:
     """Stop-gradient: shares the data buffer, records no parent edge."""
     out = Value.__new__(Value)
     out.data = a.data
-    out.grad = np.zeros_like(a.data)
+    out.grad = None
     out.requires_grad = False
     out.parents = ()
     out.op = None
@@ -346,46 +375,13 @@ def detach(a: Value) -> Value:
     return out
 
 
-_OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "scale": scale,
-    "matmul": matmul,
-    "relu": relu,
-    "log": log,
-    "log_softmax": log_softmax,
-    "softmax": softmax,
-    "mse": mse,
-    "sum": vsum,
-    "mean": vmean,
-    "l2_norm": l2_norm,
-    "dot": dot,
-    "gather_rows": gather_rows,
-    "max_rows": max_rows,
-}
-
-
-def forward_op(kind: str, inputs: Sequence) -> Value:
-    """Dispatch an operation by name (inputs coerced to Value where sensible)."""
-    if kind not in _OPS:
-        raise ValueError(f"unknown op kind: {kind!r}")
-    fn = _OPS[kind]
-    if kind in ("gather_rows",):
-        return fn(as_value(inputs[0]), inputs[1])
-    if kind == "scale":
-        return fn(as_value(inputs[0]), inputs[1])
-    return fn(*[as_value(x) for x in inputs])
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
 
 def backward(root: Value) -> None:
-    """Accumulate d(root)/d(node) into .grad for every reachable node.
+    """Accumulate d(root)/d(leaf) into .grad of every grad-requiring leaf and
+    of the root.
 
     Adjoints are computed fresh per call and then added, so running backward
     twice without zeroing doubles every gradient exactly.
@@ -393,6 +389,7 @@ def backward(root: Value) -> None:
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar-shaped, got {root.shape}")
 
+    # constants are never queued: they hold no grad and pass none on
     topo: list[Value] = []
     seen: set[int] = set()
     stack: list[tuple[Value, bool]] = [(root, False)]
@@ -406,26 +403,27 @@ def backward(root: Value) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
 
+    # every consumer of a node precedes it here, so its adjoint is complete
+    # when it is reached; adjoints are never updated in place, so a
+    # contribution may alias another node's adjoint
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     for node in reversed(topo):
-        adj = adjoint.get(id(node))
-        if adj is None or node._backward_fn is None:
+        adj = adjoint.pop(id(node))
+        fn = node._backward_fn
+        if fn is None or node is root:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += adj.reshape(node.data.shape)
+        if fn is None:
             continue
-        for parent, contribution in zip(node.parents, node._backward_fn(adj)):
+        for parent, contribution in zip(node.parents, fn(adj)):
+            if contribution is None or not parent.requires_grad:
+                continue
             prev = adjoint.get(id(parent))
-            if prev is None:
-                adjoint[id(parent)] = np.array(contribution, dtype=np.float64, copy=True)
-            else:
-                prev += contribution
-
-    for node in topo:
-        if node.requires_grad or node is root:
-            adj = adjoint.get(id(node))
-            if adj is not None:
-                node.grad += adj.reshape(node.grad.shape)
+            adjoint[id(parent)] = contribution if prev is None else prev + contribution
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +468,3 @@ class SgdOptimizer:
             v += g
             p.data -= self.learning_rate * v
             p.grad[...] = 0.0
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad[...] = 0.0
-
-
-def sgd_step(params: Sequence[Value], state: SgdOptimizer) -> None:
-    """Functional form of the optimizer update (params must match state)."""
-    given = list(params)
-    if len(given) != len(state.params) or any(
-            a is not b for a, b in zip(given, state.params)):
-        raise ValueError("sgd_step: params do not match optimizer state")
-    state.step()

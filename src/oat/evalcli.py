@@ -6,10 +6,9 @@ Subcommands:
   eval     -- clean/robust accuracy of a saved checkpoint
   report   -- aggregate a run (or corruption) directory to csv/json
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. ``OAT_THREADS`` caps
-evaluation parallelism; 0 (default) is the sequential deterministic mode.
-Per-batch attack seeds depend only on the batch index, so thread count never
-changes results.
+Exit codes: 0 success, 1 usage error, 2 runtime error. Evaluation runs its
+batches one after another; each batch's attack stream is forked from the seed
+by batch index, so results depend only on the seed and the batch size.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,10 +58,6 @@ class MetricsRecord:
         }
 
 
-def _eval_threads() -> int:
-    return int(os.environ.get("OAT_THREADS", "0"))
-
-
 def evaluate(model: ModelParams, test: LabeledDataset,
              attacks: list[AttackSpec], seed: int = 0,
              batch_size: int = 256,
@@ -80,7 +73,7 @@ def evaluate(model: ModelParams, test: LabeledDataset,
     if test.gt_labels is None:
         raise ValueError("evaluation requires gt_labels")
     labels = test.gt_labels
-    starts = list(range(0, len(test), batch_size))
+    starts = range(0, len(test), batch_size)
     shift = None if adjustment is None else np.log(adjustment.smoothed)
 
     def predict(x: np.ndarray) -> np.ndarray:
@@ -88,37 +81,23 @@ def evaluate(model: ModelParams, test: LabeledDataset,
         scores = np.log(np.maximum(probs, 1e-300)) + shift if shift is not None else probs
         return scores.argmax(axis=1)
 
-    def clean_batch(i: int) -> np.ndarray:
-        s = starts[i]
-        x = test.samples[s:s + batch_size]
-        return predict(x) == labels[s:s + batch_size]
-
-    clean_ok = np.concatenate(_map_batches(clean_batch, len(starts)))
+    clean_ok = np.concatenate([
+        predict(test.samples[s:s + batch_size]) == labels[s:s + batch_size]
+        for s in starts])
     ca = float(np.mean(clean_ok))
 
     ra: dict[str, float] = {}
     for attack in attacks:
         rng = SplitMix64(seed).fork("evaluate." + attack.name())
-
-        def adv_batch(i: int, attack=attack, rng=rng) -> np.ndarray:
-            s = starts[i]
-            x = test.samples[s:s + batch_size]
+        adv_ok = []
+        for i, s in enumerate(starts):
             y = labels[s:s + batch_size]
-            adv = pgd_attack(model, x, y, attack, rng.fork("batch", i))
-            return predict(adv) == y
-
-        adv_ok = np.concatenate(_map_batches(adv_batch, len(starts)))
-        ra[attack.name()] = float(np.mean(clean_ok & adv_ok))
+            adv = pgd_attack(model, test.samples[s:s + batch_size], y, attack,
+                             rng.fork("batch", i))
+            adv_ok.append(predict(adv) == y)
+        ra[attack.name()] = float(np.mean(clean_ok & np.concatenate(adv_ok)))
 
     return MetricsRecord(clean_accuracy=ca, robust_accuracy=ra)
-
-
-def _map_batches(fn, n: int) -> list:
-    threads = _eval_threads()
-    if threads <= 0 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 def distribution_error(estimated, reference) -> float:

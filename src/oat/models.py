@@ -117,7 +117,7 @@ def init_model(spec: ArchSpec, role: str, seed: int) -> ModelParams:
 
 
 def _affine(x: Value, layer: Layer) -> Value:
-    return ad.add(ad.matmul(x, layer[0]), layer[1])
+    return ad.linear(x, layer[0], layer[1])
 
 
 def forward_features(params: ModelParams, x) -> Value:

@@ -2,24 +2,25 @@ import numpy as np
 import pytest
 
 from oat import autodiff as ad
-from oat.autodiff import SgdOptimizer, Value, backward, detach, forward_op
+from oat.autodiff import SgdOptimizer, Value, backward, detach
+from oat.rng import SplitMix64
 
 from helpers import fd_max_rel_error
 
 
 def test_matmul_identity():
     x = np.array([3.0, -1.0, 2.5])
-    out = forward_op("matmul", [np.eye(3), x])
+    out = ad.matmul(Value(np.eye(3)), Value(x))
     assert np.array_equal(out.data, x)
 
 
 def test_relu_definition():
-    out = forward_op("relu", [np.array([-1.0, 0.0, 2.0])])
+    out = ad.relu(Value(np.array([-1.0, 0.0, 2.0])))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
 def test_softmax_symmetry():
-    out = forward_op("softmax", [np.array([0.0, 0.0])])
+    out = ad.softmax(Value(np.array([0.0, 0.0])))
     assert np.array_equal(out.data, [0.5, 0.5])
 
 
@@ -38,11 +39,8 @@ def test_shape_mismatch_names_kind():
         ad.add(Value(np.zeros(3)), Value(np.zeros(4)))
     with pytest.raises(ValueError, match="matmul"):
         ad.matmul(Value(np.zeros((2, 3))), Value(np.zeros((4, 2))))
-
-
-def test_unknown_op_kind():
-    with pytest.raises(ValueError, match="unknown op"):
-        forward_op("conv", [np.zeros(2)])
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(Value(np.zeros((2, 3))), Value(np.zeros((3, 4))), Value(np.zeros(3)))
 
 
 def test_backward_relu_subgradient():
@@ -134,7 +132,6 @@ def test_no_grad_suppresses_graph():
 
 def test_mlp_gradients_match_finite_differences():
     # random 2-layer MLPs across seeds; hand-rolled loss through every op family
-    from oat.rng import SplitMix64
     for seed in range(5):
         rng = SplitMix64(seed).fork("mlp")
         w1 = Value(rng.uniform_range(4 * 6, -0.5, 0.5).reshape(4, 6), requires_grad=True)
@@ -180,12 +177,60 @@ def test_sgd_weight_decay_only():
     assert np.allclose(w.data, 0.99995)
 
 
-def test_sgd_step_functional_form():
-    w = Value(1.0, requires_grad=True)
-    opt = SgdOptimizer([w], learning_rate=0.1)
-    w.grad[...] = 2.0
-    ad.sgd_step([w], opt)
-    assert np.allclose(w.data, 0.8)
-    other = Value(0.0, requires_grad=True)
-    with pytest.raises(ValueError, match="match"):
-        ad.sgd_step([other], opt)
+def _random_linear(seed: int, batch: int, fan_in: int, fan_out: int):
+    rng = SplitMix64(seed).fork("linear")
+    x = Value(rng.uniform_range(batch * fan_in, -1.0, 1.0).reshape(batch, fan_in),
+              requires_grad=True)
+    w = Value(rng.uniform_range(fan_in * fan_out, -1.0, 1.0).reshape(fan_in, fan_out),
+              requires_grad=True)
+    b = Value(rng.uniform_range(fan_out, -1.0, 1.0), requires_grad=True)
+    probe = rng.uniform_range(batch * fan_out, -1.0, 1.0).reshape(batch, fan_out)
+    return x, w, b, probe
+
+
+def test_linear_bitwise_equals_add_of_matmul():
+    for seed, shape in enumerate([(1, 1, 1), (3, 5, 2), (128, 16, 64), (7, 64, 10)]):
+        results = []
+        for fused in (True, False):
+            x, w, b, probe = _random_linear(seed, *shape)
+            out = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+            # a non-uniform adjoint, so every backward product is exercised
+            backward(ad.vsum(ad.relu(ad.mul(out, Value(probe)))))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for fused, reference in zip(*results):
+            assert fused.tobytes() == reference.tobytes()
+
+
+def test_grads_held_by_leaves_and_root_only():
+    x, w, b, probe = _random_linear(11, 4, 3, 2)
+    const = Value(probe)
+    hidden = ad.linear(x, w, b)
+    scaled = ad.mul(hidden, const)
+    root = ad.vsum(scaled)
+    backward(root)
+    assert hidden.grad is None and scaled.grad is None and const.grad is None
+    assert float(root.grad) == 1.0
+    assert np.array_equal(x.grad, probe @ w.data.T)
+    assert np.array_equal(b.grad, probe.sum(axis=0))
+    assert w.grad.shape == (3, 2) and np.any(w.grad != 0)
+
+
+def test_backward_twice_doubles_leaf_grads_exactly():
+    x, w, b, probe = _random_linear(12, 5, 4, 3)
+    root = ad.vmean(ad.mul(ad.relu(ad.linear(x, w, b)), Value(probe)))
+    backward(root)
+    first = [p.grad.copy() for p in (x, w, b)]
+    backward(root)
+    for p, g in zip((x, w, b), first):
+        assert np.array_equal(p.grad, 2.0 * g)
+    assert float(root.grad) == 2.0
+
+
+def test_linear_detached_weight_gets_no_grad():
+    x, w, b, probe = _random_linear(13, 6, 4, 3)
+    frozen = detach(w)
+    backward(ad.vsum(ad.mul(ad.linear(x, frozen, b), Value(probe))))
+    assert frozen.grad is None
+    assert np.array_equal(w.grad, np.zeros((4, 3)))
+    assert np.array_equal(x.grad, probe @ w.data.T)
+    assert np.array_equal(b.grad, probe.sum(axis=0))

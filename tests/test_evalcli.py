@@ -51,15 +51,14 @@ def test_evaluate_more_steps_never_helps_much():
     assert record.robust_accuracy["pgd12"] <= record.robust_accuracy["pgd4"] + 0.005
 
 
-def test_evaluate_deterministic_and_thread_invariant(monkeypatch):
+def test_evaluate_deterministic():
     model = init_model(TINY_ARCH, AT_MODEL, seed=4)
     ds = tiny_dataset(n_per_class=40, num_classes=3, dim=5, seed=5)
     spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=3)
-    sequential = evaluate(model, ds, [spec], seed=1, batch_size=16)
-    monkeypatch.setenv("OAT_THREADS", "4")
-    threaded = evaluate(model, ds, [spec], seed=1, batch_size=16)
-    assert sequential.clean_accuracy == threaded.clean_accuracy
-    assert sequential.robust_accuracy == threaded.robust_accuracy
+    first = evaluate(model, ds, [spec], seed=1, batch_size=16)
+    second = evaluate(model, ds, [spec], seed=1, batch_size=16)
+    assert first.clean_accuracy == second.clean_accuracy
+    assert first.robust_accuracy == second.robust_accuracy
 
 
 def test_metrics_record_invariant():
