@@ -9,8 +9,8 @@ and diffable.
 
 from __future__ import annotations
 
-import csv
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,7 +41,8 @@ class LabeledDataset:
             if labels is not None and len(labels) and (
                     labels.min() < 0 or labels.max() >= self.num_classes):
                 raise ValueError(f"{name} labels outside [0, {self.num_classes})")
-        if len(self.samples) and (self.samples.min() < 0.0 or self.samples.max() > 1.0):
+        # negated, so that a NaN minimum or maximum fails the test too
+        if len(self.samples) and not (self.samples.min() >= 0.0 and self.samples.max() <= 1.0):
             raise ValueError("sample values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -146,8 +147,31 @@ def load_idx(image_path: str | Path, label_path: str | Path) -> LabeledDataset:
 # directory persistence
 # ---------------------------------------------------------------------------
 
+_BLOCK_ROWS = 256
+
+
+def _format_block(ids: np.ndarray, block: np.ndarray):
+    """Yield the CSV lines ``id,repr(v0),...`` of a block of sample rows,
+    each ending in CRLF.
+
+    repr round-trips float64 exactly. Each distinct bit pattern in the block
+    is formatted once; bit patterns, not values, keep -0.0 apart from 0.0.
+    The inverse is reshaped because numpy versions differ in its shape.
+    """
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    for i, row in zip(ids.tolist(), table[inverse.reshape(block.shape)].tolist()):
+        yield f"{i},{','.join(row)}\r\n"
+
+
 def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
-    """Write meta.json, samples.csv and labels.csv; round trip is lossless."""
+    """Write samples.csv, labels.csv and meta.json; round trip is lossless.
+
+    Every file is written to a temp file in ``path`` first and renamed over
+    its target only after all three are complete, so a failed save leaves a
+    previous dataset in ``path`` untouched.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -157,37 +181,43 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
         "count": len(ds),
         "has_gt": ds.gt_labels is not None,
     }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    with open(path / "samples.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id"] + [f"f{j}" for j in range(ds.dim)])
-        for i in range(len(ds)):
-            # repr round-trips float64 exactly
-            writer.writerow([int(ds.ids[i])] + [repr(float(v)) for v in ds.samples[i]])
-    with open(path / "labels.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        header = ["id", "observed_label"] + (["gt_label"] if ds.gt_labels is not None else [])
-        writer.writerow(header)
-        for i in range(len(ds)):
-            row = [int(ds.ids[i]), int(ds.observed_labels[i])]
-            if ds.gt_labels is not None:
-                row.append(int(ds.gt_labels[i]))
-            writer.writerow(row)
+    ids = np.asarray(ds.ids, dtype=np.int64)
+    labels = {"id": ids, "observed_label": ds.observed_labels}
+    if ds.gt_labels is not None:
+        labels["gt_label"] = ds.gt_labels
+    temps = {name: path / f".{name}.{os.getpid()}.tmp"
+             for name in ("samples.csv", "labels.csv", "meta.json")}
+    try:
+        with open(temps["samples.csv"], "w", newline="") as f:
+            f.write(",".join(["id"] + [f"f{j}" for j in range(ds.dim)]) + "\r\n")
+            for start in range(0, len(ds), _BLOCK_ROWS):
+                stop = start + _BLOCK_ROWS
+                f.writelines(_format_block(ids[start:stop], ds.samples[start:stop]))
+        with open(temps["labels.csv"], "w", newline="") as f:
+            f.write(",".join(labels) + "\r\n")
+            rows = zip(*(np.asarray(c, dtype=np.int64).tolist() for c in labels.values()))
+            f.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+        temps["meta.json"].write_text(json.dumps(meta, indent=2) + "\n")
+        for name, temp in temps.items():
+            os.replace(temp, path / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _csv_rows(file: Path, count: int, width: int):
     """Yield (i, row) for the data rows of a CSV file under a header line.
 
-    Raises ValueError unless there are exactly ``count`` rows of ``width``
-    fields each.
+    Lines may end in CRLF or LF. Raises ValueError unless there are exactly
+    ``count`` rows of ``width`` fields each.
     """
     n = 0
-    with open(file, newline="") as f:
-        reader = csv.reader(f)
-        next(reader, None)
-        for n, row in enumerate(reader, 1):
+    with open(file) as f:
+        next(f, None)
+        for n, line in enumerate(f, 1):
             if n > count:
                 raise ValueError(f"{file.name} has more than the {count} rows meta.json declares")
+            row = line.rstrip("\n").split(",")
             if len(row) != width:
                 raise ValueError(f"{file.name} row {n} has {len(row)} fields, expected {width}")
             yield n - 1, row
@@ -215,7 +245,7 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     ids = np.zeros(count, dtype=np.int64)
     for i, row in _csv_rows(path / "samples.csv", count, dim + 1):
         ids[i] = int(row[0])
-        samples[i] = [float(v) for v in row[1:]]
+        samples[i] = list(map(float, row[1:]))
 
     labels_file = path / "labels.csv"
     if not labels_file.exists():

@@ -187,7 +187,11 @@ def _cmd_train(args) -> int:
         overrides = json.loads(Path(args.config).read_text())
     if args.method:
         overrides["method"] = args.method.replace("-", "_")
-    config = TrainConfig.from_dict(overrides)
+    try:
+        config = TrainConfig.from_dict(overrides)
+    except ValueError as err:  # a bad config is a usage problem
+        print(f"oat: error: {err}", file=sys.stderr)
+        return 1
     ds = load_dataset(args.data)
     test = load_dataset(args.test)
     state = train(config, ds, test, args.out)

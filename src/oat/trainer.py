@@ -85,14 +85,19 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
+        """Build a config from its to_dict form; raises ValueError naming any
+        unknown key, at the top level or under "attack" or "augment"."""
         d = dict(d)
+        _reject_unknown_keys(TrainConfig, d, "config")
         if "attack" in d and isinstance(d["attack"], dict):
             a = dict(d["attack"])
+            _reject_unknown_keys(AttackSpec, a, "attack")
             if a.get("adjustment") is not None:
                 a["adjustment"] = tuple(a["adjustment"])
             d["attack"] = AttackSpec(**a)
         if "augment" in d and isinstance(d["augment"], dict):
             aug = dict(d["augment"])
+            _reject_unknown_keys(AugmentationPolicy, aug, "augment")
             for key in ("weak", "strong"):
                 if key in aug:
                     aug[key] = tuple(aug[key])
@@ -101,6 +106,12 @@ class TrainConfig:
             if key in d:
                 d[key] = tuple(d[key])
         return TrainConfig(**d)
+
+
+def _reject_unknown_keys(cls, d: dict, where: str) -> None:
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 @dataclass

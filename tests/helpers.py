@@ -1,7 +1,11 @@
 """Shared test utilities: finite-difference gradients, brute-force k-NN,
-and small fixture builders."""
+a reference dataset writer and small fixture builders."""
 
 from __future__ import annotations
+
+import csv
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -92,3 +96,27 @@ def tiny_dataset(n_per_class: int = 6, num_classes: int = 3, dim: int = 4,
                           gt_labels=labels.astype(np.int64).copy(),
                           num_classes=num_classes,
                           ids=np.arange(len(labels), dtype=np.int64))
+
+
+def reference_save_dataset(ds: LabeledDataset, path) -> None:
+    """Row-by-row csv.writer + repr writer of the dataset directory format:
+    the bytes save_dataset must reproduce."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    meta = {"version": 1, "num_classes": ds.num_classes, "dim": ds.dim,
+            "count": len(ds), "has_gt": ds.gt_labels is not None}
+    (path / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    with open(path / "samples.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["id"] + [f"f{j}" for j in range(ds.dim)])
+        for i in range(len(ds)):
+            writer.writerow([int(ds.ids[i])] + [repr(float(v)) for v in ds.samples[i]])
+    with open(path / "labels.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["id", "observed_label"]
+                        + (["gt_label"] if ds.gt_labels is not None else []))
+        for i in range(len(ds)):
+            row = [int(ds.ids[i]), int(ds.observed_labels[i])]
+            if ds.gt_labels is not None:
+                row.append(int(ds.gt_labels[i]))
+            writer.writerow(row)

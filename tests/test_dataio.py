@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import reference_save_dataset
+from oat import dataio
 from oat.dataio import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledDataset,
                         SyntheticSpec, class_means, gen_synthetic, load_dataset,
                         load_idx, save_dataset)
@@ -126,6 +128,14 @@ def test_dataset_invariants_enforced():
                        gt_labels=None, num_classes=2, ids=np.arange(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        LabeledDataset(samples=np.array([[bad, 0.5], [0.0, 1.0]]),
+                       observed_labels=np.array([0, 1]), gt_labels=None,
+                       num_classes=2, ids=np.arange(2))
+
+
 def _saved(tmp_path):
     ds = gen_synthetic(SyntheticSpec(num_classes=2, dim=3, per_class=3,
                                      cluster_spread=0.05, seed=6))
@@ -168,3 +178,98 @@ def test_load_dataset_rejects_id_mismatch(tmp_path):
                 lambda lines: lines[:1] + [lines[2], lines[1]] + lines[3:])
     with pytest.raises(ValueError, match="labels.csv row 1 has id 1, samples.csv row 1 has id 0"):
         load_dataset(path)
+
+
+def test_load_dataset_rejects_nan_field(tmp_path):
+    path = _saved(tmp_path)
+    _edit_lines(path / "samples.csv",
+                lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",nan\n"] + lines[3:])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        load_dataset(path)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_save_dataset_golden_bytes(tmp_path):
+    ds = LabeledDataset(samples=np.array([[0.0, -0.0, 1.0], [1e-05, 5e-324, 0.5]]),
+                        observed_labels=np.array([1, 0]), gt_labels=np.array([0, 0]),
+                        num_classes=2, ids=np.array([-3, 7]))
+    save_dataset(ds, tmp_path / "ds")
+    assert _dir_bytes(tmp_path / "ds") == {
+        "labels.csv": b"id,observed_label,gt_label\r\n-3,1,0\r\n7,0,0\r\n",
+        "meta.json": b'{\n  "version": 1,\n  "num_classes": 2,\n  "dim": 3,\n'
+                     b'  "count": 2,\n  "has_gt": true\n}\n',
+        "samples.csv": b"id,f0,f1,f2\r\n-3,0.0,-0.0,1.0\r\n7,1e-05,5e-324,0.5\r\n",
+    }
+    assert _same_bits(load_dataset(tmp_path / "ds").samples, ds.samples)
+
+
+def _mixed_dataset(layout):
+    """600 rows over three 256-row blocks: rows below 300 are 8-bit pixel
+    values, the rest continuous, with signed zeros and ones sprinkled in."""
+    rng = np.random.default_rng(4)
+    samples = rng.random((600, 12))
+    samples[:300] = rng.integers(0, 256, size=(300, 12)) / 255.0
+    samples[::7, 3] = -0.0
+    samples[::11, 5] = 1.0
+    labels = np.arange(600, dtype=np.int64) % 4
+    return LabeledDataset(samples=np.asarray(samples, order=layout),
+                          observed_labels=labels, gt_labels=labels[::-1].copy(),
+                          num_classes=4, ids=np.arange(600, dtype=np.int64) * 3 - 50)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_save_dataset_matches_reference_writer(tmp_path, layout):
+    ds = _mixed_dataset(layout)
+    save_dataset(ds, tmp_path / "new")
+    reference_save_dataset(ds, tmp_path / "ref")
+    assert _dir_bytes(tmp_path / "new") == _dir_bytes(tmp_path / "ref")
+    back = load_dataset(tmp_path / "new")
+    assert _same_bits(back.samples, ds.samples)
+    assert np.array_equal(back.ids, ds.ids)
+    assert np.array_equal(back.observed_labels, ds.observed_labels)
+    assert np.array_equal(back.gt_labels, ds.gt_labels)
+
+
+def test_load_dataset_accepts_lf_line_ends(tmp_path):
+    path = _saved(tmp_path)
+    crlf = load_dataset(path)
+    for name in ("samples.csv", "labels.csv"):
+        text = (path / name).read_bytes()
+        assert text.count(b"\r\n") == 7
+        (path / name).write_bytes(text.replace(b"\r\n", b"\n"))
+    lf = load_dataset(path)
+    assert _same_bits(lf.samples, crlf.samples)
+    assert np.array_equal(lf.ids, crlf.ids)
+    assert np.array_equal(lf.observed_labels, crlf.observed_labels)
+    assert np.array_equal(lf.gt_labels, crlf.gt_labels)
+
+
+def test_failed_save_leaves_previous_dataset(tmp_path, monkeypatch):
+    path = tmp_path / "ds"
+    old = _mixed_dataset("C")
+    save_dataset(old, path)
+    before = _dir_bytes(path)
+    blocks = []
+    format_block = dataio._format_block
+
+    def fail_on_second_block(ids, block):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise RuntimeError("disk gone")
+        return format_block(ids, block)
+
+    monkeypatch.setattr(dataio, "_format_block", fail_on_second_block)
+    new = gen_synthetic(SyntheticSpec(num_classes=2, dim=3, per_class=200,
+                                      cluster_spread=0.05, seed=8))
+    with pytest.raises(RuntimeError, match="disk gone"):
+        save_dataset(new, path)
+    assert blocks == [256, 144]
+    assert _dir_bytes(path) == before  # no temp file left either
+    assert _same_bits(load_dataset(path).samples, old.samples)

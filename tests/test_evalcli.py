@@ -94,6 +94,17 @@ def test_cli_usage_errors_exit_1(capsys):
     assert cli(["nonsense"]) == 1
 
 
+def test_cli_train_unknown_config_key_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 2, "bogus": 1}))
+    data = _make_dataset_dir(tmp_path, "data", per_class=4)
+    code = cli(["train", "--config", str(config), "--data", str(data),
+                "--test", str(data), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "unknown config key(s): bogus" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_runtime_errors_exit_2(tmp_path, capsys):
     assert cli(["report", "--run", str(tmp_path / "missing")]) == 2
 

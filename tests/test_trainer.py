@@ -116,6 +116,18 @@ def test_config_roundtrip_through_dict():
     assert back == config
 
 
+@pytest.mark.parametrize("overrides,named", [
+    ({"bogus": 1, "epochs": 3}, "unknown config key(s): bogus"),
+    ({"attack": {"epsilon": 0.1, "alpha": 0.02, "steps": 7, "stepz": 2}},
+     "unknown attack key(s): stepz"),
+    ({"augment": {"jitter": 0.1}}, "unknown augment key(s): jitter"),
+])
+def test_config_from_dict_rejects_unknown_keys(overrides, named):
+    with pytest.raises(ValueError) as err:
+        TrainConfig.from_dict(overrides)
+    assert str(err.value) == named
+
+
 # ---------------------------------------------------------------------------
 # robust-model loss
 # ---------------------------------------------------------------------------
