@@ -7,7 +7,8 @@ from .corruption import (ClassCounts, CorruptionSpec, apply_asymmetric_noise,
                          balanced_oversample, compute_ir, compute_nr, corrupt)
 from .dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
                      load_idx, save_dataset)
-from .evalcli import MetricsRecord, cli, distribution_error, evaluate
+from .evalcli import cli
+from .evaluation import MetricsRecord, distribution_error, evaluate
 from .models import (ArchSpec, ModelParams, forward_features, forward_logits,
                      init_model, load_model, project_predict, save_model)
 from .oracle import (AugmentationPolicy, KnnIndex, RefurbishedLabels, SplitSets,

@@ -1,4 +1,4 @@
-"""Evaluation harness and command-line interface.
+"""Command-line interface.
 
 Subcommands:
   corrupt  -- apply label noise / imbalance to a dataset directory
@@ -6,9 +6,8 @@ Subcommands:
   eval     -- clean/robust accuracy of a saved checkpoint
   report   -- aggregate a run (or corruption) directory to csv/json
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. Evaluation runs its
-batches one after another; each batch's attack stream is forked from the seed
-by batch index, so results depend only on the seed and the batch size.
+Exit codes: 0 success, 1 usage error, 2 runtime error. The metrics come from
+``oat.evaluation``, the same code the training loop uses.
 """
 
 from __future__ import annotations
@@ -17,105 +16,15 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from .adversary import AttackSpec
+from .corruption import CorruptionSpec, corrupt
+from .dataio import load_dataset, save_dataset
+from .evaluation import evaluate
+from .models import load_model
+from .trainer import TrainConfig, train
 
-from .adversary import AttackSpec, pgd_attack
-from .corruption import ClassCounts, CorruptionSpec, corrupt
-from .dataio import LabeledDataset, load_dataset, save_dataset
-from .models import ModelParams, load_model
-from .oracle import predict_probs
-from .rng import SplitMix64
-from .trainer import LabelDistribution, TrainConfig, train
-
-
-@dataclass
-class MetricsRecord:
-    clean_accuracy: float
-    robust_accuracy: dict[str, float]
-    epoch: int = -1
-    refurbished_nr: float | None = None
-    dist_l1_prior: float | None = None
-    dist_l1_estimated: float | None = None
-
-    def __post_init__(self):
-        for name, ra in self.robust_accuracy.items():
-            if ra > self.clean_accuracy + 1e-12:
-                raise ValueError(
-                    f"robust accuracy under {name} ({ra}) exceeds clean accuracy "
-                    f"({self.clean_accuracy})")
-
-    def to_dict(self) -> dict:
-        return {
-            "clean_accuracy": self.clean_accuracy,
-            "robust_accuracy": dict(self.robust_accuracy),
-            "epoch": self.epoch,
-            "refurbished_nr": self.refurbished_nr,
-            "dist_l1_prior": self.dist_l1_prior,
-            "dist_l1_estimated": self.dist_l1_estimated,
-        }
-
-
-def evaluate(model: ModelParams, test: LabeledDataset,
-             attacks: list[AttackSpec], seed: int = 0,
-             batch_size: int = 256,
-             adjustment: LabelDistribution | None = None) -> MetricsRecord:
-    """Clean accuracy plus robust accuracy per attack.
-
-    Test-time predictions use raw logits by default; ``adjustment`` shifts
-    them by the log class prior instead (experimentation flag, not used by
-    the standard metrics). A sample counts as robust only if it is classified
-    correctly both clean and attacked, so robust accuracy can never exceed
-    clean accuracy.
-    """
-    if test.gt_labels is None:
-        raise ValueError("evaluation requires gt_labels")
-    labels = test.gt_labels
-    starts = range(0, len(test), batch_size)
-    shift = None if adjustment is None else np.log(adjustment.smoothed)
-
-    def predict(x: np.ndarray) -> np.ndarray:
-        probs = predict_probs(model, x)
-        scores = np.log(np.maximum(probs, 1e-300)) + shift if shift is not None else probs
-        return scores.argmax(axis=1)
-
-    clean_ok = np.concatenate([
-        predict(test.samples[s:s + batch_size]) == labels[s:s + batch_size]
-        for s in starts])
-    ca = float(np.mean(clean_ok))
-
-    ra: dict[str, float] = {}
-    for attack in attacks:
-        rng = SplitMix64(seed).fork("evaluate." + attack.name())
-        adv_ok = []
-        for i, s in enumerate(starts):
-            y = labels[s:s + batch_size]
-            adv = pgd_attack(model, test.samples[s:s + batch_size], y, attack,
-                             rng.fork("batch", i))
-            adv_ok.append(predict(adv) == y)
-        ra[attack.name()] = float(np.mean(clean_ok & np.concatenate(adv_ok)))
-
-    return MetricsRecord(clean_accuracy=ca, robust_accuracy=ra)
-
-
-def distribution_error(estimated, reference) -> float:
-    """Total-variation distance between two count vectors, in [0, 1]."""
-    est = np.asarray(estimated.counts if isinstance(estimated, (LabelDistribution, ClassCounts))
-                     else estimated, dtype=np.float64)
-    ref = np.asarray(reference.counts if isinstance(reference, (LabelDistribution, ClassCounts))
-                     else reference, dtype=np.float64)
-    if est.shape != ref.shape:
-        raise ValueError(f"count vectors differ in length: {est.shape} vs {ref.shape}")
-    if est.sum() <= 0 or ref.sum() <= 0:
-        raise ValueError("count vectors must have positive totals")
-    return float(0.5 * np.abs(est / est.sum() - ref / ref.sum()).sum())
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for runtime errors
@@ -134,7 +43,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise", choices=["symmetric", "asymmetric", "none"], default="none")
     p.add_argument("--nr", type=float, default=0.0)
     p.add_argument("--ir", type=float, default=1.0)
-    p.add_argument("--pairs", default="", help="asymmetric pairs, e.g. 0:1,2:3")
+    p.add_argument("--pairs", type=_parse_pairs, default="",
+                   help="asymmetric pairs, e.g. 0:1,2:3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
 
@@ -164,15 +74,19 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
         return ()
     pairs = []
     for item in text.split(","):
-        src, dst = item.split(":")
-        pairs.append((int(src), int(dst)))
+        try:
+            src, dst = item.split(":")
+            pairs.append((int(src), int(dst)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected pairs like 0:1,2:3, got {text!r}") from None
     return tuple(pairs)
 
 
 def _cmd_corrupt(args) -> int:
     ds = load_dataset(args.input)
     spec = CorruptionSpec(noise_type=args.noise, target_nr=args.nr, target_ir=args.ir,
-                          asym_pairs=_parse_pairs(args.pairs), seed=args.seed)
+                          asym_pairs=args.pairs, seed=args.seed)
     out, provenance = corrupt(ds, spec)
     save_dataset(out, args.output)
     (Path(args.output) / "corruption.json").write_text(
@@ -182,14 +96,15 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    if args.method:
-        overrides["method"] = args.method.replace("-", "_")
-    try:
+    config_text = Path(args.config).read_text() if args.config else "{}"
+    try:  # a bad config is a usage problem
+        overrides = json.loads(config_text)
+        if not isinstance(overrides, dict):
+            raise ValueError("--config must hold a JSON object")
+        if args.method:
+            overrides["method"] = args.method.replace("-", "_")
         config = TrainConfig.from_dict(overrides)
-    except ValueError as err:  # a bad config is a usage problem
+    except ValueError as err:
         print(f"oat: error: {err}", file=sys.stderr)
         return 1
     ds = load_dataset(args.data)

@@ -1,0 +1,97 @@
+"""Evaluation metrics: clean accuracy, PGD robust accuracy, the metrics record
+and distribution-recovery error.
+
+The training loop picks its best checkpoint with these functions and
+``oat eval`` reports them, so both compute robust accuracy with the same code.
+Evaluation runs its batches one after another; each batch's attack stream is
+forked from the seed by batch index, so results depend only on the seed and
+the batch size. Predictions use raw logits (no class-prior adjustment).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+
+import numpy as np
+
+from .adversary import AttackSpec, pgd_attack
+from .dataio import LabeledDataset
+from .models import ModelParams
+from .oracle import predict_probs
+from .rng import SplitMix64
+
+
+@dataclass
+class MetricsRecord:
+    """Clean accuracy and robust accuracy per attack name. A sample counts as
+    robust only if it is classified correctly both clean and attacked, so
+    robust accuracy can never exceed clean accuracy."""
+    clean_accuracy: float
+    robust_accuracy: dict[str, float]
+
+    def __post_init__(self):
+        for name, ra in self.robust_accuracy.items():
+            if ra > self.clean_accuracy + 1e-12:
+                raise ValueError(
+                    f"robust accuracy under {name} ({ra}) exceeds clean accuracy "
+                    f"({self.clean_accuracy})")
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+def check_test_set(test: LabeledDataset) -> None:
+    """Raise ValueError unless ``test`` has rows and ground-truth labels."""
+    if len(test) == 0:
+        raise ValueError("evaluation requires a non-empty test set")
+    if test.gt_labels is None:
+        raise ValueError("evaluation requires gt_labels")
+
+
+def accuracy(model: ModelParams, x: np.ndarray, labels: np.ndarray) -> float:
+    predicted = predict_probs(model, x).argmax(axis=1)
+    return float(np.mean(predicted == labels))
+
+
+def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
+                    rng: SplitMix64, batch_size: int = 256) -> float:
+    """Fraction of test points that are correctly classified both clean and
+    after the attack (an attacked sample can only lose correctness)."""
+    check_test_set(ds)
+    robust = 0
+    for i, start in enumerate(range(0, len(ds), batch_size)):
+        x = ds.samples[start:start + batch_size]
+        y = ds.gt_labels[start:start + batch_size]
+        clean_ok = predict_probs(model, x).argmax(axis=1) == y
+        adv = pgd_attack(model, x, y, attack, rng.fork("batch", i))
+        adv_ok = predict_probs(model, adv).argmax(axis=1) == y
+        robust += int(np.sum(clean_ok & adv_ok))
+    return robust / len(ds)
+
+
+def evaluate(model: ModelParams, test: LabeledDataset,
+             attacks: list[AttackSpec], seed: int = 0,
+             batch_size: int = 256) -> MetricsRecord:
+    """Clean accuracy plus robust accuracy per attack; each attack's stream is
+    forked from ``seed`` by the attack's name."""
+    check_test_set(test)
+    return MetricsRecord(
+        clean_accuracy=accuracy(model, test.samples, test.gt_labels),
+        robust_accuracy={
+            attack.name(): robust_accuracy(
+                model, test, attack,
+                SplitMix64(seed).fork("evaluate." + attack.name()), batch_size)
+            for attack in attacks})
+
+
+def distribution_error(estimated, reference) -> float:
+    """Total-variation distance between two count vectors, in [0, 1]. Either
+    argument may be an object with a ``counts`` attribute."""
+    est = np.asarray(getattr(estimated, "counts", estimated), dtype=np.float64)
+    ref = np.asarray(getattr(reference, "counts", reference), dtype=np.float64)
+    if est.shape != ref.shape:
+        raise ValueError(f"count vectors differ in length: {est.shape} vs {ref.shape}")
+    if est.sum() <= 0 or ref.sum() <= 0:
+        raise ValueError("count vectors must have positive totals")
+    return float(0.5 * np.abs(est / est.sum() - ref / ref.sum()).sum())

@@ -236,7 +236,6 @@ def oracle_epoch(state: "RunState", config: "TrainConfig") -> "RunState":
     feats = embed(state.oracle, ds.samples)
     k = max(1, min(config.k, len(ds) // 10, len(ds) - 1))
     split = knn_split(KnnIndex(points=feats, k=k), feats, ref.labels, k)
-    state.split = split
     clean_mask = np.zeros(len(ds), dtype=bool)
     clean_mask[split.clean_idx] = True
 

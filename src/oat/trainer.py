@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,11 +23,12 @@ from .adversary import AttackSpec, pgd_attack
 from .autodiff import SgdOptimizer, Value
 from .corruption import balanced_oversample, class_counts
 from .dataio import LabeledDataset
+from .evaluation import (MetricsRecord, accuracy, check_test_set,
+                         distribution_error, robust_accuracy)
 from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, forward_features,
                      forward_logits, frozen_heads, init_model, project_predict,
                      save_model)
-from .oracle import (AugmentationPolicy, SplitSets, embed, oracle_epoch,
-                     predict_probs)
+from .oracle import AugmentationPolicy, OracleEpochRecord, oracle_epoch, predict_probs
 from .rng import SplitMix64
 
 
@@ -39,9 +41,6 @@ class LabelDistribution:
     @property
     def smoothed(self) -> np.ndarray:
         return np.maximum(np.asarray(self.counts, dtype=np.float64), 1.0)
-
-    def total(self) -> int:
-        return int(sum(self.counts))
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class TrainConfig:
     feature_dim: int = 32
     augment: AugmentationPolicy = field(default_factory=AugmentationPolicy)
     eval_steps: int = 20                # PGD steps for per-epoch robust accuracy
-    label_dist_interval: int = 1        # epochs between distribution refreshes
     refurbish_against_original: bool = False
 
     def __post_init__(self):
@@ -78,40 +76,53 @@ class TrainConfig:
             raise ValueError("lr_decay_epochs must be strictly increasing")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["attack"] = dataclasses.asdict(self.attack)
-        d["augment"] = dataclasses.asdict(self.augment)
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
         """Build a config from its to_dict form; raises ValueError naming any
-        unknown key, at the top level or under "attack" or "augment"."""
-        d = dict(d)
-        _reject_unknown_keys(TrainConfig, d, "config")
-        if "attack" in d and isinstance(d["attack"], dict):
-            a = dict(d["attack"])
-            _reject_unknown_keys(AttackSpec, a, "attack")
-            if a.get("adjustment") is not None:
-                a["adjustment"] = tuple(a["adjustment"])
-            d["attack"] = AttackSpec(**a)
-        if "augment" in d and isinstance(d["augment"], dict):
-            aug = dict(d["augment"])
-            _reject_unknown_keys(AugmentationPolicy, aug, "augment")
-            for key in ("weak", "strong"):
-                if key in aug:
-                    aug[key] = tuple(aug[key])
-            d["augment"] = AugmentationPolicy(**aug)
-        for key in ("lr_decay_epochs", "encoder_widths"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return TrainConfig(**d)
+        unknown or missing key, or any value of the wrong type, at the top
+        level or under "attack" or "augment"."""
+        return TrainConfig(**_fields_from_dict(TrainConfig, d, "config"))
 
 
-def _reject_unknown_keys(cls, d: dict, where: str) -> None:
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+def _fields_from_dict(cls, d: dict, where: str) -> dict:
+    """Keyword arguments for dataclass ``cls`` from a JSON-style dict: nested
+    dataclass fields are built from dicts and lists become tuples."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields if f.name not in d and
+               f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    written = {f.name: f.type for f in fields}   # the annotation as written, for messages
+    kwargs = {}
+    for key, value in d.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+            value = hint(**_fields_from_dict(hint, value, key))
+        if not _matches(value, hint):
+            raise ValueError(f"{where} key {key!r} must be {written[key]}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    return kwargs
+
+
+def _matches(value, hint) -> bool:
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint in (int, float, str):
+        # a bool is an int in Python but not a number in a config; an int passes as a float
+        return not isinstance(value, bool) and isinstance(
+            value, (int, float) if hint is float else hint)
+    args = typing.get_args(hint)
+    if type(None) in args:                       # X | None
+        return value is None or _matches(value, args[0])
+    if typing.get_origin(hint) is tuple:         # tuple[X, ...]
+        return isinstance(value, (list, tuple)) and all(_matches(v, args[0]) for v in value)
+    return isinstance(value, hint)
 
 
 @dataclass
@@ -125,14 +136,13 @@ class RunState:
     oracle_opt: SgdOptimizer | None = None
     model_opt: SgdOptimizer | None = None
     epoch: int = 0
-    split: SplitSets | None = None
     distribution: LabelDistribution | None = None
-    oracle_record: object = None
+    oracle_record: OracleEpochRecord | None = None
+    model_losses: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     best_epoch: int = -1
     best_robust: float = -1.0
     best_snapshot: list | None = None
-    run_dir: Path | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +220,6 @@ def hard_label_loss(at_model: ModelParams, x_adv: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# evaluation used inside the loop (full harness lives in evalcli)
-# ---------------------------------------------------------------------------
-
-def accuracy(model: ModelParams, x: np.ndarray, labels: np.ndarray) -> float:
-    predicted = predict_probs(model, x).argmax(axis=1)
-    return float(np.mean(predicted == labels))
-
-
-def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
-                    rng: SplitMix64, batch_size: int = 256) -> float:
-    """Fraction of test points that are correctly classified both clean and
-    after the attack (an attacked sample can only lose correctness)."""
-    assert ds.gt_labels is not None
-    robust = 0
-    for i, start in enumerate(range(0, len(ds), batch_size)):
-        x = ds.samples[start:start + batch_size]
-        y = ds.gt_labels[start:start + batch_size]
-        clean_ok = predict_probs(model, x).argmax(axis=1) == y
-        adv = pgd_attack(model, x, y, attack, rng.fork("batch", i))
-        adv_ok = predict_probs(model, adv).argmax(axis=1) == y
-        robust += int(np.sum(clean_ok & adv_ok))
-    return robust / len(ds)
-
-
-# ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
 
@@ -260,17 +245,12 @@ def _distribution_csv(path: Path, prior, estimated, gt) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _total_variation(a: np.ndarray, b: np.ndarray) -> float:
-    pa = np.asarray(a, dtype=np.float64)
-    pb = np.asarray(b, dtype=np.float64)
-    return float(0.5 * np.abs(pa / pa.sum() - pb / pb.sum()).sum())
-
-
 def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
           out_dir: str | Path) -> RunState:
     """Run the configured method and persist metrics plus best/last checkpoints."""
     if ds.dim != test.dim or ds.num_classes != test.num_classes:
         raise ValueError("train and test datasets must share dim and num_classes")
+    check_test_set(test)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,7 +263,7 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     rng = SplitMix64(config.seed).fork("train")
     model = init_model(arch, AT_MODEL, seed=config.seed + 1)
     state = RunState(config=config, oracle=None, model=model, oversampled=None,
-                     labels=None, rng=rng, run_dir=out_dir)
+                     labels=None, rng=rng)
     state.model_opt = SgdOptimizer(model.parameters(), config.lr,
                                    config.momentum, config.weight_decay)
 
@@ -308,8 +288,7 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
                 if config.refurbish_against_original:
                     state.labels = state.oversampled.observed_labels.copy()
                 oracle_epoch(state, config)
-                if epoch % config.label_dist_interval == 0 or state.distribution is None:
-                    state.distribution = estimate_label_distribution(state.oracle, ds)
+                state.distribution = estimate_label_distribution(state.oracle, ds)
             _at_epoch(state, ds, epoch)
         except FloatingPointError as err:
             _append_jsonl(metrics_path, {"epoch": epoch, "error": str(err)})
@@ -382,16 +361,14 @@ def _at_epoch(state: RunState, ds: LabeledDataset, epoch: int) -> None:
 def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSpec,
                     prior_counts: np.ndarray, gt_counts: np.ndarray | None) -> dict:
     config = state.config
-    assert test.gt_labels is not None
     ca = accuracy(state.model, test.samples, test.gt_labels)
     ra = robust_accuracy(state.model, test, eval_attack,
                          state.rng.fork("eval", state.epoch))
 
-    losses = dict(getattr(state, "model_losses", {}))
+    losses = dict(state.model_losses)
     record: dict = {
         "epoch": state.epoch,
-        "clean_accuracy": ca,
-        "robust_accuracy": {eval_attack.name(): ra},
+        **MetricsRecord(ca, {eval_attack.name(): ra}).to_dict(),
         "lr_model": lr_at_epoch(config, state.epoch),
         "lr_oracle": config.lr if config.method == "oat" else None,
         "adjustment_enabled": config.adjustment_enabled if config.method == "oat" else False,
@@ -408,8 +385,8 @@ def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSp
             "estimated_counts": list(state.distribution.counts),
         })
         if gt_counts is not None:
-            record["dist_l1_prior"] = _total_variation(prior_counts, gt_counts)
-            record["dist_l1_estimated"] = _total_variation(
-                np.asarray(state.distribution.smoothed), gt_counts)
+            record["dist_l1_prior"] = distribution_error(prior_counts, gt_counts)
+            record["dist_l1_estimated"] = distribution_error(
+                state.distribution.smoothed, gt_counts)
     record["losses"] = losses
     return record

@@ -19,7 +19,7 @@ from oat.corruption import (CorruptionSpec, apply_exponential_imbalance,
                             apply_symmetric_noise, class_counts, compute_nr,
                             corrupt, exponential_targets)
 from oat.dataio import SyntheticSpec, gen_synthetic
-from oat.evalcli import evaluate, distribution_error
+from oat.evaluation import evaluate, distribution_error
 from oat.models import (AT_MODEL, ORACLE, ArchSpec, forward_features,
                         forward_logits, frozen_heads, init_model, load_model,
                         project_predict)

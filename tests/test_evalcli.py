@@ -5,8 +5,10 @@ import pytest
 
 from oat.adversary import AttackSpec
 from oat.corruption import ClassCounts
-from oat.dataio import SyntheticSpec, gen_synthetic, load_dataset, save_dataset
-from oat.evalcli import MetricsRecord, cli, distribution_error, evaluate
+from oat.dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
+                        save_dataset)
+from oat.evalcli import cli
+from oat.evaluation import MetricsRecord, distribution_error, evaluate
 from oat.models import AT_MODEL, init_model
 from oat.trainer import LabelDistribution
 
@@ -61,6 +63,19 @@ def test_evaluate_deterministic():
     assert first.robust_accuracy == second.robust_accuracy
 
 
+@pytest.mark.parametrize("rows,labelled,named", [
+    (0, True, "non-empty test set"),
+    (None, False, "requires gt_labels"),
+])
+def test_evaluate_rejects_unevaluable_test_set(rows, labelled, named):
+    model, ds = _separable_model_and_data()
+    test = LabeledDataset(samples=ds.samples[:rows], observed_labels=ds.observed_labels[:rows],
+                          gt_labels=ds.gt_labels[:rows] if labelled else None,
+                          num_classes=ds.num_classes, ids=ds.ids[:rows])
+    with pytest.raises(ValueError, match=named):
+        evaluate(model, test, [AttackSpec(epsilon=0.1, alpha=0.025, steps=2)])
+
+
 def test_metrics_record_invariant():
     with pytest.raises(ValueError, match="exceeds clean"):
         MetricsRecord(clean_accuracy=0.5, robust_accuracy={"pgd20": 0.6})
@@ -102,6 +117,31 @@ def test_cli_train_unknown_config_key_exits_1(tmp_path, capsys):
                 "--test", str(data), "--out", str(tmp_path / "run")])
     assert code == 1
     assert "unknown config key(s): bogus" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
+    data = _make_dataset_dir(tmp_path, "pairs", per_class=4)
+    code = cli(["corrupt", "--input", str(data), "--noise", "asymmetric", "--nr", "0.5",
+                "--pairs", "0-1", "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert "expected pairs like 0:1,2:3, got '0-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"epochs": "ten"}', "config key 'epochs' must be int, got 'ten'"),
+    ('{"epochs": 2,', "Expecting property name"),
+    ("[1, 2]", "--config must hold a JSON object"),
+])
+def test_cli_train_malformed_config_exits_1(tmp_path, capsys, text, named):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    data = _make_dataset_dir(tmp_path, "data", per_class=4)
+    code = cli(["train", "--config", str(config), "--data", str(data),
+                "--test", str(data), "--method", "oat", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

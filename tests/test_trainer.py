@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -128,6 +129,16 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
     assert str(err.value) == named
 
 
+@pytest.mark.parametrize("overrides,named", [
+    ({"epochs": "ten"}, "config key 'epochs' must be int, got 'ten'"),
+    ({"attack": [1, 2]}, "config key 'attack' must be AttackSpec, got [1, 2]"),
+])
+def test_config_from_dict_rejects_wrong_value_types(overrides, named):
+    with pytest.raises(ValueError) as err:
+        TrainConfig.from_dict(overrides)
+    assert str(err.value) == named
+
+
 # ---------------------------------------------------------------------------
 # robust-model loss
 # ---------------------------------------------------------------------------
@@ -241,7 +252,7 @@ def test_train_pgd_at_baseline_smoke(tmp_path):
     train_ds, _ = _small_data(seed=6)
     config = _fast_config(method="pgd_at", epochs=15, lr_decay_epochs=(12,), lr=0.02)
     state = train(config, train_ds, train_ds, tmp_path / "base")
-    from oat.trainer import accuracy
+    from oat.evaluation import accuracy
     assert accuracy(state.model, train_ds.samples, train_ds.gt_labels) > 0.95
 
 
@@ -249,7 +260,7 @@ def test_train_checkpoints_reload_identically(tmp_path):
     train_ds, test_ds = _small_data(seed=7)
     state = train(_fast_config(epochs=2, lr_decay_epochs=()), train_ds, test_ds,
                   tmp_path / "run")
-    from oat.evalcli import evaluate
+    from oat.evaluation import evaluate
     spec = AttackSpec(epsilon=0.03, alpha=0.0075, steps=3)
     best = load_model(tmp_path / "run" / "best")
     again = load_model(tmp_path / "run" / "best")
@@ -265,6 +276,23 @@ def test_train_rejects_mismatched_datasets(tmp_path):
                                         cluster_spread=0.05, seed=1))
     with pytest.raises(ValueError, match="share"):
         train(_fast_config(), train_ds, other, tmp_path / "run")
+
+
+@pytest.mark.parametrize("drop,named", [
+    ("rows", "non-empty test set"),
+    ("gt_labels", "requires gt_labels"),
+])
+def test_train_rejects_unevaluable_test_set_before_training(tmp_path, drop, named):
+    train_ds, test_ds = _small_data()
+    if drop == "rows":
+        test_ds = dataclasses.replace(
+            test_ds, samples=test_ds.samples[:0], observed_labels=test_ds.observed_labels[:0],
+            gt_labels=test_ds.gt_labels[:0], ids=test_ds.ids[:0])
+    else:
+        test_ds = dataclasses.replace(test_ds, gt_labels=None)
+    with pytest.raises(ValueError, match=named):
+        train(_fast_config(), train_ds, test_ds, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_aborts_on_non_finite_loss(tmp_path):
