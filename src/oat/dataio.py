@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -165,6 +166,21 @@ def _format_block(ids: np.ndarray, block: np.ndarray):
         yield f"{i},{','.join(row)}\r\n"
 
 
+@contextmanager
+def replaced_together(path: Path, names: tuple[str, ...]):
+    """Yield {name: temp path} for files in directory ``path``; rename every
+    temp over its target only once the block completes. A block that raises
+    leaves the previous files untouched, and no temp file is left behind."""
+    temps = {name: path / f".{name}.{os.getpid()}.tmp" for name in names}
+    try:
+        yield temps
+        for name, temp in temps.items():
+            os.replace(temp, path / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
     """Write samples.csv, labels.csv and meta.json; round trip is lossless.
 
@@ -185,9 +201,7 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
     labels = {"id": ids, "observed_label": ds.observed_labels}
     if ds.gt_labels is not None:
         labels["gt_label"] = ds.gt_labels
-    temps = {name: path / f".{name}.{os.getpid()}.tmp"
-             for name in ("samples.csv", "labels.csv", "meta.json")}
-    try:
+    with replaced_together(path, ("samples.csv", "labels.csv", "meta.json")) as temps:
         with open(temps["samples.csv"], "w", newline="") as f:
             f.write(",".join(["id"] + [f"f{j}" for j in range(ds.dim)]) + "\r\n")
             for start in range(0, len(ds), _BLOCK_ROWS):
@@ -198,11 +212,6 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
             rows = zip(*(np.asarray(c, dtype=np.int64).tolist() for c in labels.values()))
             f.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
         temps["meta.json"].write_text(json.dumps(meta, indent=2) + "\n")
-        for name, temp in temps.items():
-            os.replace(temp, path / name)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
 
 
 def _csv_rows(file: Path, count: int, width: int):

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
+from .dataio import replaced_together
 from .rng import SplitMix64
 
 ORACLE = "oracle"
@@ -173,7 +174,11 @@ CHECKPOINT_VERSION = 1
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
-    """Write checkpoint.json (manifest) + params.bin (little-endian float64)."""
+    """Write checkpoint.json (manifest) + params.bin (little-endian float64).
+
+    Both are renamed into place only after both are written, so a failed
+    save leaves a previous checkpoint in ``path`` untouched.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
@@ -201,8 +206,9 @@ def save_model(params: ModelParams, path: str | Path) -> None:
             "nbytes": len(raw),
         })
         blob += raw
-    (path / "params.bin").write_bytes(bytes(blob))
-    (path / "checkpoint.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    with replaced_together(path, ("params.bin", "checkpoint.json")) as temps:
+        temps["params.bin"].write_bytes(bytes(blob))
+        temps["checkpoint.json"].write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> ModelParams:

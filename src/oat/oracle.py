@@ -45,6 +45,8 @@ class KnnIndex:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be at least 1")
         if self.k >= len(self.points):
             raise ValueError(f"k={self.k} must be smaller than n={len(self.points)}")
 
@@ -127,46 +129,63 @@ def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) ->
     """Partition samples by whether the k-NN majority label agrees with theirs.
 
     Distances are squared Euclidean in the expansion form
-    ``|q|^2 + |p|^2 - 2 q.p``, computed in 256-query chunks. Equal distances
-    rank by lower sample index; equality is judged on those computed values,
-    which can round differently from the direct ``sum((q - p)^2)``, so on
-    exactly tied points the neighbor set can differ from a direct-difference
-    one. Majority ties resolve to the lower class index.
+    ``|q|^2 + |p|^2 - 2 q.p``, computed in 256-query chunks. A query's k
+    nearest are every column strictly nearer than its k-th smallest distance,
+    then the lowest-index columns tied at that distance until it has k. Ties
+    are judged on those computed values, which can round differently from
+    the direct ``sum((q - p)^2)``, so on exactly tied points the neighbor set
+    can differ from a direct-difference one. The votes are exact integer
+    counts, and majority ties resolve to the lower class index.
 
     When feats is the index's own point set, each query excludes itself by
     row, not by id: other rows holding a copy of it (the duplicates
     oversampling appends, which share its id) still count as its neighbors.
+    ``labels`` holds one label per point, which is also the label each query
+    is checked against, so feats and points must have the same length.
     """
-    if k >= len(index.points):
-        raise ValueError(f"k={k} must be smaller than n={len(index.points)}")
-    labels = np.asarray(labels, dtype=np.int64)
-    self_query = feats is index.points or (
-        feats.shape == index.points.shape and np.shares_memory(feats, index.points))
-
     pts = index.points
+    n = len(pts)
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
+    if k >= n:
+        raise ValueError(f"k={k} must be smaller than n={n}")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,) or len(feats) != n:
+        raise ValueError(f"need one label per point and per query: got {len(labels)} "
+                         f"labels for {n} points and {len(feats)} queries")
+    if labels.min() < 0:
+        raise ValueError(f"labels must be non-negative, got {labels.min()}")
+    self_query = feats is pts or (feats.shape == pts.shape and np.shares_memory(feats, pts))
+
     pts_sq = (pts * pts).sum(axis=1)
-    num_classes = int(labels.max()) + 1 if len(labels) else 1
+    num_classes = int(labels.max()) + 1
+    # counts stay below 2**24, so float32 products and sums of them are exact
+    onehot = np.zeros((n, num_classes), dtype=np.float32)
+    onehot[np.arange(n), labels] = 1.0
     majority = np.zeros(len(feats), dtype=np.int64)
 
     chunk = 256
     for start in range(0, len(feats), chunk):
         q = feats[start:start + chunk]
-        d2 = (q * q).sum(axis=1)[:, None] + pts_sq[None, :] - 2.0 * (q @ pts.T)
+        rows = np.arange(len(q))
+        m = q @ pts.T
+        m *= 2.0
+        d2 = (q * q).sum(axis=1)[:, None] + pts_sq[None, :]
+        d2 -= m
         if self_query:
-            rows = np.arange(len(q))
             d2[rows, start + rows] = np.inf
-        # the k nearest are every column below the k-th smallest distance,
-        # then the lowest-index columns equal to it until the row has k
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        near = d2 <= kth
-        over = np.flatnonzero(near.sum(axis=1) > k)
-        if len(over):
-            tied = d2[over] == kth[over]
-            room = k - (d2[over] < kth[over]).sum(axis=1, keepdims=True)
-            near[over] &= ~tied | (np.cumsum(tied, axis=1) <= room)
-        row, col = np.nonzero(near)
-        votes = np.bincount(row * num_classes + labels[col], minlength=len(q) * num_classes)
-        majority[start:start + len(q)] = votes.reshape(len(q), num_classes).argmax(axis=1)
+        less = d2 < kth
+        votes = less.astype(np.float32) @ onehot
+        # fill each row's remaining room with its lowest-index columns tied
+        # at the k-th distance; flatnonzero lists them row by row, in order
+        room = k - np.count_nonzero(less, axis=1)
+        tie_row, tie_col = np.divmod(np.flatnonzero(d2 == kth), n)
+        rank = np.arange(len(tie_row)) - np.searchsorted(tie_row, rows)[tie_row]
+        keep = rank < room[tie_row]
+        votes += np.bincount(tie_row[keep] * num_classes + labels[tie_col[keep]],
+                             minlength=len(q) * num_classes).reshape(len(q), num_classes)
+        majority[start:start + len(q)] = votes.argmax(axis=1)
 
     clean = majority == labels
     return SplitSets(clean_idx=np.flatnonzero(clean), noisy_idx=np.flatnonzero(~clean))

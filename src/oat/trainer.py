@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .adversary import AttackSpec, pgd_attack
 from .autodiff import SgdOptimizer, Value
 from .corruption import balanced_oversample, class_counts
-from .dataio import LabeledDataset
+from .dataio import LabeledDataset, replaced_together
 from .evaluation import (MetricsRecord, accuracy, check_test_set,
                          distribution_error, robust_accuracy)
 from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, forward_features,
@@ -312,11 +312,12 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
         _restore(state.model, state.best_snapshot)
         save_model(state.model, out_dir / "best")
         _restore(state.model, current)
-    (out_dir / "summary.json").write_text(json.dumps({
-        "best_epoch": state.best_epoch,
-        "best_robust_accuracy": state.best_robust,
-        "last_epoch": config.epochs - 1,
-    }, indent=2) + "\n")
+    with replaced_together(out_dir, ("summary.json",)) as temps:
+        temps["summary.json"].write_text(json.dumps({
+            "best_epoch": state.best_epoch,
+            "best_robust_accuracy": state.best_robust,
+            "last_epoch": config.epochs - 1,
+        }, indent=2) + "\n")
     return state
 
 

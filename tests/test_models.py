@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,23 @@ def test_checkpoint_roundtrip(tmp_path):
         x = np.full((3, 5), 0.6)
         assert np.array_equal(forward_logits(params, x).data,
                               forward_logits(back, x).data)
+
+
+def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt"
+    old = init_model(TINY_ARCH, ORACLE, seed=9)
+    save_model(old, path)
+    before = {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    def disk_gone(self, *args, **kwargs):
+        raise OSError("disk gone")
+
+    # params.bin's temp file is written, then the manifest's write fails
+    monkeypatch.setattr(Path, "write_text", disk_gone)
+    with pytest.raises(OSError, match="disk gone"):
+        save_model(init_model(TINY_ARCH, ORACLE, seed=10), path)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in sorted(path.iterdir())} == before
+    back = load_model(path)
+    for pa, pb in zip(old.parameters(), back.parameters()):
+        assert np.array_equal(pa.data, pb.data)

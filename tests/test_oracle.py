@@ -5,8 +5,9 @@ import pytest
 
 from oat import autodiff as ad
 from oat.autodiff import Value
-from oat.corruption import balanced_oversample
-from oat.dataio import LabeledDataset
+from oat.corruption import (apply_exponential_imbalance, apply_symmetric_noise,
+                            balanced_oversample)
+from oat.dataio import LabeledDataset, SyntheticSpec, gen_synthetic
 from oat.models import AT_MODEL, ORACLE, forward_features, forward_logits, init_model
 from oat.oracle import (AugmentationPolicy, KnnIndex, knn_split,
                         oracle_contrastive_loss, oracle_interaction_loss,
@@ -77,6 +78,29 @@ def test_refurbish_perfect_oracle_zeroes_nr():
 def test_knn_index_validates_k():
     with pytest.raises(ValueError, match="k="):
         KnnIndex(points=np.zeros((5, 2)), k=5)
+
+
+def test_knn_split_rejects_k_below_one():
+    pts = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(ValueError, match="k=0 must be at least 1"):
+        KnnIndex(points=pts, k=0)
+    with pytest.raises(ValueError, match="k=0 must be at least 1"):
+        knn_split(KnnIndex(points=pts, k=1), pts, np.zeros(5, dtype=np.int64), k=0)
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_knn_split_rejects_label_count_mismatch(count):
+    pts = np.arange(10.0).reshape(5, 2)
+    with pytest.raises(ValueError, match=f"got {count} labels for 5 points"):
+        knn_split(KnnIndex(points=pts, k=2), pts, np.zeros(count, dtype=np.int64), k=2)
+
+
+def test_knn_split_rejects_negative_label():
+    pts = SplitMix64(0).fork("knn_neg").uniform(40).reshape(20, 2)
+    labels = np.zeros(20, dtype=np.int64)
+    labels[7] = -1
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        knn_split(KnnIndex(points=pts, k=3), pts, labels, k=3)
 
 
 def test_knn_split_nearest_neighbor_agreement():
@@ -157,6 +181,33 @@ def test_knn_split_oversampled_copies_vote_for_their_source():
     split = knn_split(KnnIndex(points=over.samples, k=5), over.samples,
                       over.observed_labels, k=5)
     assert set(copies) <= set(split.clean_idx.tolist())
+
+
+@pytest.mark.parametrize("k", [30, 60, 120])
+def test_knn_split_oversampled_ties_match_stable_sort(k):
+    # the path real oracle epochs take: copies of an oversampled row all sit
+    # at one distance, so many rows have more than k columns at or below
+    # their k-th distance and the tie fill decides how many of them vote.
+    # 648 rows make chunks of 256, 256 and 136; heavy noise keeps the votes
+    # close enough that one extra copy's vote changes the split.
+    ds = gen_synthetic(SyntheticSpec(num_classes=4, dim=4, per_class=260,
+                                     cluster_spread=0.1, seed=2))
+    ds = apply_symmetric_noise(apply_exponential_imbalance(ds, ir=0.1, seed=2), nr=0.6, seed=2)
+    over = balanced_oversample(ds, seed=2)
+    pts, labels = over.samples, over.observed_labels
+    assert len(pts) == 648
+    sq = (pts * pts).sum(axis=1)
+    crowded = 0
+    for start in range(0, len(pts), 256):
+        q = pts[start:start + 256]
+        d2 = (q * q).sum(axis=1)[:, None] + sq[None, :] - 2.0 * (q @ pts.T)
+        d2[np.arange(len(q)), start + np.arange(len(q))] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        crowded += int(np.count_nonzero((d2 <= kth).sum(axis=1) > k))
+    assert crowded > 100
+    split = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
+    majority = stable_sort_knn_majority(pts, labels, k, 4)
+    assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels))
 
 
 def test_augmentation_stays_in_box():

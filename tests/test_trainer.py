@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oat
 from oat import autodiff as ad
 from oat.adversary import AttackSpec
 from oat.autodiff import Value
@@ -212,6 +217,31 @@ def test_train_deterministic(tmp_path):
     train(_fast_config(seed=9), train_ds, test_ds, tmp_path / "b")
     assert (tmp_path / "a" / "metrics.jsonl").read_text() == \
         (tmp_path / "b" / "metrics.jsonl").read_text()
+
+
+_BLAS_RUN = """
+import sys
+from oat.corruption import CorruptionSpec, corrupt
+from oat.dataio import SyntheticSpec, gen_synthetic
+from oat.trainer import TrainConfig, train
+clean = gen_synthetic(SyntheticSpec(4, 16, 150, 0.1, 1))
+ds, _ = corrupt(clean, CorruptionSpec("symmetric", 0.3, 0.2, seed=5))
+test = gen_synthetic(SyntheticSpec(4, 16, 10, 0.1, 2))
+train(TrainConfig(epochs=3, lr=0.005, lr_decay_epochs=(), k=50, seed=3,
+                  feature_dim=32, eval_steps=5), ds, test, sys.argv[1])
+"""
+
+
+def test_train_independent_of_blas_thread_count(tmp_path):
+    # matmuls, including knn_split's float32 vote product, may split their
+    # work across BLAS threads; the results must not depend on how
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(oat.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", _BLAS_RUN, str(tmp_path / threads)],
+                       env=env, check=True, timeout=120)
+    for name in ("metrics.jsonl", "last/params.bin"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_train_loss_records_match_enabled_terms(tmp_path):
