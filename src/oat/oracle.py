@@ -83,9 +83,9 @@ class AugmentationPolicy:
             elif op == "erase":
                 width = max(1, int(round(self.erase_frac * d)))
                 hits = rng.uniform(n) < self.erase_prob
-                starts = (rng.uniform(n) * max(1, d - width + 1)).astype(int)
-                for i in np.flatnonzero(hits):
-                    out[i, starts[i]:starts[i] + width] = 0.0
+                starts = (rng.uniform(n) * max(1, d - width + 1)).astype(int)[:, None]
+                offset = np.arange(d) - starts
+                out[hits[:, None] & (offset >= 0) & (offset < width)] = 0.0
             else:
                 raise ValueError(f"unknown augmentation op {op!r}")
         return np.clip(out, 0.0, 1.0)
@@ -125,23 +125,45 @@ def refurbish(oracle: ModelParams, ds: LabeledDataset, theta_r: float) -> Refurb
     return RefurbishedLabels(labels=labels, refurbished_mask=replaced)
 
 
+def _row_groups(x: np.ndarray, labels: np.ndarray):
+    """Group rows by bit-identical features plus label: each group's first row,
+    each row's group and each group's size."""
+    x = np.ascontiguousarray(x)
+    key = np.concatenate([x.view(np.uint8).reshape(len(x), -1),
+                          np.ascontiguousarray(labels).view(np.uint8).reshape(len(x), -1)],
+                         axis=1)
+    key = key.view(np.dtype((np.void, key.shape[1]))).ravel()
+    _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    return first, group, size
+
+
 def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) -> SplitSets:
     """Partition samples by whether the k-NN majority label agrees with theirs.
 
     Distances are squared Euclidean in the expansion form
-    ``|q|^2 + |p|^2 - 2 q.p``, computed in 256-query chunks. A query's k
-    nearest are every column strictly nearer than its k-th smallest distance,
-    then the lowest-index columns tied at that distance until it has k. Ties
-    are judged on those computed values, which can round differently from
-    the direct ``sum((q - p)^2)``, so on exactly tied points the neighbor set
-    can differ from a direct-difference one. The votes are exact integer
-    counts, and majority ties resolve to the lower class index.
+    ``|q|^2 + |p|^2 - 2 q.p``. A query's k nearest are every point strictly
+    nearer than its k-th smallest distance, then the lowest-index points tied
+    at that distance until it has k. Ties are judged on those computed values,
+    which can round differently from the direct ``sum((q - p)^2)``, so on
+    exactly tied points the neighbor set can differ from a direct-difference
+    one. The votes are exact integer counts, and majority ties resolve to the
+    lower class index.
 
-    When feats is the index's own point set, each query excludes itself by
-    row, not by id: other rows holding a copy of it (the duplicates
-    oversampling appends, which share its id) still count as its neighbors.
-    ``labels`` holds one label per point, which is also the label each query
-    is checked against, so feats and points must have the same length.
+    The work is done on groups, not rows: rows with bit-identical features
+    and the same label (the copies oversampling appends) form one group that
+    votes with its size as weight, and each query group is answered once, in
+    256-group chunks. Copies of a point therefore always sit at one computed
+    distance, as they do in the direct form. Only where the groups tied at
+    the k-th distance carry more than one label does the lowest-index fill
+    look at rows again.
+
+    When feats is the index's own point set (the array itself or a view with
+    the same data, shape and strides), each query excludes itself by row, not
+    by id: other rows holding a copy of it still count as its neighbors, so
+    its own group votes with its size less one. ``labels`` holds one label per
+    point, which is also the label each query is checked against, so feats
+    and points must have the same length.
     """
     pts = index.points
     n = len(pts)
@@ -155,37 +177,68 @@ def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) ->
                          f"labels for {n} points and {len(feats)} queries")
     if labels.min() < 0:
         raise ValueError(f"labels must be non-negative, got {labels.min()}")
-    self_query = feats is pts or (feats.shape == pts.shape and np.shares_memory(feats, pts))
+    self_query = (feats.shape == pts.shape and feats.strides == pts.strides
+                  and feats.dtype == pts.dtype and feats.ctypes.data == pts.ctypes.data)
 
-    pts_sq = (pts * pts).sum(axis=1)
+    first, col_group, weight = _row_groups(pts, labels)
+    q_first, q_group = (first, col_group) if self_query else _row_groups(feats, labels)[:2]
+    cols, col_labels, queries = pts[first], labels[first], feats[q_first]
+    num_groups = len(first)
+    cols_sq = (cols * cols).sum(axis=1)
     num_classes = int(labels.max()) + 1
-    # counts stay below 2**24, so float32 products and sums of them are exact
-    onehot = np.zeros((n, num_classes), dtype=np.float32)
-    onehot[np.arange(n), labels] = 1.0
-    majority = np.zeros(len(feats), dtype=np.int64)
+    # vote counts stay below 2**24, so float32 products and sums of them are exact
+    onehot = np.zeros((num_groups, num_classes), dtype=np.float32)
+    onehot[np.arange(num_groups), col_labels] = weight
+    # every group weighs at least 1 (an own group of weight 0 is moved to inf),
+    # so the k-th weighted distance lies among each row's k nearest groups
+    reach = min(k, num_groups)
+    majority = np.zeros(len(queries), dtype=np.int64)
+    split_ties = []  # (query group, its tied column groups, its strict votes, its room)
 
     chunk = 256
-    for start in range(0, len(feats), chunk):
-        q = feats[start:start + chunk]
+    for start in range(0, len(queries), chunk):
+        q = queries[start:start + chunk]
         rows = np.arange(len(q))
-        m = q @ pts.T
+        m = q @ cols.T
         m *= 2.0
-        d2 = (q * q).sum(axis=1)[:, None] + pts_sq[None, :]
+        d2 = (q * q).sum(axis=1)[:, None] + cols_sq[None, :]
         d2 -= m
         if self_query:
-            d2[rows, start + rows] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+            own = start + rows
+            alone = weight[own] == 1
+            d2[rows[alone], own[alone]] = np.inf
+        near = np.argpartition(d2, reach - 1, axis=1)[:, :reach]
+        near = np.take_along_axis(near, np.argsort(np.take_along_axis(d2, near, axis=1),
+                                                   axis=1), axis=1)
+        near_weight = weight[near]
+        if self_query:
+            near_weight -= near == own[:, None]
+        at_kth = np.argmax(np.cumsum(near_weight, axis=1) >= k, axis=1)
+        kth = d2[rows, near[rows, at_kth]][:, None]
         less = d2 < kth
         votes = less.astype(np.float32) @ onehot
-        # fill each row's remaining room with its lowest-index columns tied
-        # at the k-th distance; flatnonzero lists them row by row, in order
-        room = k - np.count_nonzero(less, axis=1)
-        tie_row, tie_col = np.divmod(np.flatnonzero(d2 == kth), n)
-        rank = np.arange(len(tie_row)) - np.searchsorted(tie_row, rows)[tie_row]
-        keep = rank < room[tie_row]
-        votes += np.bincount(tie_row[keep] * num_classes + labels[tie_col[keep]],
-                             minlength=len(q) * num_classes).reshape(len(q), num_classes)
+        if self_query:
+            own_less = rows[less[rows, own]]
+            votes[own_less, col_labels[own[own_less]]] -= 1.0
+        room = k - votes.sum(axis=1).astype(np.int64)
+        # the groups tied at the k-th distance, row by row; where they share
+        # one label it takes the whole room, whichever of their rows fill it
+        tie_row, tie_col = np.divmod(np.flatnonzero(d2 == kth), num_groups)
+        tie_label = col_labels[tie_col]
+        first_label = tie_label[np.searchsorted(tie_row, rows)]
+        mixed = np.unique(tie_row[tie_label != first_label[tie_row]])
+        for r in mixed:
+            split_ties.append((start + r, tie_col[tie_row == r], votes[r].copy(), room[r]))
+        votes[rows, first_label] += room
         majority[start:start + len(q)] = votes.argmax(axis=1)
+
+    majority = majority[q_group]
+    for g, tied, strict, room in split_ties:
+        tied_rows = np.flatnonzero(np.isin(col_group, tied))
+        for i in np.flatnonzero(q_group == g):
+            fill = tied_rows[tied_rows != i] if self_query else tied_rows
+            votes = strict + np.bincount(labels[fill[:room]], minlength=num_classes)
+            majority[i] = votes.argmax()
 
     clean = majority == labels
     return SplitSets(clean_idx=np.flatnonzero(clean), noisy_idx=np.flatnonzero(~clean))

@@ -71,7 +71,8 @@ class TrainConfig:
         if self.method not in ("oat", "pgd_at"):
             raise ValueError(f"unknown method {self.method!r}")
         if any(e >= self.epochs for e in self.lr_decay_epochs):
-            raise ValueError("lr_decay_epochs must all be < epochs")
+            raise ValueError(f"lr_decay_epochs={list(self.lr_decay_epochs)} must all be "
+                             f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")
         if list(self.lr_decay_epochs) != sorted(set(self.lr_decay_epochs)):
             raise ValueError("lr_decay_epochs must be strictly increasing")
 

@@ -8,8 +8,9 @@ from oat.autodiff import Value
 from oat.corruption import (apply_exponential_imbalance, apply_symmetric_noise,
                             balanced_oversample)
 from oat.dataio import LabeledDataset, SyntheticSpec, gen_synthetic
-from oat.models import AT_MODEL, ORACLE, forward_features, forward_logits, init_model
-from oat.oracle import (AugmentationPolicy, KnnIndex, knn_split,
+from oat.models import (AT_MODEL, ORACLE, ArchSpec, forward_features, forward_logits,
+                        init_model)
+from oat.oracle import (AugmentationPolicy, KnnIndex, embed, knn_split,
                         oracle_contrastive_loss, oracle_interaction_loss,
                         oracle_supervised_loss, predict_probs, refurbish)
 from oat.rng import SplitMix64
@@ -208,6 +209,109 @@ def test_knn_split_oversampled_ties_match_stable_sort(k):
     split = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
     majority = stable_sort_knn_majority(pts, labels, k, 4)
     assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels))
+
+
+def _rows_with_copies(seed, grid=True):
+    """Distinct rows, on an integer grid (so every d2 is exact) or not, each
+    repeated 1-5 times in shuffled order; a fifth of the rows get a fresh
+    label, so identical rows sometimes carry different labels."""
+    rng = SplitMix64(seed).fork("knn_copies")
+    distinct, d = 3 + rng.randint(22), 1 + seed % 3
+    base = rng.uniform(distinct * d).reshape(distinct, d)
+    if grid:
+        base = np.floor(4.0 * base)
+    copies = np.array([1 + rng.randint(5) for _ in range(distinct)])
+    pts = np.repeat(base, copies, axis=0)
+    labels = np.repeat(np.array([rng.randint(3) for _ in range(distinct)]), copies)
+    relabel = np.flatnonzero(rng.uniform(len(pts)) < 0.2)
+    labels[relabel] = [rng.randint(3) for _ in relabel]
+    order = rng.permutation(len(pts))
+    return pts[order], labels[order].astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_knn_split_weighted_copies_match_stable_sort(seed):
+    # copies of a row vote as one weighted group; the lowest-index fill and
+    # self-exclusion by row must come out as on the rows themselves, also
+    # when k reaches or passes the number of distinct rows
+    pts, labels = _rows_with_copies(seed)
+    n, distinct = len(pts), len(np.unique(pts, axis=0))
+    ks = {1, 2, distinct - 1, distinct, distinct + 1, (n - 1) // 2, n - 1}
+    for k in sorted(k for k in ks if 1 <= k < n):
+        split = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
+        majority = stable_sort_knn_majority(pts, labels, k, 3)
+        assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels)), k
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_knn_split_copies_tie_exactly_off_the_grid(seed):
+    # copies of a point sit at one distance from every query, as in the
+    # direct form, even where a matrix product could round the same point's
+    # columns differently by position; at k=1 that decides whether a copy or
+    # a differently labelled row on the same point is the lowest-index fill
+    pts, labels = _rows_with_copies(seed, grid=False)
+    for k in (1, 2):
+        split = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
+        majority = brute_force_knn_majority(pts, labels, k, 3)
+        assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels)), k
+
+
+def test_knn_split_own_copies_tied_with_another_label():
+    # rows 0 and 2 are copies labelled 0, row 1 sits on the same point with
+    # label 1. At k=1 each copy's one neighbor is the lowest-index other row
+    # at distance 0: row 1 for row 0 (noisy), row 0 for row 2 (clean).
+    pts = np.array([[0.0], [0.0], [0.0], [5.0], [5.0]])
+    labels = np.array([0, 1, 0, 1, 1])
+    split = knn_split(KnnIndex(points=pts, k=1), pts, labels, k=1)
+    assert split.clean_idx.tolist() == [2, 3, 4]
+    majority = stable_sort_knn_majority(pts, labels, 1, 2)
+    assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels))
+
+
+def test_knn_split_reversed_view_is_not_a_self_query():
+    # a reversed view shares the points' memory and shape but not their rows,
+    # so no query may drop a column as itself
+    rng = SplitMix64(1).fork("knn_view")
+    pts = rng.uniform(80).reshape(40, 2)
+    labels = np.array([rng.randint(2) for _ in range(40)], dtype=np.int64)
+    index = KnnIndex(points=pts, k=3)
+    view = knn_split(index, pts[::-1], labels, 3)
+    copy = knn_split(index, pts[::-1].copy(), labels, 3)
+    assert np.array_equal(view.clean_idx, copy.clean_idx)
+    same = knn_split(index, pts[:], labels, 3)
+    assert np.array_equal(same.clean_idx, knn_split(index, pts, labels, 3).clean_idx)
+
+
+def test_oversampled_copies_embed_bit_identically():
+    # knn_split answers each distinct feature row once, so its speed on the
+    # oversampled set rests on copies embedding to the same bits wherever
+    # they fall in embed's 512-row batches
+    ds = gen_synthetic(SyntheticSpec(num_classes=4, dim=16, per_class=200,
+                                     cluster_spread=0.1, seed=3))
+    ds = apply_exponential_imbalance(ds, ir=0.1, seed=3)
+    over = balanced_oversample(ds, seed=3)
+    assert len(over) > 512 and len(np.unique(ds.samples, axis=0)) == len(ds)
+    oracle = init_model(ArchSpec(input_dim=16, encoder_widths=(64,), feature_dim=32,
+                                 num_classes=4), ORACLE, seed=3)
+    distinct = len(np.unique(embed(oracle, over.samples), axis=0))
+    assert distinct == len(ds), (
+        f"{len(over)} oversampled rows of {len(ds)} embed to {distinct} distinct rows: "
+        "copies no longer embed bit-identically, so knn_split still splits "
+        "correctly but loses its grouping speed-up")
+
+
+def test_erase_zeroes_one_window_per_hit_row():
+    policy = AugmentationPolicy(strong=("erase",), erase_frac=0.25, erase_prob=0.5)
+    x = SplitMix64(5).fork("erase_x").uniform(64 * 12).reshape(64, 12) + 0.01
+    out = policy.apply(x, "strong", SplitMix64(5).fork("erase"))
+    rng = SplitMix64(5).fork("erase")
+    hits = rng.uniform(64) < 0.5
+    starts = (rng.uniform(64) * 10).astype(int)
+    expected = np.clip(x, 0.0, 1.0)
+    for i in np.flatnonzero(hits):
+        expected[i, starts[i]:starts[i] + 3] = 0.0
+    assert 0 < hits.sum() < 64
+    assert np.array_equal(out, expected)
 
 
 def test_augmentation_stays_in_box():

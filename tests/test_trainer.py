@@ -115,6 +115,14 @@ def test_config_validation():
         _fast_config(method="trades")
 
 
+def test_short_run_with_default_decay_names_both_values():
+    # the default decay epochs (30, 45) fit only runs longer than 45 epochs
+    with pytest.raises(ValueError, match=r"lr_decay_epochs=\[30, 45\] must all be < "
+                                         r"epochs=12; set lr_decay_epochs together"):
+        TrainConfig(epochs=12)
+    assert TrainConfig(epochs=12, lr_decay_epochs=()).epochs == 12
+
+
 def test_config_roundtrip_through_dict():
     config = _fast_config(attack=AttackSpec(epsilon=0.1, alpha=0.02, steps=7,
                                             adjustment=(3.0, 2.0, 1.0)))
