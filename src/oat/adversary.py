@@ -9,6 +9,7 @@ is bit-identical to the unadjusted path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,10 @@ class AttackSpec:
     random_start: bool = True
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if self.alpha > self.epsilon:
             raise ValueError("alpha must not exceed epsilon")
         if self.steps < 1:

@@ -61,32 +61,12 @@ class Value:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Value(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the functional forms below do the work
-    def __add__(self, other):
-        return add(self, as_value(other))
 
-    def __sub__(self, other):
-        return sub(self, as_value(other))
-
-    def __mul__(self, other):
-        return mul(self, as_value(other))
-
-    def __truediv__(self, other):
-        return div(self, as_value(other))
-
-    def __neg__(self):
-        return neg(self)
-
-
-def as_value(x, requires_grad: bool = False) -> Value:
-    return x if isinstance(x, Value) else Value(x, requires_grad=requires_grad)
+def as_value(x) -> Value:
+    return x if isinstance(x, Value) else Value(x)
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Value, ...], backward_fn) -> Value:
@@ -232,16 +212,6 @@ def relu(a: Value) -> Value:
         return (adj * mask,)
 
     return _make(np.where(mask, a.data, 0.0), "relu", (a,), backward_fn)
-
-
-def log(a: Value) -> Value:
-    if np.any(a.data <= 0):
-        raise ValueError("log: input must be strictly positive")
-
-    def backward_fn(adj):
-        return (adj / a.data,)
-
-    return _make(np.log(a.data), "log", (a,), backward_fn)
 
 
 def log_softmax(a: Value) -> Value:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,7 +60,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--attack", choices=["pgd20", "pgd100", "cw100", "none"], default="pgd20")
-    p.add_argument("--eps", type=float, default=8 / 255)
+    p.add_argument("--eps", type=_parse_eps, default=8 / 255)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the metrics record to this file")
 
@@ -81,6 +82,16 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
             raise argparse.ArgumentTypeError(
                 f"expected pairs like 0:1,2:3, got {text!r}") from None
     return tuple(pairs)
+
+
+def _parse_eps(text: str) -> float:
+    try:
+        eps = float(text)
+        if math.isfinite(eps) and eps >= 0:
+            return eps
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite, nonnegative radius, got {text!r}")
 
 
 def _cmd_corrupt(args) -> int:

@@ -86,10 +86,9 @@ def evaluate(model: ModelParams, test: LabeledDataset,
 
 
 def distribution_error(estimated, reference) -> float:
-    """Total-variation distance between two count vectors, in [0, 1]. Either
-    argument may be an object with a ``counts`` attribute."""
-    est = np.asarray(getattr(estimated, "counts", estimated), dtype=np.float64)
-    ref = np.asarray(getattr(reference, "counts", reference), dtype=np.float64)
+    """Total-variation distance between two count vectors, in [0, 1]."""
+    est = np.asarray(estimated, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
     if est.shape != ref.shape:
         raise ValueError(f"count vectors differ in length: {est.shape} vs {ref.shape}")
     if est.sum() <= 0 or ref.sum() <= 0:

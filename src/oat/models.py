@@ -9,6 +9,7 @@ robust model's features.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,15 +66,7 @@ class ModelParams:
     predictor: list[Layer] | None
 
     def parameters(self) -> list[Value]:
-        out: list[Value] = []
-        for w, b in self.encoder:
-            out += [w, b]
-        out += [self.head[0], self.head[1]]
-        for block in (self.projector, self.predictor):
-            if block is not None:
-                for w, b in block:
-                    out += [w, b]
-        return out
+        return [value for _, value in self.named_buffers()]
 
     def named_buffers(self) -> list[tuple[str, Value]]:
         out = []
@@ -152,18 +145,17 @@ def project_predict(params: ModelParams, feats: Value, use_predictor: bool) -> V
     return out
 
 
-def frozen_heads(params: ModelParams) -> ModelParams:
-    """Copy of an oracle's params whose projector/predictor are constants.
+def detached(params: ModelParams) -> ModelParams:
+    """View of a model whose every layer is a constant.
 
-    Shares the underlying buffers, so later optimizer updates to the oracle
-    are visible, but no gradient ever reaches the oracle through this view.
+    Shares the underlying buffers, so later optimizer updates to the model
+    are visible, but no gradient ever reaches the model through this view.
     """
-    if params.projector is None or params.predictor is None:
-        raise ValueError("frozen_heads requires oracle params")
-    freeze = lambda block: [(ad.detach(w), ad.detach(b)) for w, b in block]
-    return ModelParams(arch=params.arch, role=params.role,
-                       encoder=[], head=(ad.detach(params.head[0]), ad.detach(params.head[1])),
-                       projector=freeze(params.projector), predictor=freeze(params.predictor))
+    const = lambda layer: (ad.detach(layer[0]), ad.detach(layer[1]))
+    block = lambda layers: None if layers is None else [const(layer) for layer in layers]
+    return dataclasses.replace(params, encoder=block(params.encoder), head=const(params.head),
+                               projector=block(params.projector),
+                               predictor=block(params.predictor))
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +176,7 @@ def save_model(params: ModelParams, path: str | Path) -> None:
     manifest: dict = {
         "version": CHECKPOINT_VERSION,
         "role": params.role,
-        "arch": {
-            "input_dim": params.arch.input_dim,
-            "encoder_widths": list(params.arch.encoder_widths),
-            "feature_dim": params.arch.feature_dim,
-            "num_classes": params.arch.num_classes,
-            "projector_hidden": params.arch.projector_hidden,
-            "projector_out": params.arch.projector_out,
-            "predictor_hidden": params.arch.predictor_hidden,
-            "predictor_out": params.arch.predictor_out,
-        },
+        "arch": dataclasses.asdict(params.arch),
         "buffers": [],
     }
     blob = bytearray()
@@ -216,16 +199,8 @@ def load_model(path: str | Path) -> ModelParams:
     manifest = json.loads((path / "checkpoint.json").read_text())
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
-    arch = ArchSpec(
-        input_dim=manifest["arch"]["input_dim"],
-        encoder_widths=tuple(manifest["arch"]["encoder_widths"]),
-        feature_dim=manifest["arch"]["feature_dim"],
-        num_classes=manifest["arch"]["num_classes"],
-        projector_hidden=manifest["arch"]["projector_hidden"],
-        projector_out=manifest["arch"]["projector_out"],
-        predictor_hidden=manifest["arch"]["predictor_hidden"],
-        predictor_out=manifest["arch"]["predictor_out"],
-    )
+    arch = ArchSpec(**{**manifest["arch"],
+                       "encoder_widths": tuple(manifest["arch"]["encoder_widths"])})
     blob = (path / "params.bin").read_bytes()
     buffers: dict[str, Value] = {}
     for entry in manifest["buffers"]:

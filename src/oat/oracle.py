@@ -22,7 +22,7 @@ from .models import ModelParams, forward_features, forward_logits, project_predi
 from .rng import SplitMix64
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .trainer import RunState, TrainConfig
+    from .trainer import RunState
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,13 @@ class KnnIndex:
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
-    """Two fixed augmentation menus over flat feature vectors in [0,1]^d.
+    """Two fixed augmentation views over flat feature vectors in [0,1]^d.
 
     weak: jitter + flip. strong: jitter + flip + per-feature scaling jitter +
     random erasing. The knobs control amplitude; flip reverses the feature
     order, which only makes sense for data without coordinate semantics, so
     tabular configs usually set flip_prob to 0.
     """
-    weak: tuple[str, ...] = ("jitter", "flip")
-    strong: tuple[str, ...] = ("jitter", "flip", "scale_jitter", "erase")
     jitter_amp: float = 0.05
     flip_prob: float = 0.5
     scale_amp: float = 0.2
@@ -69,25 +67,20 @@ class AugmentationPolicy:
     erase_prob: float = 0.5
 
     def apply(self, x: np.ndarray, which: str, rng: SplitMix64) -> np.ndarray:
-        ops = self.weak if which == "weak" else self.strong
+        if which not in ("weak", "strong"):
+            raise ValueError(f"unknown augmentation view {which!r}: expected 'weak' or 'strong'")
         out = x.copy()
         n, d = out.shape
-        for op in ops:
-            if op == "jitter":
-                out += rng.uniform_range(n * d, -self.jitter_amp, self.jitter_amp).reshape(n, d)
-            elif op == "flip":
-                flips = rng.uniform(n) < self.flip_prob
-                out[flips] = out[flips, ::-1]
-            elif op == "scale_jitter":
-                out *= 1.0 + rng.uniform_range(n * d, -self.scale_amp, self.scale_amp).reshape(n, d)
-            elif op == "erase":
-                width = max(1, int(round(self.erase_frac * d)))
-                hits = rng.uniform(n) < self.erase_prob
-                starts = (rng.uniform(n) * max(1, d - width + 1)).astype(int)[:, None]
-                offset = np.arange(d) - starts
-                out[hits[:, None] & (offset >= 0) & (offset < width)] = 0.0
-            else:
-                raise ValueError(f"unknown augmentation op {op!r}")
+        out += rng.uniform_range(n * d, -self.jitter_amp, self.jitter_amp).reshape(n, d)
+        flips = rng.uniform(n) < self.flip_prob
+        out[flips] = out[flips, ::-1]
+        if which == "strong":
+            out *= 1.0 + rng.uniform_range(n * d, -self.scale_amp, self.scale_amp).reshape(n, d)
+            width = max(1, int(round(self.erase_frac * d)))
+            hits = rng.uniform(n) < self.erase_prob
+            starts = (rng.uniform(n) * max(1, d - width + 1)).astype(int)[:, None]
+            offset = np.arange(d) - starts
+            out[hits[:, None] & (offset >= 0) & (offset < width)] = 0.0
         return np.clip(out, 0.0, 1.0)
 
 
@@ -294,10 +287,11 @@ class OracleEpochRecord:
     empty_clean_batches: int = 0
 
 
-def oracle_epoch(state: "RunState", config: "TrainConfig") -> "RunState":
+def oracle_epoch(state: "RunState") -> "RunState":
     """Refurbish labels, split clean/noisy by k-NN, run one SGD pass over the
     oversampled set. The oracle's learning rate stays at config.lr for the
     whole run."""
+    config = state.config
     ds = state.oversampled
     rng = state.rng.fork("oracle_epoch", state.epoch)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,9 +26,8 @@ from .corruption import balanced_oversample, class_counts
 from .dataio import LabeledDataset, replaced_together
 from .evaluation import (MetricsRecord, accuracy, check_test_set,
                          distribution_error, robust_accuracy)
-from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, forward_features,
-                     forward_logits, frozen_heads, init_model, project_predict,
-                     save_model)
+from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, detached, forward_features,
+                     forward_logits, init_model, project_predict, save_model)
 from .oracle import AugmentationPolicy, OracleEpochRecord, oracle_epoch, predict_probs
 from .rng import SplitMix64
 
@@ -65,7 +65,6 @@ class TrainConfig:
     feature_dim: int = 32
     augment: AugmentationPolicy = field(default_factory=AugmentationPolicy)
     eval_steps: int = 20                # PGD steps for per-epoch robust accuracy
-    refurbish_against_original: bool = False
 
     def __post_init__(self):
         if self.method not in ("oat", "pgd_at"):
@@ -82,8 +81,8 @@ class TrainConfig:
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
         """Build a config from its to_dict form; raises ValueError naming any
-        unknown or missing key, or any value of the wrong type, at the top
-        level or under "attack" or "augment"."""
+        unknown or missing key, or any value of the wrong type or any NaN or
+        infinite number, at the top level or under "attack" or "augment"."""
         return TrainConfig(**_fields_from_dict(TrainConfig, d, "config"))
 
 
@@ -115,7 +114,10 @@ def _matches(value, hint) -> bool:
     if hint is bool:
         return isinstance(value, bool)
     if hint in (int, float, str):
-        # a bool is an int in Python but not a number in a config; an int passes as a float
+        # a bool is an int in Python but not a number in a config; an int passes
+        # as a float, and json.loads parses NaN and Infinity, which no key takes
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
         return not isinstance(value, bool) and isinstance(
             value, (int, float) if hint is float else hint)
     args = typing.get_args(hint)
@@ -201,11 +203,10 @@ def at_model_loss(at_model: ModelParams, oracle: ModelParams | None,
     total = l_ce
 
     if config.interaction_enabled:
-        heads = frozen_heads(oracle)
-        with ad.no_grad():
-            target_np = project_predict(oracle, forward_features(oracle, x), False).data
-        online = project_predict(heads, forward_features(at_model, x_adv), True)
-        l_cos = ad.neg(ad.vmean(ad.batch_cosine(Value(target_np), online)))
+        frozen = detached(oracle)
+        target = project_predict(frozen, forward_features(frozen, x), False)
+        online = project_predict(frozen, forward_features(at_model, x_adv), True)
+        l_cos = ad.neg(ad.vmean(ad.batch_cosine(target, online)))
         parts["feature_align"] = l_cos.item()
         total = ad.add(total, l_cos)
 
@@ -286,9 +287,7 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
         state.epoch = epoch
         try:
             if config.method == "oat":
-                if config.refurbish_against_original:
-                    state.labels = state.oversampled.observed_labels.copy()
-                oracle_epoch(state, config)
+                oracle_epoch(state)
                 state.distribution = estimate_label_distribution(state.oracle, ds)
             _at_epoch(state, ds, epoch)
         except FloatingPointError as err:

@@ -21,7 +21,7 @@ from oat.corruption import (CorruptionSpec, apply_exponential_imbalance,
 from oat.dataio import SyntheticSpec, gen_synthetic
 from oat.evaluation import evaluate, distribution_error
 from oat.models import (AT_MODEL, ORACLE, ArchSpec, forward_features,
-                        forward_logits, frozen_heads, init_model, load_model,
+                        forward_logits, detached, init_model, load_model,
                         project_predict)
 from oat.oracle import (AugmentationPolicy, KnnIndex, knn_split,
                         oracle_interaction_loss, oracle_supervised_loss,
@@ -90,7 +90,7 @@ def _loss_suite(seed: int):
         return at_model_loss(at, oracle, x, x_adv, dist, cfg_adjusted)[0]
 
     def loss_cos_model():
-        online = project_predict(frozen_heads(oracle), forward_features(at, x_adv), True)
+        online = project_predict(detached(oracle), forward_features(at, x_adv), True)
         return ad.neg(ad.vmean(ad.batch_cosine(Value(align_target), online)))
 
     def loss_cw():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ def _rand_batch(rng, n, d):
 
 
 def test_attack_spec_validation():
+    for epsilon, alpha in [(math.nan, 0.01), (math.inf, 0.01), (0.1, math.nan),
+                           (0.1, -math.inf), (0.1, -0.01)]:
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            AttackSpec(epsilon=epsilon, alpha=alpha, steps=3)
     with pytest.raises(ValueError):
         AttackSpec(epsilon=0.01, alpha=0.02, steps=10)  # alpha > epsilon
     with pytest.raises(ValueError):

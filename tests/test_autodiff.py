@@ -29,11 +29,6 @@ def test_softmax_rows_sum_to_one():
     assert np.all(np.abs(rows.data.sum(axis=1) - 1.0) < 1e-12)
 
 
-def test_log_rejects_nonpositive():
-    with pytest.raises(ValueError, match="positive"):
-        ad.log(Value([1.0, 0.0]))
-
-
 def test_shape_mismatch_names_kind():
     with pytest.raises(ValueError, match="add"):
         ad.add(Value(np.zeros(3)), Value(np.zeros(4)))
@@ -70,8 +65,6 @@ def test_grad_accumulates_and_doubles():
     first = x.grad.copy()
     backward(root)
     assert np.array_equal(x.grad, 2.0 * first)
-    x.zero_grad()
-    assert np.array_equal(x.grad, np.zeros(2))
 
 
 def test_value_reused_twice_accumulates_both_paths():

@@ -85,8 +85,8 @@ def test_distribution_error_values():
     assert distribution_error((1, 1), (5, 5)) == 0.0
     assert distribution_error((10, 0), (0, 10)) == 1.0
     assert distribution_error((450, 550), (500, 500)) == pytest.approx(0.05)
-    assert distribution_error(LabelDistribution(counts=(450, 550)),
-                              ClassCounts((500, 500))) == pytest.approx(0.05)
+    assert distribution_error(LabelDistribution(counts=(450, 550)).counts,
+                              ClassCounts((500, 500)).counts) == pytest.approx(0.05)
     with pytest.raises(ValueError, match="length"):
         distribution_error((1, 2), (1, 2, 3))
     with pytest.raises(ValueError, match="positive"):
@@ -133,6 +133,13 @@ def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
     ('{"epochs": "ten"}', "config key 'epochs' must be int, got 'ten'"),
     ('{"epochs": 2,', "Expecting property name"),
     ("[1, 2]", "--config must hold a JSON object"),
+    ('{"lr": NaN}', "config key 'lr' must be float, got nan"),
+    ('{"attack": {"epsilon": Infinity, "alpha": 0.1, "steps": 3}}',
+     "attack key 'epsilon' must be float, got inf"),
+    ('{"refurbish_against_original": true}',
+     "unknown config key(s): refurbish_against_original"),
+    ('{"augment": {"weak": ["jitter"]}}', "unknown augment key(s): weak"),
+    ('{"augment": {"strong": ["erase"]}}', "unknown augment key(s): strong"),
 ])
 def test_cli_train_malformed_config_exits_1(tmp_path, capsys, text, named):
     config = tmp_path / "config.json"
@@ -143,6 +150,15 @@ def test_cli_train_malformed_config_exits_1(tmp_path, capsys, text, named):
     assert code == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.1"])
+def test_cli_eval_rejects_bad_eps_exits_1(tmp_path, capsys, eps):
+    code = cli(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"),
+                "--eps", eps])
+    assert code == 1
+    assert f"argument --eps: expected a finite, nonnegative radius, got '{eps}'" in \
+        capsys.readouterr().err
 
 
 def test_cli_runtime_errors_exit_2(tmp_path, capsys):

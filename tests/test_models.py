@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oat import autodiff as ad
-from oat.models import (AT_MODEL, ORACLE, ArchSpec, forward_features,
-                        forward_logits, frozen_heads, init_model, load_model,
-                        project_predict, save_model)
+from oat.models import (AT_MODEL, ORACLE, ArchSpec, detached, forward_features,
+                        forward_logits, init_model, load_model, project_predict,
+                        save_model)
 from oat.rng import SplitMix64
 
 from helpers import TINY_ARCH
@@ -100,15 +100,30 @@ def test_arch_spec_head_width_invariant():
                  predictor_out=2)
 
 
-def test_frozen_heads_pass_no_gradient():
+def test_detached_passes_no_gradient():
     oracle = init_model(TINY_ARCH, ORACLE, seed=8)
-    heads = frozen_heads(oracle)
+    heads = detached(oracle)
     feats = forward_features(oracle, np.full((2, 5), 0.2))
     out = project_predict(heads, ad.detach(feats), use_predictor=True)
     ad.backward(ad.vmean(out))
     assert all(np.all(p.grad == 0) for p in oracle.parameters())
     # buffers are shared, not copied
     assert heads.projector[0][0].data is oracle.projector[0][0].data
+
+
+@pytest.mark.parametrize("role", [ORACLE, AT_MODEL])
+def test_detached_view_is_constant_and_shares_every_buffer(role):
+    params = init_model(TINY_ARCH, role, seed=8)
+    view = detached(params)
+    assert [n for n, _ in view.named_buffers()] == [n for n, _ in params.named_buffers()]
+    for p, v in zip(params.parameters(), view.parameters()):
+        assert v.data is p.data and not v.requires_grad
+    x = ad.Value(np.full((2, 5), 0.2), requires_grad=True)
+    logits = forward_logits(view, x)
+    assert np.array_equal(logits.data, forward_logits(params, x.data).data)
+    ad.backward(ad.vmean(logits))
+    assert np.any(x.grad != 0)
+    assert all(np.all(p.grad == 0) for p in params.parameters())
 
 
 def test_checkpoint_roundtrip(tmp_path):

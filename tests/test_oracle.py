@@ -301,10 +301,14 @@ def test_oversampled_copies_embed_bit_identically():
 
 
 def test_erase_zeroes_one_window_per_hit_row():
-    policy = AugmentationPolicy(strong=("erase",), erase_frac=0.25, erase_prob=0.5)
+    # the other strong ops at zero amplitude leave x as it is
+    policy = AugmentationPolicy(jitter_amp=0.0, flip_prob=0.0, scale_amp=0.0,
+                                erase_frac=0.25, erase_prob=0.5)
     x = SplitMix64(5).fork("erase_x").uniform(64 * 12).reshape(64, 12) + 0.01
     out = policy.apply(x, "strong", SplitMix64(5).fork("erase"))
     rng = SplitMix64(5).fork("erase")
+    for n in (64 * 12, 64, 64 * 12):  # skip the jitter, flip and scale draws
+        rng.uniform(n)
     hits = rng.uniform(64) < 0.5
     starts = (rng.uniform(64) * 10).astype(int)
     expected = np.clip(x, 0.0, 1.0)
@@ -322,6 +326,11 @@ def test_augmentation_stays_in_box():
         out = policy.apply(x, which, rng)
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out.shape == x.shape
+
+
+def test_augmentation_rejects_unknown_view():
+    with pytest.raises(ValueError, match="unknown augmentation view 'medium'"):
+        AugmentationPolicy().apply(np.full((2, 3), 0.5), "medium", SplitMix64(0))
 
 
 def test_augmentation_deterministic_given_stream():

@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps program functions by module and name; a renamed
 or moved function must fail here rather than break a traced benchmark run."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -38,3 +40,38 @@ def test_every_traced_span_resolves(tracing):
         if not callable(target):
             missing.append(f"oat.{mod_name}.{qualname}")
     assert not missing, f"traced names that no longer resolve: {missing}"
+
+
+def _hook_arguments(tracing) -> list[tuple[str, int, str]]:
+    """(hook suffix, position, name) for every ``_arg(args, kwargs, i, "name")``
+    call in a ``_before_*``/``_after_*`` hook of the tracer."""
+    found = []
+    for node in ast.walk(ast.parse(Path(tracing.__file__).read_text())):
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name.startswith(("_before_", "_after_"))):
+            continue
+        suffix = node.name.split("_", 2)[2]
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                index, name = (arg.value for arg in call.args[2:4])
+                found.append((suffix, index, name))
+    return found
+
+
+def test_every_hook_argument_matches_the_traced_signature(tracing):
+    hooks = _hook_arguments(tracing)
+    assert len(hooks) >= 10, "the tracer's hooks no longer read arguments with _arg"
+    wrong = []
+    for suffix, index, name in hooks:
+        spans = [(m, q) for m, q in tracing.SPANS if q.split(".")[-1] == suffix]
+        assert spans, f"hook for {suffix!r} matches no traced span"
+        for mod_name, qualname in spans:
+            target = importlib.import_module("oat." + mod_name)
+            for part in qualname.split("."):
+                target = getattr(target, part)
+            params = list(inspect.signature(target).parameters)
+            if len(params) <= index or params[index] != name:
+                wrong.append(f"oat.{mod_name}.{qualname}: position {index} is "
+                             f"{params[index] if len(params) > index else None!r}, "
+                             f"the tracer reads {name!r}")
+    assert not wrong, f"tracer hooks read arguments that moved: {wrong}"

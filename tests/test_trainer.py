@@ -135,6 +135,9 @@ def test_config_roundtrip_through_dict():
     ({"attack": {"epsilon": 0.1, "alpha": 0.02, "steps": 7, "stepz": 2}},
      "unknown attack key(s): stepz"),
     ({"augment": {"jitter": 0.1}}, "unknown augment key(s): jitter"),
+    ({"refurbish_against_original": True}, "unknown config key(s): refurbish_against_original"),
+    ({"augment": {"weak": ["jitter"]}}, "unknown augment key(s): weak"),
+    ({"augment": {"strong": ["erase"]}}, "unknown augment key(s): strong"),
 ])
 def test_config_from_dict_rejects_unknown_keys(overrides, named):
     with pytest.raises(ValueError) as err:
@@ -145,6 +148,11 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
 @pytest.mark.parametrize("overrides,named", [
     ({"epochs": "ten"}, "config key 'epochs' must be int, got 'ten'"),
     ({"attack": [1, 2]}, "config key 'attack' must be AttackSpec, got [1, 2]"),
+    ({"lr": math.nan}, "config key 'lr' must be float, got nan"),
+    ({"attack": {"epsilon": math.inf, "alpha": 0.1, "steps": 3}},
+     "attack key 'epsilon' must be float, got inf"),
+    ({"augment": {"scale_amp": -math.inf}},
+     "augment key 'scale_amp' must be float, got -inf"),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
@@ -343,8 +351,3 @@ def test_train_aborts_on_non_finite_loss(tmp_path):
     assert "error" in json.loads(lines[-1])  # diagnostic record persisted
 
 
-def test_train_refurbish_against_original_switch(tmp_path):
-    train_ds, test_ds = _small_data(seed=9)
-    state = train(_fast_config(refurbish_against_original=True), train_ds, test_ds,
-                  tmp_path / "orig")
-    assert len(state.records) == 3
