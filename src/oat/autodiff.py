@@ -5,7 +5,9 @@ Only two kinds of node hold a ``.grad`` buffer: leaves made with
 ``requires_grad=True`` (parameters, attacked inputs), which get a zero buffer
 when they are made, and the root of a ``backward`` call, which gets one on
 demand. Intermediate nodes, constants and ``detach`` outputs keep
-``grad is None``.
+``grad is None``. An op records a graph edge only when one of its operands
+requires grad, so ``detach`` (and ``models.detached`` for a whole model) is
+the way to hold a value constant.
 
 ``backward`` walks the part of the graph that requires grad in reverse
 topological order. Constant operands are never visited, and each op's backward
@@ -23,23 +25,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager suppressing graph construction (inference paths)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
-
 
 class Value:
     """Node in the differentiation graph: data, grad (or None), and producing op."""
@@ -72,7 +57,7 @@ def as_value(x) -> Value:
 def _make(data: np.ndarray, op: str, parents: tuple[Value, ...], backward_fn) -> Value:
     """Wrap an op result, recording the graph edge only when grads can flow."""
     out = Value(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = parents
         out.op = op

@@ -195,27 +195,32 @@ def save_model(params: ModelParams, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelParams:
+    """Read a checkpoint written by ``save_model``.
+
+    The model is built by ``init_model`` from the manifest's arch and role,
+    then each buffer is filled by name; raises ValueError naming a buffer
+    that is missing, unexpected or of the wrong shape for that arch.
+    """
     path = Path(path)
     manifest = json.loads((path / "checkpoint.json").read_text())
     if manifest["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {manifest['version']}")
     arch = ArchSpec(**{**manifest["arch"],
                        "encoder_widths": tuple(manifest["arch"]["encoder_widths"])})
+    params = init_model(arch, manifest["role"], seed=0)
+    expected = dict(params.named_buffers())
+    entries = {entry["name"]: entry for entry in manifest["buffers"]}
+    extra = sorted(entries.keys() - expected.keys())
+    if extra:
+        raise ValueError(f"checkpoint buffer {extra[0]!r} is not part of its arch")
     blob = (path / "params.bin").read_bytes()
-    buffers: dict[str, Value] = {}
-    for entry in manifest["buffers"]:
+    for name, value in expected.items():
+        if name not in entries:
+            raise ValueError(f"checkpoint is missing buffer {name!r}")
+        entry = entries[name]
+        if tuple(entry["shape"]) != value.shape:
+            raise ValueError(f"checkpoint buffer {name!r} has shape {tuple(entry['shape'])}, "
+                             f"its arch needs {value.shape}")
         raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).astype(np.float64)
-        buffers[entry["name"]] = Value(arr, requires_grad=True)
-
-    def layer(prefix: str) -> Layer:
-        return buffers[f"{prefix}.w"], buffers[f"{prefix}.b"]
-
-    n_enc = len(arch.encoder_widths) + 1
-    encoder = [layer(f"encoder.{i}") for i in range(n_enc)]
-    projector = predictor = None
-    if manifest["role"] == ORACLE:
-        projector = [layer("projector.0"), layer("projector.1")]
-        predictor = [layer("predictor.0"), layer("predictor.1")]
-    return ModelParams(arch=arch, role=manifest["role"], encoder=encoder,
-                       head=layer("head"), projector=projector, predictor=predictor)
+        value.data[...] = np.frombuffer(raw, dtype="<f8").reshape(value.shape)
+    return params

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value
 from .dataio import LabeledDataset
-from .models import ModelParams, forward_features, forward_logits, project_predict
+from .models import ModelParams, detached, forward_features, forward_logits, project_predict
 from .rng import SplitMix64
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,6 +66,16 @@ class AugmentationPolicy:
     erase_frac: float = 0.25
     erase_prob: float = 0.5
 
+    def __post_init__(self):
+        for key in ("flip_prob", "erase_prob", "erase_frac"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"augment key {key!r} must lie in [0, 1], "
+                                 f"got {getattr(self, key)!r}")
+        for key in ("jitter_amp", "scale_amp"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"augment key {key!r} must be nonnegative, "
+                                 f"got {getattr(self, key)!r}")
+
     def apply(self, x: np.ndarray, which: str, rng: SplitMix64) -> np.ndarray:
         if which not in ("weak", "strong"):
             raise ValueError(f"unknown augmentation view {which!r}: expected 'weak' or 'strong'")
@@ -88,22 +98,21 @@ class AugmentationPolicy:
 # refurbishment and splitting
 # ---------------------------------------------------------------------------
 
-def _batched_no_grad(fn, x: np.ndarray, batch: int = 512) -> np.ndarray:
-    chunks = []
-    with ad.no_grad():
-        for start in range(0, len(x), batch):
-            chunks.append(fn(x[start:start + batch]).data)
+def _batched(fn, x: np.ndarray, batch: int = 512) -> np.ndarray:
+    chunks = [fn(x[start:start + batch]).data for start in range(0, len(x), batch)]
     return np.concatenate(chunks) if chunks else np.zeros((0,))
 
 
 def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities without building a gradient graph."""
-    return _batched_no_grad(lambda b: ad.softmax(forward_logits(params, b)), x)
+    """Softmax class probabilities of a detached view: no gradient graph."""
+    frozen = detached(params)
+    return _batched(lambda b: ad.softmax(forward_logits(frozen, b)), x)
 
 
 def embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Encoder features without building a gradient graph."""
-    return _batched_no_grad(lambda b: forward_features(params, b), x)
+    """Encoder features of a detached view: no gradient graph."""
+    frozen = detached(params)
+    return _batched(lambda b: forward_features(frozen, b), x)
 
 
 def refurbish(oracle: ModelParams, ds: LabeledDataset, theta_r: float) -> RefurbishedLabels:
@@ -249,7 +258,8 @@ def oracle_contrastive_loss(oracle: ModelParams, batch: np.ndarray,
         raise ValueError("contrastive loss needs a nonempty batch")
     view1 = policy.apply(batch, "weak", rng)
     view2 = policy.apply(batch, "strong", rng)
-    target = ad.detach(project_predict(oracle, forward_features(oracle, view1), False))
+    frozen = detached(oracle)
+    target = project_predict(frozen, forward_features(frozen, view1), False)
     online = project_predict(oracle, forward_features(oracle, view2), True)
     return ad.neg(ad.vmean(ad.batch_cosine(target, online)))
 
@@ -268,9 +278,8 @@ def oracle_interaction_loss(oracle: ModelParams, at_model: ModelParams,
     away from the robust model's predictions. The robust model's branch is a
     constant here."""
     oracle_probs = ad.softmax(forward_logits(oracle, clean_batch))
-    with ad.no_grad():
-        model_probs = ad.softmax(forward_logits(at_model, clean_batch))
-    return ad.neg(ad.mse(oracle_probs, ad.detach(model_probs)))
+    model_probs = ad.softmax(forward_logits(detached(at_model), clean_batch))
+    return ad.neg(ad.mse(oracle_probs, model_probs))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +296,11 @@ class OracleEpochRecord:
     empty_clean_batches: int = 0
 
 
-def oracle_epoch(state: "RunState") -> "RunState":
+def oracle_epoch(state: "RunState") -> OracleEpochRecord:
     """Refurbish labels, split clean/noisy by k-NN, run one SGD pass over the
-    oversampled set. The oracle's learning rate stays at config.lr for the
-    whole run."""
+    oversampled set, and return what the epoch measured. Updates the oracle
+    and ``state.labels`` in place. The oracle's learning rate stays at
+    config.lr for the whole run."""
     config = state.config
     ds = state.oversampled
     rng = state.rng.fork("oracle_epoch", state.epoch)
@@ -351,7 +361,7 @@ def oracle_epoch(state: "RunState") -> "RunState":
     losses["oracle_total"] = total_sum / max(n_batches, 1)
 
     gt = ds.gt_labels
-    record = OracleEpochRecord(
+    return OracleEpochRecord(
         refurbished_nr=None if gt is None else float(np.mean(ref.labels != gt)),
         refurbished_count=int(ref.refurbished_mask.sum()),
         clean_count=len(split.clean_idx),
@@ -359,5 +369,3 @@ def oracle_epoch(state: "RunState") -> "RunState":
         losses=losses,
         empty_clean_batches=empty_clean,
     )
-    state.oracle_record = record
-    return state

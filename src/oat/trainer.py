@@ -4,8 +4,9 @@ the plain PGD-AT baseline.
 
 Every run writes a self-contained directory: config.json, metrics.jsonl (one
 record per epoch), per-epoch label-distribution CSVs, and best/ + last/
-checkpoints. "Best" is the epoch with the highest PGD-20 robust accuracy on
-the test set.
+checkpoints. "Best" is the epoch with the highest PGD robust accuracy on the
+test set; best/ is rewritten as soon as an epoch improves on it, so a run
+that aborts keeps the best checkpoint of the epochs it finished.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in ("oat", "pgd_at"):
             raise ValueError(f"unknown method {self.method!r}")
+        for key in ("epochs", "batch_size", "k", "eval_steps"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"config key {key!r} must be at least 1, "
+                                 f"got {getattr(self, key)!r}")
+        if not 0.0 < self.theta_r <= 1.0:
+            raise ValueError(f"config key 'theta_r' must lie in (0, 1], got {self.theta_r!r}")
         if any(e >= self.epochs for e in self.lr_decay_epochs):
             raise ValueError(f"lr_decay_epochs={list(self.lr_decay_epochs)} must all be "
                              f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")
@@ -140,12 +147,9 @@ class RunState:
     model_opt: SgdOptimizer | None = None
     epoch: int = 0
     distribution: LabelDistribution | None = None
-    oracle_record: OracleEpochRecord | None = None
-    model_losses: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     best_epoch: int = -1
     best_robust: float = -1.0
-    best_snapshot: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +229,6 @@ def hard_label_loss(at_model: ModelParams, x_adv: np.ndarray,
 # the training loop
 # ---------------------------------------------------------------------------
 
-def _snapshot(params: ModelParams) -> list[np.ndarray]:
-    return [p.data.copy() for p in params.parameters()]
-
-
-def _restore(params: ModelParams, snapshot: list[np.ndarray]) -> None:
-    for p, data in zip(params.parameters(), snapshot):
-        p.data[...] = data
-
-
 def _append_jsonl(path: Path, record: dict) -> None:
     with open(path, "a") as f:
         f.write(json.dumps(record) + "\n")
@@ -285,33 +280,30 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
 
     for epoch in range(config.epochs):
         state.epoch = epoch
+        oracle_stats = None
         try:
             if config.method == "oat":
-                oracle_epoch(state)
+                oracle_stats = oracle_epoch(state)
                 state.distribution = estimate_label_distribution(state.oracle, ds)
-            _at_epoch(state, ds, epoch)
+            at_losses = _at_epoch(state, ds, epoch)
         except FloatingPointError as err:
             _append_jsonl(metrics_path, {"epoch": epoch, "error": str(err)})
             raise RuntimeError(f"run aborted: {err}") from err
 
-        record = _evaluate_epoch(state, test, eval_attack, prior_counts, gt_counts)
+        record = _evaluate_epoch(state, test, eval_attack, prior_counts, gt_counts,
+                                 at_losses, oracle_stats)
         state.records.append(record)
         _append_jsonl(metrics_path, record)
         if config.method == "oat":
             _distribution_csv(out_dir / f"distribution_epoch_{epoch}.csv",
                               prior_counts, state.distribution.counts, gt_counts)
 
-        if record["robust_accuracy"]["pgd%d" % config.eval_steps] > state.best_robust:
-            state.best_robust = record["robust_accuracy"]["pgd%d" % config.eval_steps]
-            state.best_epoch = epoch
-            state.best_snapshot = _snapshot(state.model)
+        robust = record["robust_accuracy"][eval_attack.name()]
+        if robust > state.best_robust:
+            state.best_robust, state.best_epoch = robust, epoch
+            save_model(state.model, out_dir / "best")
 
     save_model(state.model, out_dir / "last")
-    if state.best_snapshot is not None:
-        current = _snapshot(state.model)
-        _restore(state.model, state.best_snapshot)
-        save_model(state.model, out_dir / "best")
-        _restore(state.model, current)
     with replaced_together(out_dir, ("summary.json",)) as temps:
         temps["summary.json"].write_text(json.dumps({
             "best_epoch": state.best_epoch,
@@ -321,7 +313,8 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     return state
 
 
-def _at_epoch(state: RunState, ds: LabeledDataset, epoch: int) -> None:
+def _at_epoch(state: RunState, ds: LabeledDataset, epoch: int) -> dict[str, float]:
+    """One adversarial-training pass over ``ds``; returns the mean of each loss part."""
     config = state.config
     state.model_opt.learning_rate = lr_at_epoch(config, epoch)
     rng = state.rng.fork("at_epoch", epoch)
@@ -356,17 +349,19 @@ def _at_epoch(state: RunState, ds: LabeledDataset, epoch: int) -> None:
             sums[name] = sums.get(name, 0.0) + value
         n_batches += 1
 
-    state.model_losses = {name: s / max(n_batches, 1) for name, s in sums.items()}
+    return {name: s / max(n_batches, 1) for name, s in sums.items()}
 
 
 def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSpec,
-                    prior_counts: np.ndarray, gt_counts: np.ndarray | None) -> dict:
+                    prior_counts: np.ndarray, gt_counts: np.ndarray | None,
+                    at_losses: dict[str, float],
+                    oracle_stats: OracleEpochRecord | None) -> dict:
     config = state.config
     ca = accuracy(state.model, test.samples, test.gt_labels)
     ra = robust_accuracy(state.model, test, eval_attack,
                          state.rng.fork("eval", state.epoch))
 
-    losses = dict(state.model_losses)
+    losses = dict(at_losses)
     record: dict = {
         "epoch": state.epoch,
         **MetricsRecord(ca, {eval_attack.name(): ra}).to_dict(),
@@ -375,14 +370,13 @@ def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSp
         "adjustment_enabled": config.adjustment_enabled if config.method == "oat" else False,
     }
     if config.method == "oat":
-        orec = state.oracle_record
-        losses.update(orec.losses)
+        losses.update(oracle_stats.losses)
         record.update({
-            "refurbished_nr": orec.refurbished_nr,
-            "refurbished_count": orec.refurbished_count,
-            "clean_count": orec.clean_count,
-            "noisy_count": orec.noisy_count,
-            "empty_clean_batches": orec.empty_clean_batches,
+            "refurbished_nr": oracle_stats.refurbished_nr,
+            "refurbished_count": oracle_stats.refurbished_count,
+            "clean_count": oracle_stats.clean_count,
+            "noisy_count": oracle_stats.noisy_count,
+            "empty_clean_batches": oracle_stats.empty_clean_batches,
             "estimated_counts": list(state.distribution.counts),
         })
         if gt_counts is not None:

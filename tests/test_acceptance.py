@@ -66,9 +66,9 @@ def _loss_suite(seed: int):
 
     # stop-gradient targets are held constant while differencing: reverse mode
     # differentiates the loss with the detached branch frozen at its value
-    with ad.no_grad():
-        cos_target = project_predict(oracle, forward_features(oracle, view1), False).data.copy()
-        align_target = project_predict(oracle, forward_features(oracle, x), False).data.copy()
+    frozen = detached(oracle)
+    cos_target = project_predict(frozen, forward_features(frozen, view1), False).data.copy()
+    align_target = project_predict(frozen, forward_features(frozen, x), False).data.copy()
 
     def loss_cos_oracle():
         online = project_predict(oracle, forward_features(oracle, view2), True)

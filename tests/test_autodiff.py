@@ -116,13 +116,6 @@ def test_gather_rows_and_max_rows():
     assert np.array_equal(z.grad, expected)
 
 
-def test_no_grad_suppresses_graph():
-    x = Value([1.0], requires_grad=True)
-    with ad.no_grad():
-        y = ad.mul(x, x)
-    assert y.parents == () and not y.requires_grad
-
-
 def test_mlp_gradients_match_finite_differences():
     # random 2-layer MLPs across seeds; hand-rolled loss through every op family
     for seed in range(5):

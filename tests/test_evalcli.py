@@ -140,6 +140,12 @@ def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
      "unknown config key(s): refurbish_against_original"),
     ('{"augment": {"weak": ["jitter"]}}', "unknown augment key(s): weak"),
     ('{"augment": {"strong": ["erase"]}}', "unknown augment key(s): strong"),
+    ('{"epochs": 0, "lr_decay_epochs": []}', "config key 'epochs' must be at least 1, got 0"),
+    ('{"batch_size": 0}', "config key 'batch_size' must be at least 1, got 0"),
+    ('{"k": 0}', "config key 'k' must be at least 1, got 0"),
+    ('{"eval_steps": 0}', "config key 'eval_steps' must be at least 1, got 0"),
+    ('{"theta_r": 1.5}', "config key 'theta_r' must lie in (0, 1], got 1.5"),
+    ('{"augment": {"erase_prob": -3}}', "augment key 'erase_prob' must lie in [0, 1], got -3"),
 ])
 def test_cli_train_malformed_config_exits_1(tmp_path, capsys, text, named):
     config = tmp_path / "config.json"

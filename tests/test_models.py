@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,23 @@ def test_checkpoint_roundtrip(tmp_path):
         x = np.full((3, 5), 0.6)
         assert np.array_equal(forward_logits(params, x).data,
                               forward_logits(back, x).data)
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda m: m["arch"].update(input_dim=m["arch"]["input_dim"] + 3),
+     "checkpoint buffer 'encoder.0.w' has shape (5, 7), its arch needs (8, 7)"),
+    (lambda m: m["buffers"].pop(), "checkpoint is missing buffer 'head.b'"),
+    (lambda m: m["buffers"].append({**m["buffers"][-1], "name": "head.c"}),
+     "checkpoint buffer 'head.c' is not part of its arch"),
+])
+def test_load_model_rejects_manifest_that_disagrees_with_arch(tmp_path, edit, named):
+    save_model(init_model(TINY_ARCH, AT_MODEL, seed=9), tmp_path)
+    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    edit(manifest)
+    (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path)
+    assert str(err.value) == named
 
 
 def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):

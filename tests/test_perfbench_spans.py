@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps program functions by module and name; a renamed
-or moved function must fail here rather than break a traced benchmark run."""
+or moved function (or a dropped ``RunState`` field the workloads read) must
+fail here rather than break a benchmark run."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -75,3 +77,13 @@ def test_every_hook_argument_matches_the_traced_signature(tracing):
                              f"{params[index] if len(params) > index else None!r}, "
                              f"the tracer reads {name!r}")
     assert not wrong, f"tracer hooks read arguments that moved: {wrong}"
+
+
+def test_every_run_state_field_the_workloads_read_exists():
+    from oat.trainer import RunState
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "state"}
+    assert read >= {"records", "best_epoch", "oversampled", "labels", "distribution", "oracle"}
+    fields = {f.name for f in dataclasses.fields(RunState)}
+    assert read <= fields, f"workloads read RunState fields that are gone: {sorted(read - fields)}"

@@ -153,11 +153,32 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
      "attack key 'epsilon' must be float, got inf"),
     ({"augment": {"scale_amp": -math.inf}},
      "augment key 'scale_amp' must be float, got -inf"),
+    ({"epochs": 0}, "config key 'epochs' must be at least 1, got 0"),
+    ({"batch_size": 0}, "config key 'batch_size' must be at least 1, got 0"),
+    ({"k": -2}, "config key 'k' must be at least 1, got -2"),
+    ({"eval_steps": 0}, "config key 'eval_steps' must be at least 1, got 0"),
+    ({"theta_r": 1.5}, "config key 'theta_r' must lie in (0, 1], got 1.5"),
+    ({"theta_r": 0.0}, "config key 'theta_r' must lie in (0, 1], got 0.0"),
+    ({"augment": {"flip_prob": -0.1}}, "augment key 'flip_prob' must lie in [0, 1], got -0.1"),
+    ({"augment": {"erase_prob": -3.0}}, "augment key 'erase_prob' must lie in [0, 1], got -3.0"),
+    ({"augment": {"erase_frac": 1.5}}, "augment key 'erase_frac' must lie in [0, 1], got 1.5"),
+    ({"augment": {"jitter_amp": -0.01}},
+     "augment key 'jitter_amp' must be nonnegative, got -0.01"),
+    ({"augment": {"scale_amp": -1}}, "augment key 'scale_amp' must be nonnegative, got -1"),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
         TrainConfig.from_dict(overrides)
     assert str(err.value) == named
+
+
+def test_config_accepts_range_bounds():
+    config = TrainConfig(epochs=1, batch_size=1, k=1, eval_steps=1, theta_r=1.0,
+                         lr_decay_epochs=(),
+                         augment=AugmentationPolicy(jitter_amp=0.0, flip_prob=1.0,
+                                                    scale_amp=0.0, erase_frac=0.0,
+                                                    erase_prob=1.0))
+    assert config.theta_r == 1.0 and config.augment.erase_prob == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +335,21 @@ def test_train_checkpoints_reload_identically(tmp_path):
     b = evaluate(again, test_ds, [spec], seed=5)
     assert a.clean_accuracy == b.clean_accuracy
     assert a.robust_accuracy == b.robust_accuracy
+
+
+def test_best_checkpoint_holds_the_best_epoch(tmp_path):
+    train_ds, test_ds = _small_data(seed=0)
+    config = _fast_config(method="pgd_at", epochs=4, lr_decay_epochs=())
+    state = train(config, train_ds, test_ds, tmp_path / "run")
+    best_record = state.records[state.best_epoch]
+    # precondition: the best epoch is not the last, and the two differ in accuracy
+    assert state.best_epoch < config.epochs - 1
+    assert best_record["clean_accuracy"] != state.records[-1]["clean_accuracy"]
+    best, last = tmp_path / "run" / "best", tmp_path / "run" / "last"
+    assert (best / "params.bin").read_bytes() != (last / "params.bin").read_bytes()
+    from oat.evaluation import accuracy
+    assert accuracy(load_model(best), test_ds.samples, test_ds.gt_labels) == \
+        best_record["clean_accuracy"]
 
 
 def test_train_rejects_mismatched_datasets(tmp_path):
