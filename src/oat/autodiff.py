@@ -423,3 +423,27 @@ class SgdOptimizer:
             v += g
             p.data -= self.learning_rate * v
             p.grad[...] = 0.0
+
+
+def sgd_pass(opt: SgdOptimizer, order: np.ndarray, batch_size: int,
+             batch_loss: Callable[[int, np.ndarray], tuple[Value, dict[str, float]]],
+             what: str) -> dict[str, float]:
+    """One SGD pass over ``order`` in batches of ``batch_size`` rows.
+
+    For batch i with row indices idx, ``batch_loss(i, idx)`` returns the loss
+    and its named float parts; ``backward`` and ``opt.step()`` follow. A
+    non-finite loss raises ``FloatingPointError("non-finite " + what)`` before
+    that batch's step. Returns each part's mean over all batches, keys in
+    first-seen order.
+    """
+    batches = range(0, len(order), batch_size)
+    sums: dict[str, float] = {}
+    for i, start in enumerate(batches):
+        loss, parts = batch_loss(i, order[start:start + batch_size])
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError(f"non-finite {what}")
+        backward(loss)
+        opt.step()
+        for name, value in parts.items():
+            sums[name] = sums.get(name, 0.0) + value
+    return {name: s / len(batches) for name, s in sums.items()}

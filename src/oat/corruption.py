@@ -90,12 +90,10 @@ def apply_symmetric_noise(ds: LabeledDataset, nr: float, seed: int) -> LabeledDa
     n_flip = _round_half_up(nr * len(ds))
     rng = SplitMix64(seed).fork("symmetric_noise")
     chosen = rng.sample(len(ds), n_flip)
+    # uniform over [0, C) \ {gt}
+    draws = np.asarray(rng.randints(np.full(n_flip, ds.num_classes - 1)), dtype=np.int64)
     observed = ds.observed_labels.copy()
-    for i in chosen:
-        # uniform over [0, C) \ {gt}
-        draw = rng.randint(ds.num_classes - 1)
-        gt = int(ds.gt_labels[i])
-        observed[i] = draw if draw < gt else draw + 1
+    observed[chosen] = draws + (draws >= ds.gt_labels[chosen])
     return ds.with_observed(observed)
 
 
@@ -179,13 +177,13 @@ def balanced_oversample(ds: LabeledDataset, seed: int = 0) -> LabeledDataset:
         raise ValueError(f"cannot oversample: class {empty} has no samples")
     n_max = int(counts.max())
     rng = SplitMix64(seed).fork("balanced_oversample")
-    extra: list[int] = []
-    for cls in range(ds.num_classes):
-        members = np.flatnonzero(ds.observed_labels == cls)
-        for _ in range(n_max - len(members)):
-            extra.append(int(members[rng.randint(len(members))]))
-    rows = np.concatenate([np.arange(len(ds)), np.asarray(extra, dtype=np.int64)]) \
-        if extra else np.arange(len(ds))
+    # class by class, n_max - N_c draws of randint(N_c), each picking one of
+    # the class's members in row order
+    need = n_max - counts
+    members = np.argsort(ds.observed_labels, kind="stable")
+    picks = np.asarray(rng.randints(np.repeat(counts, need)), dtype=np.int64)
+    extra = members[np.repeat(np.cumsum(counts) - counts, need) + picks]
+    rows = np.concatenate([np.arange(len(ds)), extra])
     return LabeledDataset(
         samples=ds.samples[rows],
         observed_labels=ds.observed_labels[rows],

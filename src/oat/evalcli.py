@@ -182,10 +182,9 @@ def _cmd_report(args) -> int:
             epochs.append(row)
         report["epochs"] = epochs
 
-    for name in ("summary.json",):
-        f = run / name
-        if f.exists():
-            report["summary"] = json.loads(f.read_text())
+    summary_file = run / "summary.json"
+    if summary_file.exists():
+        report["summary"] = json.loads(summary_file.read_text())
 
     dist_files = sorted(run.glob("distribution_epoch_*.csv"),
                         key=lambda p: int(p.stem.rsplit("_", 1)[1]))

@@ -10,7 +10,7 @@ on the trusted subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -292,8 +292,8 @@ class OracleEpochRecord:
     refurbished_count: int
     clean_count: int
     noisy_count: int
-    losses: dict = field(default_factory=dict)
-    empty_clean_batches: int = 0
+    empty_clean_batches: int
+    losses: dict
 
 
 def oracle_epoch(state: "RunState") -> OracleEpochRecord:
@@ -314,51 +314,33 @@ def oracle_epoch(state: "RunState") -> OracleEpochRecord:
     split = knn_split(KnnIndex(points=feats, k=k), feats, ref.labels, k)
     clean_mask = np.zeros(len(ds), dtype=bool)
     clean_mask[split.clean_idx] = True
-
-    sums = {"contrastive": 0.0, "supervised": 0.0}
-    if config.interaction_enabled:
-        sums["divergence"] = 0.0
-    total_sum = 0.0
-    n_batches = 0
     empty_clean = 0
 
-    order = rng.fork("shuffle").permutation(len(ds))
-    for start in range(0, len(order), config.batch_size):
-        idx = order[start:start + config.batch_size]
-        x = ds.samples[idx]
-        terms: list[Value] = []
-
-        l_cos = oracle_contrastive_loss(state.oracle, x, config.augment,
-                                        rng.fork("augment", n_batches))
-        terms.append(l_cos)
-        sums["contrastive"] += l_cos.item()
-
+    def batch_loss(i: int, idx: np.ndarray) -> tuple[Value, dict[str, float]]:
+        nonlocal empty_clean
+        total = oracle_contrastive_loss(state.oracle, ds.samples[idx], config.augment,
+                                        rng.fork("augment", i))
+        parts = {"contrastive": total.item(), "supervised": 0.0}
+        if config.interaction_enabled:
+            parts["divergence"] = 0.0
         clean_in_batch = idx[clean_mask[idx]]
         if len(clean_in_batch):
-            l_ce = oracle_supervised_loss(state.oracle, ds.samples[clean_in_batch],
-                                          ref.labels[clean_in_batch])
-            terms.append(l_ce)
-            sums["supervised"] += l_ce.item()
+            x_clean = ds.samples[clean_in_batch]
+            l_ce = oracle_supervised_loss(state.oracle, x_clean, ref.labels[clean_in_batch])
+            parts["supervised"] = l_ce.item()
+            total = ad.add(total, l_ce)
             if config.interaction_enabled:
-                l_div = oracle_interaction_loss(state.oracle, state.model,
-                                                ds.samples[clean_in_batch])
-                terms.append(l_div)
-                sums["divergence"] += l_div.item()
+                l_div = oracle_interaction_loss(state.oracle, state.model, x_clean)
+                parts["divergence"] = l_div.item()
+                total = ad.add(total, l_div)
         else:
             empty_clean += 1
+        parts["oracle_total"] = total.item()
+        return total, parts
 
-        total = terms[0]
-        for term in terms[1:]:
-            total = ad.add(total, term)
-        total_sum += total.item()
-        if not np.isfinite(total.item()):
-            raise FloatingPointError(f"non-finite oracle loss at epoch {state.epoch}")
-        ad.backward(total)
-        state.oracle_opt.step()
-        n_batches += 1
-
-    losses = {name: s / max(n_batches, 1) for name, s in sums.items()}
-    losses["oracle_total"] = total_sum / max(n_batches, 1)
+    order = rng.fork("shuffle").permutation(len(ds))
+    losses = ad.sgd_pass(state.oracle_opt, order, config.batch_size, batch_loss,
+                         f"oracle loss at epoch {state.epoch}")
 
     gt = ds.gt_labels
     return OracleEpochRecord(
@@ -366,6 +348,6 @@ def oracle_epoch(state: "RunState") -> OracleEpochRecord:
         refurbished_count=int(ref.refurbished_mask.sum()),
         clean_count=len(split.clean_idx),
         noisy_count=len(split.noisy_idx),
-        losses=losses,
         empty_clean_batches=empty_clean,
+        losses=losses,
     )

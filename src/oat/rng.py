@@ -81,12 +81,17 @@ class SplitMix64:
             if draw < threshold:
                 return draw % bound
 
-    def _randints(self, bounds: np.ndarray) -> list[int]:
-        """randint(b) for each b of a uint64 array, in order.
+    def randints(self, bounds) -> list[int]:
+        """randint(b) for each b of an integer array, in order: the same draws,
+        and the same state afterwards, as successive randint calls.
 
         One block of draws serves them all unless a draw would be rejected;
         then the state is rewound and the draws are made one by one.
         """
+        bounds = np.asarray(bounds)
+        if bounds.size and bounds.min() <= 0:
+            raise ValueError("bound must be positive")
+        bounds = bounds.astype(np.uint64, copy=False)
         saved = self._state
         draws = self._next_u64_array(len(bounds))
         # randint accepts draw < (2**64 // b) * b, i.e. draw <= MASK - (2**64 mod b)
@@ -100,7 +105,7 @@ class SplitMix64:
         """arange(n) shuffled by Fisher-Yates, swapping i with randint(i + 1)
         for i from n - 1 down to 1."""
         items = list(range(n))
-        swaps = self._randints(np.arange(n, 1, -1, dtype=np.uint64))
+        swaps = self.randints(np.arange(n, 1, -1, dtype=np.uint64))
         for i, j in zip(range(n - 1, 0, -1), swaps):
             items[i], items[j] = items[j], items[i]
         return np.array(items, dtype=np.intp)
@@ -110,7 +115,7 @@ class SplitMix64:
         if not 0 <= m <= n:
             raise ValueError(f"cannot sample {m} of {n}")
         pool = list(range(n))
-        swaps = self._randints(np.arange(n, n - m, -1, dtype=np.uint64))
+        swaps = self.randints(np.arange(n, n - m, -1, dtype=np.uint64))
         for i, offset in enumerate(swaps):
             j = i + offset
             pool[i], pool[j] = pool[j], pool[i]

@@ -285,7 +285,7 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
             if config.method == "oat":
                 oracle_stats = oracle_epoch(state)
                 state.distribution = estimate_label_distribution(state.oracle, ds)
-            at_losses = _at_epoch(state, ds, epoch)
+            at_losses = _at_epoch(state, ds)
         except FloatingPointError as err:
             _append_jsonl(metrics_path, {"epoch": epoch, "error": str(err)})
             raise RuntimeError(f"run aborted: {err}") from err
@@ -313,43 +313,28 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     return state
 
 
-def _at_epoch(state: RunState, ds: LabeledDataset, epoch: int) -> dict[str, float]:
+def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
     """One adversarial-training pass over ``ds``; returns the mean of each loss part."""
     config = state.config
-    state.model_opt.learning_rate = lr_at_epoch(config, epoch)
-    rng = state.rng.fork("at_epoch", epoch)
-    order = rng.fork("shuffle").permutation(len(ds))
+    state.model_opt.learning_rate = lr_at_epoch(config, state.epoch)
+    rng = state.rng.fork("at_epoch", state.epoch)
+    oat = config.method == "oat"
+    attack = config.attack
+    if oat and config.adjustment_enabled:
+        attack = dataclasses.replace(attack, adjustment=tuple(state.distribution.smoothed))
 
-    sums: dict[str, float] = {}
-    n_batches = 0
-    for start in range(0, len(order), config.batch_size):
-        idx = order[start:start + config.batch_size]
+    def batch_loss(i: int, idx: np.ndarray) -> tuple[Value, dict[str, float]]:
         x = ds.samples[idx]
-        attack_rng = rng.fork("attack", n_batches)
+        labels = predict_probs(state.oracle, x).argmax(axis=1) if oat \
+            else ds.observed_labels[idx]
+        x_adv = pgd_attack(state.model, x, labels, attack, rng.fork("attack", i))
+        if oat:
+            return at_model_loss(state.model, state.oracle, x, x_adv, state.distribution, config)
+        return hard_label_loss(state.model, x_adv, labels)
 
-        if config.method == "oat":
-            hard = predict_probs(state.oracle, x).argmax(axis=1)
-            attack = config.attack
-            if config.adjustment_enabled:
-                attack = dataclasses.replace(
-                    attack, adjustment=tuple(state.distribution.smoothed))
-            x_adv = pgd_attack(state.model, x, hard, attack, attack_rng)
-            loss, parts = at_model_loss(state.model, state.oracle, x, x_adv,
-                                        state.distribution, config)
-        else:
-            labels = ds.observed_labels[idx]
-            x_adv = pgd_attack(state.model, x, labels, config.attack, attack_rng)
-            loss, parts = hard_label_loss(state.model, x_adv, labels)
-
-        if not np.isfinite(loss.item()):
-            raise FloatingPointError(f"non-finite model loss at epoch {epoch}")
-        ad.backward(loss)
-        state.model_opt.step()
-        for name, value in parts.items():
-            sums[name] = sums.get(name, 0.0) + value
-        n_batches += 1
-
-    return {name: s / max(n_batches, 1) for name, s in sums.items()}
+    order = rng.fork("shuffle").permutation(len(ds))
+    return ad.sgd_pass(state.model_opt, order, config.batch_size, batch_loss,
+                       f"model loss at epoch {state.epoch}")
 
 
 def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSpec,
@@ -370,15 +355,9 @@ def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSp
         "adjustment_enabled": config.adjustment_enabled if config.method == "oat" else False,
     }
     if config.method == "oat":
-        losses.update(oracle_stats.losses)
-        record.update({
-            "refurbished_nr": oracle_stats.refurbished_nr,
-            "refurbished_count": oracle_stats.refurbished_count,
-            "clean_count": oracle_stats.clean_count,
-            "noisy_count": oracle_stats.noisy_count,
-            "empty_clean_batches": oracle_stats.empty_clean_batches,
-            "estimated_counts": list(state.distribution.counts),
-        })
+        oracle_record = dataclasses.asdict(oracle_stats)
+        losses.update(oracle_record.pop("losses"))
+        record.update(oracle_record, estimated_counts=list(state.distribution.counts))
         if gt_counts is not None:
             record["dist_l1_prior"] = distribution_error(prior_counts, gt_counts)
             record["dist_l1_estimated"] = distribution_error(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oat import autodiff as ad
-from oat.autodiff import SgdOptimizer, Value, backward, detach
+from oat.autodiff import SgdOptimizer, Value, backward, detach, sgd_pass
 from oat.rng import SplitMix64
 
 from helpers import fd_max_rel_error
@@ -161,6 +161,37 @@ def test_sgd_weight_decay_only():
     opt = SgdOptimizer([w], learning_rate=0.1, weight_decay=0.0005)
     opt.step()  # grad is zero
     assert np.allclose(w.data, 0.99995)
+
+
+def test_sgd_pass_batches_order_and_means_parts_over_every_batch():
+    w = Value(np.zeros(1), requires_grad=True)
+    opt = SgdOptimizer([w], learning_rate=0.5)
+    part_of = [{"a": 1.0}, {"b": 2.0, "a": 3.0}, {"b": 4.0}]
+    seen = []
+
+    def batch_loss(i, idx):
+        seen.append((i, idx.tolist()))
+        return ad.vsum(ad.scale(w, float(len(idx)))), part_of[i]
+
+    means = sgd_pass(opt, np.array([4, 2, 0, 3, 1]), 2, batch_loss, "test loss")
+    assert seen == [(0, [4, 2]), (1, [0, 3]), (2, [1])]
+    assert list(means) == ["a", "b"]
+    assert means == {"a": 4.0 / 3, "b": 6.0 / 3}
+    assert w.data.tolist() == [-0.5 * (2 + 2 + 1)]   # one step per batch
+
+
+def test_sgd_pass_non_finite_loss_raises_before_its_step():
+    w = Value(np.ones(2), requires_grad=True)
+    opt = SgdOptimizer([w], learning_rate=0.1)
+
+    def batch_loss(i, idx):
+        loss = ad.vsum(w) if i < 2 else ad.scale(ad.vsum(w), np.nan)
+        return loss, {"loss": loss.item()}
+
+    with pytest.raises(FloatingPointError, match="^non-finite test loss$"):
+        sgd_pass(opt, np.arange(8), 2, batch_loss, "test loss")
+    assert w.data.tolist() == [0.8, 0.8]           # batches 0 and 1 stepped
+    assert w.grad.tolist() == [0.0, 0.0]           # batch 2 never ran backward
 
 
 def _random_linear(seed: int, batch: int, fan_in: int, fan_out: int):

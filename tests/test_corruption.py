@@ -8,6 +8,7 @@ from oat.corruption import (ClassCounts, CorruptionSpec, apply_asymmetric_noise,
                             balanced_oversample, class_counts, compute_ir,
                             compute_nr, corrupt, exponential_targets)
 from oat.dataio import LabeledDataset, SyntheticSpec, gen_synthetic
+from oat.rng import SplitMix64
 
 from helpers import tiny_dataset
 
@@ -170,6 +171,42 @@ def test_balanced_oversample_empty_class():
     lop = np.zeros(len(ds), dtype=np.int64)
     with pytest.raises(ValueError, match="class 1"):
         balanced_oversample(ds.with_observed(lop), seed=1)
+
+
+def _per_row_symmetric_noise(ds, nr, seed):
+    """Reference for apply_symmetric_noise: one randint per flipped row."""
+    rng = SplitMix64(seed).fork("symmetric_noise")
+    observed = ds.observed_labels.copy()
+    for i in rng.sample(len(ds), math.floor(nr * len(ds) + 0.5)):
+        draw = rng.randint(ds.num_classes - 1)
+        observed[i] = draw if draw < ds.gt_labels[i] else draw + 1
+    return observed
+
+
+def _per_row_oversample_rows(ds, seed):
+    """Reference for balanced_oversample's rows: one randint per added row."""
+    rng = SplitMix64(seed).fork("balanced_oversample")
+    n_max = np.bincount(ds.observed_labels).max()
+    rows = list(range(len(ds)))
+    for cls in range(ds.num_classes):
+        members = np.flatnonzero(ds.observed_labels == cls)
+        rows += [int(members[rng.randint(len(members))]) for _ in range(n_max - len(members))]
+    return rows
+
+
+@pytest.mark.parametrize("nr", [0.0, 0.2, 0.4, 0.9])
+def test_noise_and_oversample_match_per_row_reference(nr):
+    clean = _dataset(per_class=30)
+    for seed in range(20):
+        noisy = apply_symmetric_noise(clean, nr, seed)
+        assert noisy.observed_labels.tolist() == _per_row_symmetric_noise(clean, nr, seed).tolist()
+        lt = apply_exponential_imbalance(noisy, 0.1, seed)
+        out = balanced_oversample(lt, seed)
+        rows = _per_row_oversample_rows(lt, seed)
+        assert len(rows) > len(lt)
+        assert out.ids.tolist() == lt.ids[rows].tolist()
+        assert np.array_equal(out.samples, lt.samples[rows])
+        assert np.array_equal(out.observed_labels, lt.observed_labels[rows])
 
 
 def test_corrupt_pipeline_provenance():

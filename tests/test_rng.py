@@ -60,6 +60,22 @@ def test_rejected_draw_takes_the_scalar_path():
     assert fast._state == ref._state == (seed + 3 * _GAMMA) & _MASK
 
 
+def test_randints_match_successive_randint():
+    # a bound just above 2**63 rejects about half of all draws
+    for bounds in ([1, 2, 3, 7, 10, 1000], [2**63 + 1] * 6, []):
+        for seed in range(20):
+            fast, ref = SplitMix64(seed), SplitMix64(seed)
+            draws = fast.randints(np.array(bounds, dtype=np.uint64))
+            assert draws == [ref.randint(b) for b in bounds]
+            assert fast._state == ref._state
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_randints_rejects_non_positive_bounds(bad):
+    with pytest.raises(ValueError, match="positive"):
+        SplitMix64(0).randints(np.array([3, bad]))
+
+
 def test_sample_rejects_bad_counts():
     with pytest.raises(ValueError, match="cannot sample"):
         SplitMix64(0).sample(3, 4)

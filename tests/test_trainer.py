@@ -13,7 +13,7 @@ import oat
 from oat import autodiff as ad
 from oat.adversary import AttackSpec
 from oat.autodiff import Value
-from oat.corruption import class_counts
+from oat.corruption import apply_symmetric_noise, class_counts
 from oat.dataio import SyntheticSpec, gen_synthetic
 from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model
 from oat.oracle import AugmentationPolicy
@@ -303,10 +303,16 @@ def test_train_loss_records_match_enabled_terms(tmp_path):
         assert record["adjustment_enabled"] == adjustment
 
 
-def test_train_oracle_total_is_sum_of_parts(tmp_path):
+# at NR 0.5 with two rows per batch, some batches hold no trusted row: their
+# supervised and divergence parts count as 0 in the epoch means
+@pytest.mark.parametrize("nr, batch_size", [(0.0, 16), (0.5, 2)])
+def test_train_oracle_total_is_sum_of_parts(tmp_path, nr, batch_size):
     train_ds, test_ds = _small_data(seed=5)
-    train(_fast_config(), train_ds, test_ds, tmp_path / "run")
+    train_ds = apply_symmetric_noise(train_ds, nr, seed=5)
+    train(_fast_config(batch_size=batch_size), train_ds, test_ds, tmp_path / "run")
     record = json.loads((tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[-1])
+    if nr:
+        assert record["empty_clean_batches"] > 0
     losses = record["losses"]
     assert losses["oracle_total"] == pytest.approx(
         losses["contrastive"] + losses["supervised"] + losses["divergence"], abs=1e-9)
@@ -377,13 +383,15 @@ def test_train_rejects_unevaluable_test_set_before_training(tmp_path, drop, name
     assert not (tmp_path / "run").exists()
 
 
-def test_train_aborts_on_non_finite_loss(tmp_path):
+@pytest.mark.parametrize("method", ["pgd_at", "oat"])
+def test_train_aborts_on_non_finite_loss(tmp_path, method):
     train_ds, test_ds = _small_data(seed=8)
-    config = _fast_config(method="pgd_at", lr=1e9, epochs=4, lr_decay_epochs=())
+    config = _fast_config(method=method, lr=1e9, epochs=4, lr_decay_epochs=())
     with pytest.raises(RuntimeError, match="aborted"), \
             np.errstate(over="ignore", invalid="ignore"):
         train(config, train_ds, test_ds, tmp_path / "blowup")
     lines = (tmp_path / "blowup" / "metrics.jsonl").read_text().splitlines()
-    assert "error" in json.loads(lines[-1])  # diagnostic record persisted
+    # diagnostic record persisted
+    assert json.loads(lines[-1])["error"].startswith("non-finite model loss at epoch ")
 
 
