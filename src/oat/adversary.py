@@ -1,10 +1,14 @@
 """L-infinity PGD adversarial example generation.
 
 The attack maximizes either cross-entropy or a CW margin over an epsilon ball
-intersected with the [0,1] input box. When a class-count prior is attached,
-the loss is computed on shifted logits; the shift vector is normalized by its
-maximum so a uniform prior is exactly the zero vector and the attack output
-is bit-identical to the unadjusted path.
+intersected with the [0,1] input box. It differentiates with respect to its
+input only: every step runs through a ``detached`` view of the model, so no
+weight gradient is computed and the model's ``grad`` buffers are never
+touched.
+
+When a class-count prior is attached, the loss is computed on shifted logits;
+the shift vector is normalized by its maximum so a uniform prior is exactly
+the zero vector and the attack output is bit-identical to the unadjusted path.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .models import ModelParams, forward_logits
+from .models import ModelParams, detached, forward_logits
 from .rng import SplitMix64
 
 _MASK_NEG = -1e18  # dominates any finite logit without leaving double range
@@ -93,6 +97,7 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     else:
         adv = x.copy()
 
+    model = detached(model)
     for _ in range(spec.steps):
         xv = Value(adv, requires_grad=True)
         loss = _attack_objective(model, xv, y, spec)

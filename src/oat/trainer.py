@@ -189,15 +189,15 @@ def soft_label_loss(adjusted_logits: Value, soft_labels: np.ndarray) -> Value:
 
 
 def at_model_loss(at_model: ModelParams, oracle: ModelParams | None,
-                  x: np.ndarray, x_adv: np.ndarray,
+                  x: np.ndarray, x_adv: np.ndarray, soft: np.ndarray,
                   dist: LabelDistribution | None,
                   config: TrainConfig) -> tuple[Value, dict[str, float]]:
-    """Soft-label cross-entropy on adversarial inputs, plus (when interaction
-    is on) a cosine term pulling the robust model's adversarial features
-    toward the oracle's clean-view embedding. The oracle contributes only
-    constants: no gradient reaches it."""
+    """Soft-label cross-entropy on adversarial inputs against ``soft``, the
+    oracle's class probabilities on ``x``, plus (when interaction is on) a
+    cosine term pulling the robust model's adversarial features toward the
+    oracle's clean-view embedding. The oracle contributes only constants: no
+    gradient reaches it."""
     assert oracle is not None
-    soft = predict_probs(oracle, x)
     logits = forward_logits(at_model, x_adv)
     if config.adjustment_enabled:
         assert dist is not None
@@ -325,11 +325,12 @@ def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
 
     def batch_loss(i: int, idx: np.ndarray) -> tuple[Value, dict[str, float]]:
         x = ds.samples[idx]
-        labels = predict_probs(state.oracle, x).argmax(axis=1) if oat \
-            else ds.observed_labels[idx]
+        soft = predict_probs(state.oracle, x) if oat else None
+        labels = soft.argmax(axis=1) if oat else ds.observed_labels[idx]
         x_adv = pgd_attack(state.model, x, labels, attack, rng.fork("attack", i))
         if oat:
-            return at_model_loss(state.model, state.oracle, x, x_adv, state.distribution, config)
+            return at_model_loss(state.model, state.oracle, x, x_adv, soft,
+                                 state.distribution, config)
         return hard_label_loss(state.model, x_adv, labels)
 
     order = rng.fork("shuffle").permutation(len(ds))

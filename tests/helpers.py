@@ -1,17 +1,19 @@
 """Shared test utilities: finite-difference gradients, brute-force k-NN,
-a reference dataset writer and small fixture builders."""
+a reference dataset writer, a model-untouched check and small fixture
+builders."""
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from oat import autodiff as ad
 from oat.dataio import LabeledDataset
-from oat.models import ArchSpec
+from oat.models import ArchSpec, ModelParams
 from oat.rng import SplitMix64
 
 TINY_ARCH = ArchSpec(input_dim=5, encoder_widths=(7,), feature_dim=6, num_classes=3,
@@ -50,6 +52,19 @@ def fd_max_rel_error(loss_fn, params, h: float = 1e-5, coords_per_tensor: int = 
     for p in params:
         p.grad[...] = 0.0
     return worst
+
+
+@contextmanager
+def leaves_model_untouched(model: ModelParams):
+    """Assert that the ``with`` block adds nothing into ``model``'s ``grad``
+    buffers, which must start at zero, and leaves every parameter bitwise
+    unchanged."""
+    params = model.parameters()
+    assert all(not np.any(p.grad) for p in params), "grad buffers must start at zero"
+    before = [p.data.tobytes() for p in params]
+    yield
+    assert all(not np.any(p.grad) for p in params), "a grad buffer was written"
+    assert [p.data.tobytes() for p in params] == before, "a parameter changed"
 
 
 def brute_force_knn_majority(points: np.ndarray, labels: np.ndarray, k: int,

@@ -80,14 +80,15 @@ def _loss_suite(seed: int):
     def loss_mse_oracle():
         return oracle_interaction_loss(oracle, at, x)
 
+    soft = predict_probs(oracle, x)
     cfg_plain = TrainConfig(interaction_enabled=False, adjustment_enabled=False)
     cfg_adjusted = TrainConfig(interaction_enabled=False, adjustment_enabled=True)
 
     def loss_soft_ce():
-        return at_model_loss(at, oracle, x, x_adv, dist, cfg_plain)[0]
+        return at_model_loss(at, oracle, x, x_adv, soft, dist, cfg_plain)[0]
 
     def loss_soft_ce_adjusted():
-        return at_model_loss(at, oracle, x, x_adv, dist, cfg_adjusted)[0]
+        return at_model_loss(at, oracle, x, x_adv, soft, dist, cfg_adjusted)[0]
 
     def loss_cos_model():
         online = project_predict(detached(oracle), forward_features(at, x_adv), True)
@@ -290,7 +291,7 @@ def _acceptance_data():
 
 def _acceptance_config(method="oat", seed=1, interaction=True, adjustment=True):
     return TrainConfig(
-        epochs=60, batch_size=128, lr=0.005, momentum=0.9, weight_decay=5e-4,
+        epochs=60, batch_size=128, lr=0.05, momentum=0.9, weight_decay=5e-4,
         lr_decay_epochs=(30, 45), lr_decay_factor=0.1, theta_r=0.8, k=200,
         attack=AttackSpec(epsilon=0.15, alpha=0.0375, steps=10),
         method=method, interaction_enabled=interaction,
@@ -473,7 +474,7 @@ def test_oat_parity_on_clean_balanced_data(tmp_path):
         cas = []
         for seed in SEEDS:
             config = TrainConfig(
-                epochs=100, batch_size=64, lr=0.005, momentum=0.9,
+                epochs=100, batch_size=64, lr=0.05, momentum=0.9,
                 lr_decay_epochs=(70, 90), theta_r=0.8, k=20,
                 attack=AttackSpec(epsilon=0.05, alpha=0.0125, steps=5),
                 method=method, seed=seed, encoder_widths=(32,), feature_dim=16,

@@ -9,7 +9,7 @@ from oat.autodiff import Value
 from oat.models import AT_MODEL, ArchSpec, init_model
 from oat.rng import SplitMix64
 
-from helpers import TINY_ARCH
+from helpers import TINY_ARCH, leaves_model_untouched
 
 
 def _rand_batch(rng, n, d):
@@ -143,16 +143,15 @@ def test_attack_deterministic_given_stream():
     assert np.array_equal(a, b)
 
 
-def test_pgd_attack_accumulates_param_grads_pending_fix():
-    """Pins a known fault, not a wanted behaviour: the attack's backward passes
-    run through the model's live parameters and add attack-loss gradients into
-    ``p.grad``, which the next optimizer step then applies (the ``FOUND:`` line
-    on the PGD gradient leak in CHANGES.md). Fixing the leak changes training
-    results, so the fix must flip this test on purpose."""
+def test_pgd_attack_leaves_model_untouched():
+    """The attack differentiates with respect to its input only: no attack
+    objective writes a weight gradient or moves a parameter."""
     model = init_model(TINY_ARCH, AT_MODEL, seed=4)
     x = _rand_batch(SplitMix64(1).fork("x"), 4, 5)
     y = np.array([0, 1, 2, 0])
-    assert all(not np.any(p.grad) for p in model.parameters())
-    pgd_attack(model, x, y, AttackSpec(epsilon=0.08, alpha=0.02, steps=3),
-               SplitMix64(11).fork("s"))
-    assert any(np.any(p.grad != 0) for p in model.parameters())
+    specs = [AttackSpec(epsilon=0.08, alpha=0.02, steps=3),
+             AttackSpec(epsilon=0.08, alpha=0.02, steps=3, loss_kind="cw_margin"),
+             AttackSpec(epsilon=0.08, alpha=0.02, steps=3, adjustment=(100.0, 1.0, 1.0))]
+    with leaves_model_untouched(model):
+        for spec in specs:
+            pgd_attack(model, x, y, spec, SplitMix64(11).fork("s"))

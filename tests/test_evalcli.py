@@ -8,11 +8,12 @@ from oat.corruption import ClassCounts
 from oat.dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
                         save_dataset)
 from oat.evalcli import cli
-from oat.evaluation import MetricsRecord, distribution_error, evaluate
-from oat.models import AT_MODEL, init_model
+from oat.evaluation import MetricsRecord, distribution_error, evaluate, robust_accuracy
+from oat.models import AT_MODEL, init_model, load_model, save_model
+from oat.rng import SplitMix64
 from oat.trainer import LabelDistribution
 
-from helpers import TINY_ARCH, tiny_dataset
+from helpers import TINY_ARCH, leaves_model_untouched, tiny_dataset
 
 
 def _separable_model_and_data():
@@ -61,6 +62,21 @@ def test_evaluate_deterministic():
     second = evaluate(model, ds, [spec], seed=1, batch_size=16)
     assert first.clean_accuracy == second.clean_accuracy
     assert first.robust_accuracy == second.robust_accuracy
+
+
+def test_evaluation_feeds_no_gradient_into_the_model(tmp_path):
+    # the training loop runs robust_accuracy on the test set every epoch, and
+    # oat eval runs evaluate on a loaded checkpoint: neither may train it
+    model = init_model(TINY_ARCH, AT_MODEL, seed=4)
+    ds = tiny_dataset(n_per_class=10, num_classes=3, dim=5, seed=5)
+    spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=3)
+    with leaves_model_untouched(model):
+        robust_accuracy(model, ds, spec, SplitMix64(1).fork("eval"))
+    save_model(model, tmp_path / "ckpt")
+    loaded = load_model(tmp_path / "ckpt")
+    with leaves_model_untouched(loaded):
+        evaluate(loaded, ds, [spec, AttackSpec(epsilon=0.05, alpha=0.0125, steps=3,
+                                               loss_kind="cw_margin")])
 
 
 @pytest.mark.parametrize("rows,labelled,named", [

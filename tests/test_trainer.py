@@ -16,7 +16,7 @@ from oat.autodiff import Value
 from oat.corruption import apply_symmetric_noise, class_counts
 from oat.dataio import SyntheticSpec, gen_synthetic
 from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model
-from oat.oracle import AugmentationPolicy
+from oat.oracle import AugmentationPolicy, predict_probs
 from oat.rng import SplitMix64
 from oat.trainer import (LabelDistribution, TrainConfig, adjust_logits,
                          at_model_loss, estimate_label_distribution, lr_at_epoch,
@@ -203,15 +203,16 @@ def test_at_model_loss_composition_and_detach():
     rng = SplitMix64(7).fork("batch")
     x = rng.uniform(5 * 5).reshape(5, 5)
     x_adv = np.clip(x + 0.01, 0.0, 1.0)
+    soft = predict_probs(oracle, x)
     dist = LabelDistribution(counts=(3, 1, 1))
 
     config = _fast_config(interaction_enabled=False, adjustment_enabled=False)
-    total, parts = at_model_loss(at, oracle, x, x_adv, dist, config)
+    total, parts = at_model_loss(at, oracle, x, x_adv, soft, dist, config)
     assert set(parts) == {"soft_ce", "model_total"}
     assert parts["model_total"] == pytest.approx(parts["soft_ce"], abs=1e-12)
 
     config_on = _fast_config(interaction_enabled=True, adjustment_enabled=True)
-    total_on, parts_on = at_model_loss(at, oracle, x, x_adv, dist, config_on)
+    total_on, parts_on = at_model_loss(at, oracle, x, x_adv, soft, dist, config_on)
     assert set(parts_on) == {"soft_ce", "feature_align", "model_total"}
     assert parts_on["model_total"] == pytest.approx(
         parts_on["soft_ce"] + parts_on["feature_align"], abs=1e-12)
@@ -323,7 +324,7 @@ def test_train_oracle_total_is_sum_of_parts(tmp_path, nr, batch_size):
 def test_train_pgd_at_baseline_smoke(tmp_path):
     # clean balanced set: the baseline should fit the training data quickly
     train_ds, _ = _small_data(seed=6)
-    config = _fast_config(method="pgd_at", epochs=15, lr_decay_epochs=(12,), lr=0.02)
+    config = _fast_config(method="pgd_at", epochs=15, lr_decay_epochs=(12,), lr=0.05)
     state = train(config, train_ds, train_ds, tmp_path / "base")
     from oat.evaluation import accuracy
     assert accuracy(state.model, train_ds.samples, train_ds.gt_labels) > 0.95
@@ -344,8 +345,8 @@ def test_train_checkpoints_reload_identically(tmp_path):
 
 
 def test_best_checkpoint_holds_the_best_epoch(tmp_path):
-    train_ds, test_ds = _small_data(seed=0)
-    config = _fast_config(method="pgd_at", epochs=4, lr_decay_epochs=())
+    train_ds, test_ds = _small_data(seed=2)
+    config = _fast_config(method="pgd_at", epochs=4, lr_decay_epochs=(), lr=0.05)
     state = train(config, train_ds, test_ds, tmp_path / "run")
     best_record = state.records[state.best_epoch]
     # precondition: the best epoch is not the last, and the two differ in accuracy
