@@ -69,13 +69,10 @@ def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
 
 
 def _attack_objective(model: ModelParams, xv: Value, y: np.ndarray,
-                      spec: AttackSpec) -> Value:
+                      spec: AttackSpec, shift: Value | None) -> Value:
     logits = forward_logits(model, xv)
-    if spec.adjustment is not None:
-        shift = np.log(np.asarray(spec.adjustment, dtype=np.float64))
-        # max-normalize: constant shifts cancel in both losses, and a uniform
-        # prior becomes the exact zero vector (bitwise no-op)
-        logits = ad.add(logits, Value(shift - shift.max()))
+    if shift is not None:
+        logits = ad.add(logits, shift)
     if spec.loss_kind == "cw_margin":
         return cw_margin_loss(logits, y)
     return ad.cross_entropy(logits, y)
@@ -86,6 +83,8 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     """Iterative sign-gradient ascent projected onto the eps ball and [0,1] box."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if not len(x):  # a batch-mean loss over no rows has no gradient to follow
+        return x.copy()
     if len(y) and (y.min() < 0 or y.max() >= model.arch.num_classes):
         raise ValueError("labels outside [0, num_classes)")
     if rng is None:
@@ -97,10 +96,15 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     else:
         adv = x.copy()
 
-    model = detached(model)
+    model, shift = detached(model), None
+    if spec.adjustment is not None:
+        log_prior = np.log(np.asarray(spec.adjustment, dtype=np.float64))
+        # max-normalize: constant shifts cancel in both losses, and a uniform
+        # prior becomes the exact zero vector (bitwise no-op)
+        shift = Value(log_prior - log_prior.max())
     for _ in range(spec.steps):
         xv = Value(adv, requires_grad=True)
-        loss = _attack_objective(model, xv, y, spec)
+        loss = _attack_objective(model, xv, y, spec, shift)
         ad.backward(loss)
         adv = adv + spec.alpha * np.sign(xv.grad)  # sign(0) == 0
         adv = x + np.clip(adv - x, -spec.epsilon, spec.epsilon)

@@ -18,6 +18,13 @@ does this after applying the update).
 
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
+
+The two kernels on every training step stay off numpy's slow paths without
+changing a bit. ``relu`` is ``np.fmax(a, 0.0) + 0.0``, because ``np.where``
+slows sharply above 8192 elements and the ``+ 0.0`` turns the ``-0.0`` that
+``fmax`` may keep into the ``+0.0`` that ``where`` gives; its mask is built
+in backward only. ``SgdOptimizer.step`` updates in place, with each ``.grad``
+as scratch.
 """
 
 from __future__ import annotations
@@ -149,33 +156,12 @@ def scale(a: Value, factor: float) -> Value:
     return _make(a.data * factor, "scale", (a,), backward_fn)
 
 
-def matmul(a: Value, b: Value) -> Value:
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError(f"matmul: needs 1-D/2-D operands, got {a.shape} and {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def backward_fn(adj):
-        adj = np.asarray(adj)
-        am, bm = a.data, b.data
-        # promote 1-D operands so one transpose rule covers all cases
-        a2 = am[None, :] if am.ndim == 1 else am
-        b2 = bm[:, None] if bm.ndim == 1 else bm
-        adj2 = adj.reshape((a2.shape[0], b2.shape[1]))
-        ga = (adj2 @ b2.T).reshape(am.shape) if a.requires_grad else None
-        gb = (a2.T @ adj2).reshape(bm.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _make(data, "matmul", (a, b), backward_fn)
-
-
 def linear(x: Value, w: Value, b: Value) -> Value:
     """Affine layer ``x @ w + b`` as one node: (B, in) @ (in, out) + (out,).
 
-    Forward and backward do the arithmetic of ``add(matmul(x, w), b)`` in the
-    same order, so the results are bitwise equal to that two-node form.
+    Forward computes ``x @ w + b``; backward gives ``adj @ w.T``,
+    ``x.T @ adj`` and ``adj.sum(axis=0)``, each skipped for a constant
+    operand. The results are bitwise equal to that numpy arithmetic.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
@@ -191,12 +177,14 @@ def linear(x: Value, w: Value, b: Value) -> Value:
 
 
 def relu(a: Value) -> Value:
-    mask = a.data > 0
+    """``max(a, 0)``, bitwise equal to ``np.where(a > 0, a, 0.0)``."""
+    data = np.fmax(a.data, 0.0)
+    data += 0.0  # fmax may keep a -0.0 input; where gives +0.0
 
     def backward_fn(adj):
-        return (adj * mask,)
+        return (adj * (a.data > 0),)
 
-    return _make(np.where(mask, a.data, 0.0), "relu", (a,), backward_fn)
+    return _make(data, "relu", (a,), backward_fn)
 
 
 def log_softmax(a: Value) -> Value:
@@ -417,12 +405,16 @@ class SgdOptimizer:
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        # in place, with p.grad as scratch: the same IEEE operations as the
+        # out-of-place update, with one temporary per buffer instead of three
         for p, v in zip(self.params, self.velocity):
-            g = p.grad + self.weight_decay * p.data
+            g = p.grad
+            g += self.weight_decay * p.data
             v *= self.momentum
             v += g
-            p.data -= self.learning_rate * v
-            p.grad[...] = 0.0
+            np.multiply(v, self.learning_rate, out=g)
+            p.data -= g
+            g[...] = 0.0
 
 
 def sgd_pass(opt: SgdOptimizer, order: np.ndarray, batch_size: int,

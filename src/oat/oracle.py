@@ -99,8 +99,9 @@ class AugmentationPolicy:
 # ---------------------------------------------------------------------------
 
 def _batched(fn, x: np.ndarray, batch: int = 512) -> np.ndarray:
-    chunks = [fn(x[start:start + batch]).data for start in range(0, len(x), batch)]
-    return np.concatenate(chunks) if chunks else np.zeros((0,))
+    # zero rows still make one chunk, so the result keeps its column count
+    return np.concatenate([fn(x[start:start + batch]).data
+                           for start in range(0, max(len(x), 1), batch)])
 
 
 def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -113,6 +113,16 @@ def test_labels_out_of_range():
         pgd_attack(model, np.zeros((1, 5)), np.array([3]), spec)
 
 
+def test_pgd_attack_on_zero_rows_returns_zero_rows():
+    model = init_model(TINY_ARCH, AT_MODEL, seed=2)
+    x = np.zeros((0, TINY_ARCH.input_dim))
+    for spec in [AttackSpec(epsilon=0.08, alpha=0.02, steps=3),
+                 AttackSpec(epsilon=0.08, alpha=0.02, steps=3, loss_kind="cw_margin"),
+                 AttackSpec(epsilon=0.08, alpha=0.02, steps=3, adjustment=(9.0, 1.0, 1.0))]:
+        adv = pgd_attack(model, x, np.zeros(0, dtype=np.int64), spec)
+        assert adv.shape == (0, TINY_ARCH.input_dim)
+
+
 def test_cw_margin_closed_forms():
     assert cw_margin_loss(Value([[3.0, 1.0]]), np.array([0])).item() == pytest.approx(-2.0)
     assert cw_margin_loss(Value([[1.0, 1.0]]), np.array([0])).item() == pytest.approx(0.0)
@@ -126,10 +136,10 @@ def test_cw_gradient_direction_matches_ce_on_2class_linear():
     w = Value(np.array([[1.0, -1.0], [0.5, 2.0]]))
     x = Value(np.array([[0.3, 0.7]]), requires_grad=True)
     y = np.array([0])
-    ad.backward(cw_margin_loss(ad.matmul(x, w), y))
+    ad.backward(cw_margin_loss(ad.linear(x, w, Value(np.zeros(2))), y))
     cw_sign = np.sign(x.grad.copy())
     x2 = Value(np.array([[0.3, 0.7]]), requires_grad=True)
-    ad.backward(ad.cross_entropy(ad.matmul(x2, w), y))
+    ad.backward(ad.cross_entropy(ad.linear(x2, w, Value(np.zeros(2))), y))
     assert np.array_equal(np.sign(x2.grad), cw_sign)
 
 

@@ -8,9 +8,9 @@ from oat.rng import SplitMix64
 from helpers import fd_max_rel_error
 
 
-def test_matmul_identity():
-    x = np.array([3.0, -1.0, 2.5])
-    out = ad.matmul(Value(np.eye(3)), Value(x))
+def test_linear_identity():
+    x = np.array([[3.0, -1.0, 2.5]])
+    out = ad.linear(Value(x), Value(np.eye(3)), Value(np.zeros(3)))
     assert np.array_equal(out.data, x)
 
 
@@ -32,8 +32,6 @@ def test_softmax_rows_sum_to_one():
 def test_shape_mismatch_names_kind():
     with pytest.raises(ValueError, match="add"):
         ad.add(Value(np.zeros(3)), Value(np.zeros(4)))
-    with pytest.raises(ValueError, match="matmul"):
-        ad.matmul(Value(np.zeros((2, 3))), Value(np.zeros((4, 2))))
     with pytest.raises(ValueError, match="linear"):
         ad.linear(Value(np.zeros((2, 3))), Value(np.zeros((3, 4))), Value(np.zeros(3)))
 
@@ -44,6 +42,39 @@ def test_backward_relu_subgradient():
     backward(root)
     assert np.array_equal(x.grad, [1.0, 0.0])
     assert float(root.grad) == 1.0
+
+
+_RELU_EDGES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+
+
+def test_relu_bitwise_equals_where_reference():
+    # shapes on both sides of np.where's 8192-element slow path, a strided and
+    # a transposed view, 0-d and 1-d; fmax's scalar tail and 0-d path are
+    # where it keeps a -0.0 input
+    rng = SplitMix64(7).fork("relu")
+
+    def with_edges(a):
+        a.flat[::5] = np.resize(_RELU_EDGES, a.flat[::5].size)
+        a.flat[a.size - len(_RELU_EDGES):] = _RELU_EDGES
+        return a
+
+    def normal(*shape):
+        return rng.normal(int(np.prod(shape))).reshape(shape)
+
+    inputs = [with_edges(normal(128, 64)), with_edges(normal(128, 256)),
+              with_edges(normal(256, 64)), with_edges(normal(96, 90)[::2, 1::3]),
+              with_edges(normal(64, 128).T), np.array(-0.0), np.array(-5e-324),
+              np.array(_RELU_EDGES + [2.5, -0.0])]
+    for a in inputs:
+        probe = normal(*a.shape)
+        x = Value(a, requires_grad=True)
+        out = ad.relu(x)
+        with np.errstate(invalid="ignore"):  # the root sums inf and -inf
+            backward(ad.vsum(ad.mul(out, Value(probe))))
+        want = np.where(a > 0, a, 0.0)
+        want_grad = 0.0 + np.ones_like(a) * probe * (a > 0)
+        assert np.array_equal(out.data.view(np.uint64), np.asarray(want).view(np.uint64))
+        assert np.array_equal(x.grad.view(np.uint64), np.asarray(want_grad).view(np.uint64))
 
 
 def test_backward_requires_scalar_root():
@@ -128,8 +159,8 @@ def test_mlp_gradients_match_finite_differences():
         y = np.array([0, 2])
 
         def loss():
-            h = ad.relu(ad.add(ad.matmul(Value(x), w1), b1))
-            logits = ad.add(ad.matmul(h, w2), b2)
+            h = ad.relu(ad.linear(Value(x), w1, b1))
+            logits = ad.linear(h, w2, b2)
             return ad.cross_entropy(logits, y)
 
         err = fd_max_rel_error(loss, [w1, b1, w2, b2], coords_per_tensor=50)
@@ -161,6 +192,29 @@ def test_sgd_weight_decay_only():
     opt = SgdOptimizer([w], learning_rate=0.1, weight_decay=0.0005)
     opt.step()  # grad is zero
     assert np.allclose(w.data, 0.99995)
+
+
+def test_sgd_step_bitwise_equals_out_of_place_update():
+    rng = SplitMix64(3).fork("sgd")
+    params = [Value(rng.normal(1)[0], requires_grad=True),
+              Value(rng.normal(12).reshape(3, 4), requires_grad=True)]
+    lr, momentum, weight_decay = 0.05, 0.9, 5e-4
+    opt = SgdOptimizer(params, learning_rate=lr, momentum=momentum,
+                       weight_decay=weight_decay)
+    grads = [p.grad for p in params]
+    weights = [p.data.copy() for p in params]
+    velocity = [np.zeros_like(p.data) for p in params]
+    for _ in range(5):
+        for p, w, v in zip(params, weights, velocity):
+            p.grad[...] = rng.normal(p.data.size).reshape(p.shape)
+            g = p.grad + weight_decay * w
+            v *= momentum
+            v += g
+            w -= lr * v
+        opt.step()
+        for p, grad, w, v, v_opt in zip(params, grads, weights, velocity, opt.velocity):
+            assert p.data.tobytes() == w.tobytes() and v_opt.tobytes() == v.tobytes()
+            assert p.grad is grad and not np.any(p.grad)
 
 
 def test_sgd_pass_batches_order_and_means_parts_over_every_batch():
@@ -207,15 +261,17 @@ def _random_linear(seed: int, batch: int, fan_in: int, fan_out: int):
 
 def test_linear_bitwise_equals_add_of_matmul():
     for seed, shape in enumerate([(1, 1, 1), (3, 5, 2), (128, 16, 64), (7, 64, 10)]):
-        results = []
-        for fused in (True, False):
-            x, w, b, probe = _random_linear(seed, *shape)
-            out = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
-            # a non-uniform adjoint, so every backward product is exercised
-            backward(ad.vsum(ad.relu(ad.mul(out, Value(probe)))))
-            results.append([out.data, x.grad, w.grad, b.grad])
-        for fused, reference in zip(*results):
-            assert fused.tobytes() == reference.tobytes()
+        x, w, b, probe = _random_linear(seed, *shape)
+        out = ad.linear(x, w, b)
+        # a non-uniform adjoint, so every backward product is exercised
+        backward(ad.vsum(ad.relu(ad.mul(out, Value(probe)))))
+        # numpy reference: the forward, the adjoint that vsum, relu and mul send
+        # back, and linear's three backward products added into zero grads
+        ref = x.data @ w.data + b.data
+        adj = np.ones_like(ref) * (ref * probe > 0) * probe
+        reference = [ref, 0.0 + adj @ w.data.T, 0.0 + x.data.T @ adj, 0.0 + adj.sum(axis=0)]
+        for got, want in zip([out.data, x.grad, w.grad, b.grad], reference):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_grads_held_by_leaves_and_root_only():

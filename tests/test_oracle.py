@@ -282,6 +282,19 @@ def test_knn_split_reversed_view_is_not_a_self_query():
     assert np.array_equal(same.clean_idx, knn_split(index, pts, labels, 3).clean_idx)
 
 
+def test_predict_probs_of_zero_rows_keeps_class_columns():
+    oracle = init_model(TINY_ARCH, ORACLE, seed=0)
+    probs = predict_probs(oracle, np.zeros((0, TINY_ARCH.input_dim)))
+    assert probs.shape == (0, TINY_ARCH.num_classes)
+    assert probs.argmax(axis=1).shape == (0,)
+
+
+def test_embed_of_zero_rows_keeps_feature_columns():
+    oracle = init_model(TINY_ARCH, ORACLE, seed=0)
+    feats = embed(oracle, np.zeros((0, TINY_ARCH.input_dim)))
+    assert feats.shape == (0, TINY_ARCH.feature_dim)
+
+
 def test_oversampled_copies_embed_bit_identically():
     # knn_split answers each distinct feature row once, so its speed on the
     # oversampled set rests on copies embedding to the same bits wherever
