@@ -294,28 +294,12 @@ def max_rows(a: Value) -> Value:
     """Row-wise maximum; subgradient goes to the lowest-index argmax."""
     if a.data.ndim != 2:
         raise ValueError(f"max_rows: expected 2-D input, got {a.shape}")
-    arg = np.argmax(a.data, axis=1)
-    rows = np.arange(a.data.shape[0])
-    data = a.data[rows, arg]
-
-    def backward_fn(adj):
-        g = np.zeros_like(a.data)
-        np.add.at(g, (rows, arg), adj)
-        return (g,)
-
-    return _make(data, "max_rows", (a,), backward_fn)
+    return gather_rows(a, np.argmax(a.data, axis=1))
 
 
 def detach(a: Value) -> Value:
     """Stop-gradient: shares the data buffer, records no parent edge."""
-    out = Value.__new__(Value)
-    out.data = a.data
-    out.grad = None
-    out.requires_grad = False
-    out.parents = ()
-    out.op = None
-    out._backward_fn = None
-    return out
+    return Value(a.data)
 
 
 # ---------------------------------------------------------------------------

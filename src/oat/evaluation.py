@@ -50,6 +50,8 @@ def check_test_set(test: LabeledDataset) -> None:
 
 
 def accuracy(model: ModelParams, x: np.ndarray, labels: np.ndarray) -> float:
+    if len(x) == 0:
+        raise ValueError("accuracy: the input has no rows")
     predicted = predict_probs(model, x).argmax(axis=1)
     return float(np.mean(predicted == labels))
 

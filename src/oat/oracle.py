@@ -39,8 +39,8 @@ class SplitSets:
 
 @dataclass(frozen=True)
 class KnnIndex:
-    """Read-only exact k-NN index; queries over the indexed points themselves
-    never count a point as its own neighbor."""
+    """Read-only exact k-NN index over the points ``knn_split`` splits; the
+    split is a self-query, and no point counts as its own neighbor."""
     points: np.ndarray
     k: int
 
@@ -142,50 +142,47 @@ def _row_groups(x: np.ndarray, labels: np.ndarray):
 
 
 def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) -> SplitSets:
-    """Partition samples by whether the k-NN majority label agrees with theirs.
+    """Partition the index's points by whether the majority label of each
+    point's k nearest other points agrees with its own.
+
+    The split is a self-query: ``feats`` must be ``index.points`` itself, and
+    any other array, a view or a copy of it included, raises ``ValueError``.
+    ``labels`` holds one label per point.
 
     Distances are squared Euclidean in the expansion form
-    ``|q|^2 + |p|^2 - 2 q.p``. A query's k nearest are every point strictly
-    nearer than its k-th smallest distance, then the lowest-index points tied
-    at that distance until it has k. Ties are judged on those computed values,
-    which can round differently from the direct ``sum((q - p)^2)``, so on
-    exactly tied points the neighbor set can differ from a direct-difference
-    one. The votes are exact integer counts, and majority ties resolve to the
-    lower class index.
+    ``|q|^2 + |p|^2 - 2 q.p``. A point's k nearest are every other row
+    strictly nearer than its k-th smallest distance, then the lowest-index
+    rows tied at that distance until it has k. Ties are judged on those
+    computed values, which can round differently from the direct
+    ``sum((q - p)^2)``, so on exactly tied points the neighbor set can differ
+    from a direct-difference one. The votes are exact integer counts, and
+    majority ties resolve to the lower class index.
 
     The work is done on groups, not rows: rows with bit-identical features
     and the same label (the copies oversampling appends) form one group that
-    votes with its size as weight, and each query group is answered once, in
+    votes with its size as weight, and each group is answered once, in
     256-group chunks. Copies of a point therefore always sit at one computed
-    distance, as they do in the direct form. Only where the groups tied at
-    the k-th distance carry more than one label does the lowest-index fill
-    look at rows again.
-
-    When feats is the index's own point set (the array itself or a view with
-    the same data, shape and strides), each query excludes itself by row, not
-    by id: other rows holding a copy of it still count as its neighbors, so
-    its own group votes with its size less one. ``labels`` holds one label per
-    point, which is also the label each query is checked against, so feats
-    and points must have the same length.
+    distance, as they do in the direct form. A row excludes itself, not its
+    copies, so its own group votes with its size less one. Only where the
+    groups tied at the k-th distance carry more than one label does the
+    lowest-index fill look at rows again.
     """
     pts = index.points
+    if feats is not pts:
+        raise ValueError("knn_split answers only the self-query: feats must be index.points")
     n = len(pts)
     if k < 1:
         raise ValueError(f"k={k} must be at least 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than n={n}")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,) or len(feats) != n:
-        raise ValueError(f"need one label per point and per query: got {len(labels)} "
-                         f"labels for {n} points and {len(feats)} queries")
+    if labels.shape != (n,):
+        raise ValueError(f"need one label per point: got {len(labels)} labels for {n} points")
     if labels.min() < 0:
         raise ValueError(f"labels must be non-negative, got {labels.min()}")
-    self_query = (feats.shape == pts.shape and feats.strides == pts.strides
-                  and feats.dtype == pts.dtype and feats.ctypes.data == pts.ctypes.data)
 
-    first, col_group, weight = _row_groups(pts, labels)
-    q_first, q_group = (first, col_group) if self_query else _row_groups(feats, labels)[:2]
-    cols, col_labels, queries = pts[first], labels[first], feats[q_first]
+    first, group, weight = _row_groups(pts, labels)
+    cols, col_labels = pts[first], labels[first]
     num_groups = len(first)
     cols_sq = (cols * cols).sum(axis=1)
     num_classes = int(labels.max()) + 1
@@ -195,34 +192,31 @@ def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) ->
     # every group weighs at least 1 (an own group of weight 0 is moved to inf),
     # so the k-th weighted distance lies among each row's k nearest groups
     reach = min(k, num_groups)
-    majority = np.zeros(len(queries), dtype=np.int64)
-    split_ties = []  # (query group, its tied column groups, its strict votes, its room)
+    majority = np.zeros(num_groups, dtype=np.int64)
+    split_ties = []  # (group, its tied column groups, its strict votes, its room)
 
     chunk = 256
-    for start in range(0, len(queries), chunk):
-        q = queries[start:start + chunk]
+    for start in range(0, num_groups, chunk):
+        q = cols[start:start + chunk]
         rows = np.arange(len(q))
+        own = start + rows
         m = q @ cols.T
         m *= 2.0
         d2 = (q * q).sum(axis=1)[:, None] + cols_sq[None, :]
         d2 -= m
-        if self_query:
-            own = start + rows
-            alone = weight[own] == 1
-            d2[rows[alone], own[alone]] = np.inf
+        alone = weight[own] == 1
+        d2[rows[alone], own[alone]] = np.inf
         near = np.argpartition(d2, reach - 1, axis=1)[:, :reach]
         near = np.take_along_axis(near, np.argsort(np.take_along_axis(d2, near, axis=1),
                                                    axis=1), axis=1)
         near_weight = weight[near]
-        if self_query:
-            near_weight -= near == own[:, None]
+        near_weight -= near == own[:, None]
         at_kth = np.argmax(np.cumsum(near_weight, axis=1) >= k, axis=1)
         kth = d2[rows, near[rows, at_kth]][:, None]
         less = d2 < kth
         votes = less.astype(np.float32) @ onehot
-        if self_query:
-            own_less = rows[less[rows, own]]
-            votes[own_less, col_labels[own[own_less]]] -= 1.0
+        own_less = rows[less[rows, own]]
+        votes[own_less, col_labels[own[own_less]]] -= 1.0
         room = k - votes.sum(axis=1).astype(np.int64)
         # the groups tied at the k-th distance, row by row; where they share
         # one label it takes the whole room, whichever of their rows fill it
@@ -235,11 +229,11 @@ def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) ->
         votes[rows, first_label] += room
         majority[start:start + len(q)] = votes.argmax(axis=1)
 
-    majority = majority[q_group]
+    majority = majority[group]
     for g, tied, strict, room in split_ties:
-        tied_rows = np.flatnonzero(np.isin(col_group, tied))
-        for i in np.flatnonzero(q_group == g):
-            fill = tied_rows[tied_rows != i] if self_query else tied_rows
+        tied_rows = np.flatnonzero(np.isin(group, tied))
+        for i in np.flatnonzero(group == g):
+            fill = tied_rows[tied_rows != i]
             votes = strict + np.bincount(labels[fill[:room]], minlength=num_classes)
             majority[i] = votes.argmax()
 

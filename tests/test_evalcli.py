@@ -8,7 +8,8 @@ from oat.corruption import ClassCounts
 from oat.dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
                         save_dataset)
 from oat.evalcli import cli
-from oat.evaluation import MetricsRecord, distribution_error, evaluate, robust_accuracy
+from oat.evaluation import (MetricsRecord, accuracy, distribution_error, evaluate,
+                            robust_accuracy)
 from oat.models import AT_MODEL, init_model, load_model, save_model
 from oat.rng import SplitMix64
 from oat.trainer import LabelDistribution
@@ -36,6 +37,12 @@ def test_evaluate_zero_epsilon_identity_attack():
     record = evaluate(model, ds, [AttackSpec(epsilon=0.0, alpha=0.0, steps=1)])
     assert record.clean_accuracy == 1.0
     assert record.robust_accuracy["pgd1"] == 1.0
+
+
+def test_accuracy_rejects_an_input_with_no_rows():
+    model, ds = _separable_model_and_data()
+    with pytest.raises(ValueError, match="no rows"):
+        accuracy(model, ds.samples[:0], ds.gt_labels[:0])
 
 
 def test_evaluate_robust_never_exceeds_clean():

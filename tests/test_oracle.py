@@ -268,18 +268,19 @@ def test_knn_split_own_copies_tied_with_another_label():
     assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels))
 
 
-def test_knn_split_reversed_view_is_not_a_self_query():
-    # a reversed view shares the points' memory and shape but not their rows,
-    # so no query may drop a column as itself
+def test_knn_split_rejects_every_query_but_the_points_themselves():
+    # the split is a self-query: a view or a copy of the points, even one with
+    # the same rows, is another array and is rejected
     rng = SplitMix64(1).fork("knn_view")
     pts = rng.uniform(80).reshape(40, 2)
     labels = np.array([rng.randint(2) for _ in range(40)], dtype=np.int64)
     index = KnnIndex(points=pts, k=3)
-    view = knn_split(index, pts[::-1], labels, 3)
-    copy = knn_split(index, pts[::-1].copy(), labels, 3)
-    assert np.array_equal(view.clean_idx, copy.clean_idx)
-    same = knn_split(index, pts[:], labels, 3)
-    assert np.array_equal(same.clean_idx, knn_split(index, pts, labels, 3).clean_idx)
+    for other in (pts[::-1], pts.copy(), pts[:]):
+        with pytest.raises(ValueError, match="feats must be index.points"):
+            knn_split(index, other, labels, 3)
+    split = knn_split(index, index.points, labels, 3)
+    majority = stable_sort_knn_majority(pts, labels, 3, 2)
+    assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels))
 
 
 def test_predict_probs_of_zero_rows_keeps_class_columns():

@@ -87,3 +87,20 @@ def test_every_run_state_field_the_workloads_read_exists():
     assert read >= {"records", "best_epoch", "oversampled", "labels", "distribution", "oracle"}
     fields = {f.name for f in dataclasses.fields(RunState)}
     assert read <= fields, f"workloads read RunState fields that are gone: {sorted(read - fields)}"
+
+
+def test_every_workload_knn_split_is_a_self_query():
+    # knn_split rejects any query array but the index's own points
+    calls = [node for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "knn_split"]
+    assert calls, "workloads.py no longer calls knn_split"
+    for call in calls:
+        index, feats = call.args[:2]
+        points = next((kw.value for kw in getattr(index, "keywords", ()) if kw.arg == "points"),
+                      None)
+        assert getattr(getattr(index, "func", None), "id", None) == "KnnIndex" \
+            and isinstance(points, ast.Name), \
+            f"line {call.lineno}: the index is not built as KnnIndex(points=<name>, ...)"
+        assert isinstance(feats, ast.Name) and feats.id == points.id, \
+            f"line {call.lineno}: knn_split queries {ast.unparse(feats)}, not its points {points.id}"
