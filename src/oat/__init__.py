@@ -14,15 +14,14 @@ from .models import (ArchSpec, ModelParams, forward_features, forward_logits,
 from .oracle import (AugmentationPolicy, KnnIndex, RefurbishedLabels, SplitSets,
                      knn_split, oracle_contrastive_loss, oracle_epoch,
                      oracle_interaction_loss, oracle_supervised_loss, refurbish)
-from .trainer import (LabelDistribution, RunState, TrainConfig, adjust_logits,
-                      at_model_loss, estimate_label_distribution, lr_at_epoch,
-                      train)
+from .trainer import (RunState, TrainConfig, adjust_logits, at_model_loss,
+                      estimate_label_distribution, lr_at_epoch, train)
 
 __all__ = [
     "ArchSpec", "AttackSpec", "AugmentationPolicy", "ClassCounts",
-    "CorruptionSpec", "KnnIndex", "LabelDistribution", "LabeledDataset",
-    "MetricsRecord", "ModelParams", "RefurbishedLabels", "RunState",
-    "SgdOptimizer", "SplitSets", "SyntheticSpec", "TrainConfig", "Value",
+    "CorruptionSpec", "KnnIndex", "LabeledDataset", "MetricsRecord",
+    "ModelParams", "RefurbishedLabels", "RunState", "SgdOptimizer",
+    "SplitSets", "SyntheticSpec", "TrainConfig", "Value",
     "adjust_logits", "apply_asymmetric_noise", "apply_exponential_imbalance",
     "apply_symmetric_noise", "at_model_loss", "backward", "balanced_oversample",
     "cli", "compute_ir", "compute_nr", "corrupt", "cw_margin_loss", "detach",

@@ -45,11 +45,17 @@ class CorruptionSpec:
 
 @dataclass(frozen=True)
 class ClassCounts:
+    """Per-class sample counts; smoothed entries are >= 1 so the log prior is
+    always defined."""
     counts: tuple[int, ...]
 
     @staticmethod
     def of(labels: np.ndarray, num_classes: int) -> "ClassCounts":
         return ClassCounts(tuple(int(c) for c in np.bincount(labels, minlength=num_classes)))
+
+    @property
+    def smoothed(self) -> np.ndarray:
+        return np.maximum(np.asarray(self.counts, dtype=np.float64), 1.0)
 
 
 def class_counts(ds: LabeledDataset, use_gt: bool = False) -> ClassCounts:

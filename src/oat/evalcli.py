@@ -164,12 +164,14 @@ def _cmd_report(args) -> int:
 
     metrics_file = run / "metrics.jsonl"
     epochs = []
+    last = None  # the last record that is not an error
     if metrics_file.exists():
         for line in metrics_file.read_text().splitlines():
             rec = json.loads(line)
             if "error" in rec:
                 epochs.append({"epoch": rec.get("epoch"), "error": rec["error"]})
                 continue
+            last = rec
             row = {
                 "epoch": rec["epoch"],
                 "clean_accuracy": _round2(rec["clean_accuracy"]),
@@ -186,17 +188,14 @@ def _cmd_report(args) -> int:
     if summary_file.exists():
         report["summary"] = json.loads(summary_file.read_text())
 
-    dist_files = sorted(run.glob("distribution_epoch_*.csv"),
-                        key=lambda p: int(p.stem.rsplit("_", 1)[1]))
-    if dist_files:
-        last = dist_files[-1]
-        with open(last, newline="") as f:
-            rows = list(csv.DictReader(f))
-        estimated_total = sum(int(r["estimated_count"]) for r in rows)
+    if last is not None and "estimated_counts" in last:
+        estimated, gt = last["estimated_counts"], last["gt_counts"]
         report["distribution"] = {
-            "epoch": int(last.stem.rsplit("_", 1)[1]),
-            "rows": rows,
-            "estimated_total": estimated_total,
+            "epoch": last["epoch"],
+            "rows": [{"class": c, "prior_count": prior, "estimated_count": estimated[c],
+                      "gt_count": None if gt is None else gt[c]}
+                     for c, prior in enumerate(last["prior_counts"])],
+            "estimated_total": sum(estimated),
         }
 
     if not report:

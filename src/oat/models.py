@@ -40,18 +40,6 @@ class ArchSpec:
         if self.projector_out != self.predictor_out:
             raise ValueError("projector_out and predictor_out must match (cosine compares them)")
 
-    def parameter_count(self, role: str) -> int:
-        """Closed-form parameter count for a given role."""
-        dims = [self.input_dim, *self.encoder_widths, self.feature_dim]
-        total = sum(a * b + b for a, b in zip(dims, dims[1:]))
-        total += self.feature_dim * self.num_classes + self.num_classes
-        if role == ORACLE:
-            total += (self.feature_dim * self.projector_hidden + self.projector_hidden
-                      + self.projector_hidden * self.projector_out + self.projector_out)
-            total += (self.projector_out * self.predictor_hidden + self.predictor_hidden
-                      + self.predictor_hidden * self.predictor_out + self.predictor_out)
-        return total
-
 
 Layer = tuple[Value, Value]  # (weight, bias)
 

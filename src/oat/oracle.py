@@ -146,8 +146,9 @@ def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) ->
     point's k nearest other points agrees with its own.
 
     The split is a self-query: ``feats`` must be ``index.points`` itself, and
-    any other array, a view or a copy of it included, raises ``ValueError``.
-    ``labels`` holds one label per point.
+    any other array, a view or a copy of it included, raises ``ValueError``;
+    so does a ``k`` other than ``index.k``. ``labels`` holds one label per
+    point.
 
     Distances are squared Euclidean in the expansion form
     ``|q|^2 + |p|^2 - 2 q.p``. A point's k nearest are every other row
@@ -170,11 +171,9 @@ def knn_split(index: KnnIndex, feats: np.ndarray, labels: np.ndarray, k: int) ->
     pts = index.points
     if feats is not pts:
         raise ValueError("knn_split answers only the self-query: feats must be index.points")
+    if k != index.k:
+        raise ValueError(f"k={k} differs from the index's k={index.k}")
     n = len(pts)
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than n={n}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ValueError(f"need one label per point: got {len(labels)} labels for {n} points")

@@ -3,10 +3,13 @@ label-distribution estimation, logits adjustment, soft-label training, and
 the plain PGD-AT baseline.
 
 Every run writes a self-contained directory: config.json, metrics.jsonl (one
-record per epoch), per-epoch label-distribution CSVs, and best/ + last/
-checkpoints. "Best" is the epoch with the highest PGD robust accuracy on the
-test set; best/ is rewritten as soon as an epoch improves on it, so a run
-that aborts keeps the best checkpoint of the epochs it finished.
+record per epoch, the run's only per-epoch output), summary.json, and best/ +
+last/ checkpoints. An ``oat`` record carries the class counts of the observed
+labels (``prior_counts``), of the oracle's predictions (``estimated_counts``)
+and of the ground truth (``gt_counts``, null when the data has none). "Best"
+is the epoch with the highest PGD robust accuracy on the test set; best/ is
+rewritten as soon as an epoch improves on it, so a run that aborts keeps the
+best checkpoint of the epochs it finished.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .adversary import AttackSpec, pgd_attack
 from .autodiff import SgdOptimizer, Value
-from .corruption import balanced_oversample, class_counts
+from .corruption import ClassCounts, balanced_oversample, class_counts
 from .dataio import LabeledDataset, replaced_together
 from .evaluation import (MetricsRecord, accuracy, check_test_set,
                          distribution_error, robust_accuracy)
@@ -31,17 +34,6 @@ from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, detached, forward_
                      forward_logits, init_model, project_predict, save_model)
 from .oracle import AugmentationPolicy, OracleEpochRecord, oracle_epoch, predict_probs
 from .rng import SplitMix64
-
-
-@dataclass(frozen=True)
-class LabelDistribution:
-    """Estimated per-class sample counts; smoothed entries are >= 1 so the
-    log prior is always defined."""
-    counts: tuple[int, ...]
-
-    @property
-    def smoothed(self) -> np.ndarray:
-        return np.maximum(np.asarray(self.counts, dtype=np.float64), 1.0)
 
 
 @dataclass(frozen=True)
@@ -81,6 +73,9 @@ class TrainConfig:
                              f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")
         if list(self.lr_decay_epochs) != sorted(set(self.lr_decay_epochs)):
             raise ValueError("lr_decay_epochs must be strictly increasing")
+        if self.attack.adjustment is not None:
+            raise ValueError("config key 'attack.adjustment' cannot be set: training "
+                             "derives the attack's prior from the oracle")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -146,7 +141,7 @@ class RunState:
     oracle_opt: SgdOptimizer | None = None
     model_opt: SgdOptimizer | None = None
     epoch: int = 0
-    distribution: LabelDistribution | None = None
+    distribution: ClassCounts | None = None
     records: list = field(default_factory=list)
     best_epoch: int = -1
     best_robust: float = -1.0
@@ -156,14 +151,13 @@ class RunState:
 # distribution estimation and logits adjustment
 # ---------------------------------------------------------------------------
 
-def estimate_label_distribution(oracle: ModelParams, ds: LabeledDataset) -> LabelDistribution:
+def estimate_label_distribution(oracle: ModelParams, ds: LabeledDataset) -> ClassCounts:
     """Count the oracle's argmax predictions over the whole dataset."""
     predicted = predict_probs(oracle, ds.samples).argmax(axis=1)
-    counts = np.bincount(predicted, minlength=ds.num_classes)
-    return LabelDistribution(counts=tuple(int(c) for c in counts))
+    return ClassCounts.of(predicted, ds.num_classes)
 
 
-def adjust_logits(logits: Value, dist: LabelDistribution) -> Value:
+def adjust_logits(logits: Value, dist: ClassCounts) -> Value:
     """Add the log class-count prior to every row of the logits."""
     return ad.add(ad.as_value(logits), Value(np.log(dist.smoothed)))
 
@@ -190,7 +184,7 @@ def soft_label_loss(adjusted_logits: Value, soft_labels: np.ndarray) -> Value:
 
 def at_model_loss(at_model: ModelParams, oracle: ModelParams | None,
                   x: np.ndarray, x_adv: np.ndarray, soft: np.ndarray,
-                  dist: LabelDistribution | None,
+                  dist: ClassCounts | None,
                   config: TrainConfig) -> tuple[Value, dict[str, float]]:
     """Soft-label cross-entropy on adversarial inputs against ``soft``, the
     oracle's class probabilities on ``x``, plus (when interaction is on) a
@@ -234,14 +228,6 @@ def _append_jsonl(path: Path, record: dict) -> None:
         f.write(json.dumps(record) + "\n")
 
 
-def _distribution_csv(path: Path, prior, estimated, gt) -> None:
-    lines = ["class,prior_count,estimated_count,gt_count"]
-    for c in range(len(prior)):
-        gt_val = "" if gt is None else str(int(gt[c]))
-        lines.append(f"{c},{int(prior[c])},{int(estimated[c])},{gt_val}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
           out_dir: str | Path) -> RunState:
     """Run the configured method and persist metrics plus best/last checkpoints."""
@@ -253,7 +239,8 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
     metrics_path.write_text("")
-    (out_dir / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
+    with replaced_together(out_dir, ("config.json",)) as temps:
+        temps["config.json"].write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
     arch = ArchSpec(input_dim=ds.dim, encoder_widths=config.encoder_widths,
                     feature_dim=config.feature_dim, num_classes=ds.num_classes)
@@ -272,9 +259,9 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
         state.oversampled = balanced_oversample(ds, seed=config.seed + 3)
         state.labels = state.oversampled.observed_labels.copy()
 
-    prior_counts = np.asarray(class_counts(ds).counts)
-    gt_counts = None if ds.gt_labels is None else \
-        np.asarray(class_counts(ds, use_gt=True).counts)
+    prior = class_counts(ds)
+    gt = None if ds.gt_labels is None else class_counts(ds, use_gt=True)
+    dist_l1_prior = None if gt is None else distribution_error(prior.counts, gt.counts)
     eval_attack = AttackSpec(epsilon=config.attack.epsilon, alpha=config.attack.alpha,
                              steps=config.eval_steps, loss_kind="cross_entropy")
 
@@ -290,13 +277,10 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
             _append_jsonl(metrics_path, {"epoch": epoch, "error": str(err)})
             raise RuntimeError(f"run aborted: {err}") from err
 
-        record = _evaluate_epoch(state, test, eval_attack, prior_counts, gt_counts,
+        record = _evaluate_epoch(state, test, eval_attack, prior, gt, dist_l1_prior,
                                  at_losses, oracle_stats)
         state.records.append(record)
         _append_jsonl(metrics_path, record)
-        if config.method == "oat":
-            _distribution_csv(out_dir / f"distribution_epoch_{epoch}.csv",
-                              prior_counts, state.distribution.counts, gt_counts)
 
         robust = record["robust_accuracy"][eval_attack.name()]
         if robust > state.best_robust:
@@ -339,8 +323,8 @@ def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
 
 
 def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSpec,
-                    prior_counts: np.ndarray, gt_counts: np.ndarray | None,
-                    at_losses: dict[str, float],
+                    prior: ClassCounts, gt: ClassCounts | None,
+                    dist_l1_prior: float | None, at_losses: dict[str, float],
                     oracle_stats: OracleEpochRecord | None) -> dict:
     config = state.config
     ca = accuracy(state.model, test.samples, test.gt_labels)
@@ -358,10 +342,12 @@ def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSp
     if config.method == "oat":
         oracle_record = dataclasses.asdict(oracle_stats)
         losses.update(oracle_record.pop("losses"))
-        record.update(oracle_record, estimated_counts=list(state.distribution.counts))
-        if gt_counts is not None:
-            record["dist_l1_prior"] = distribution_error(prior_counts, gt_counts)
+        record.update(oracle_record, prior_counts=list(prior.counts),
+                      estimated_counts=list(state.distribution.counts),
+                      gt_counts=None if gt is None else list(gt.counts))
+        if gt is not None:
+            record["dist_l1_prior"] = dist_l1_prior
             record["dist_l1_estimated"] = distribution_error(
-                state.distribution.smoothed, gt_counts)
+                state.distribution.smoothed, gt.counts)
     record["losses"] = losses
     return record

@@ -15,7 +15,7 @@ import pytest
 from oat import autodiff as ad
 from oat.adversary import AttackSpec, cw_margin_loss, pgd_attack
 from oat.autodiff import Value
-from oat.corruption import (CorruptionSpec, apply_exponential_imbalance,
+from oat.corruption import (ClassCounts, CorruptionSpec, apply_exponential_imbalance,
                             apply_symmetric_noise, class_counts, compute_nr,
                             corrupt, exponential_targets)
 from oat.dataio import SyntheticSpec, gen_synthetic
@@ -27,8 +27,7 @@ from oat.oracle import (AugmentationPolicy, KnnIndex, knn_split,
                         oracle_interaction_loss, oracle_supervised_loss,
                         predict_probs)
 from oat.rng import SplitMix64
-from oat.trainer import (LabelDistribution, TrainConfig, adjust_logits,
-                         at_model_loss, train)
+from oat.trainer import TrainConfig, adjust_logits, at_model_loss, train
 
 from helpers import brute_force_knn_majority, fd_max_rel_error
 
@@ -62,7 +61,7 @@ def _loss_suite(seed: int):
     view1 = np.clip(x + rng.uniform_range(4 * 5, -0.03, 0.03).reshape(4, 5), 0, 1)
     view2 = np.clip(x + rng.uniform_range(4 * 5, -0.06, 0.06).reshape(4, 5), 0, 1)
     y = np.array([rng.randint(3) for _ in range(4)])
-    dist = LabelDistribution(counts=(7, 2, 11))
+    dist = ClassCounts((7, 2, 11))
 
     # stop-gradient targets are held constant while differencing: reverse mode
     # differentiates the loss with the detached branch frozen at its value
@@ -257,12 +256,12 @@ def test_criterion_4_attack_contracts():
 def test_criterion_5_adjustment_semantics():
     rng = SplitMix64(5).fork("rows")
     rows = rng.uniform_range(10_000 * 6, -8.0, 8.0).reshape(10_000, 6)
-    uniform = LabelDistribution(counts=(37,) * 6)
+    uniform = ClassCounts((37,) * 6)
     adjusted = adjust_logits(Value(rows), uniform)
     invariant = np.array_equal(adjusted.data.argmax(axis=1), rows.argmax(axis=1))
 
     flip = adjust_logits(Value(np.array([[0.0, 2.0]])),
-                         LabelDistribution(counts=(900, 100)))
+                         ClassCounts((900, 100)))
     expected = np.array([[math.log(900.0), 2.0 + math.log(100.0)]])  # independent arithmetic
     flip_ok = (np.allclose(flip.data, expected, atol=1e-12)
                and round(flip.data[0, 0], 4) == 6.8024

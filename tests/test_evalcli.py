@@ -12,7 +12,6 @@ from oat.evaluation import (MetricsRecord, accuracy, distribution_error, evaluat
                             robust_accuracy)
 from oat.models import AT_MODEL, init_model, load_model, save_model
 from oat.rng import SplitMix64
-from oat.trainer import LabelDistribution
 
 from helpers import TINY_ARCH, leaves_model_untouched, tiny_dataset
 
@@ -108,7 +107,7 @@ def test_distribution_error_values():
     assert distribution_error((1, 1), (5, 5)) == 0.0
     assert distribution_error((10, 0), (0, 10)) == 1.0
     assert distribution_error((450, 550), (500, 500)) == pytest.approx(0.05)
-    assert distribution_error(LabelDistribution(counts=(450, 550)).counts,
+    assert distribution_error(ClassCounts((450, 550)).counts,
                               ClassCounts((500, 500)).counts) == pytest.approx(0.05)
     with pytest.raises(ValueError, match="length"):
         distribution_error((1, 2), (1, 2, 3))
@@ -169,6 +168,8 @@ def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
     ('{"eval_steps": 0}', "config key 'eval_steps' must be at least 1, got 0"),
     ('{"theta_r": 1.5}', "config key 'theta_r' must lie in (0, 1], got 1.5"),
     ('{"augment": {"erase_prob": -3}}', "augment key 'erase_prob' must lie in [0, 1], got -3"),
+    ('{"attack": {"epsilon": 0.03, "alpha": 0.01, "steps": 2, "adjustment": [1, 2, 3]}}',
+     "config key 'attack.adjustment' cannot be set"),
 ])
 def test_cli_train_malformed_config_exits_1(tmp_path, capsys, text, named):
     config = tmp_path / "config.json"
@@ -254,7 +255,46 @@ def test_cli_full_chain(tmp_path, capsys):
     assert cli(["report", "--run", str(run), "--emit", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["epochs"]) == 2
+    assert report["distribution"]["epoch"] == 1
     assert report["distribution"]["estimated_total"] == 75  # |S| of the train dir
+    rows = report["distribution"]["rows"]
+    assert [row["class"] for row in rows] == [0, 1, 2]
+    assert sum(row["gt_count"] for row in rows) == 75
+    assert all(isinstance(row[key], int) for row in rows
+               for key in ("prior_count", "estimated_count", "gt_count"))
+
+
+def _oat_record(epoch, estimated, gt):
+    return {"epoch": epoch, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25},
+            "refurbished_nr": 0.1, "prior_counts": [6, 3, 1],
+            "estimated_counts": estimated, "gt_counts": gt}
+
+
+def test_cli_report_distribution_comes_from_the_last_non_error_record(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    records = [_oat_record(0, [5, 4, 1], None), _oat_record(1, [4, 4, 2], None),
+               {"epoch": 2, "error": "non-finite oracle loss"}]
+    (run / "metrics.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert cli(["report", "--run", str(run), "--emit", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["epochs"][-1] == {"epoch": 2, "error": "non-finite oracle loss"}
+    assert report["distribution"] == {
+        "epoch": 1,
+        "rows": [{"class": 0, "prior_count": 6, "estimated_count": 4, "gt_count": None},
+                 {"class": 1, "prior_count": 3, "estimated_count": 4, "gt_count": None},
+                 {"class": 2, "prior_count": 1, "estimated_count": 2, "gt_count": None}],
+        "estimated_total": 10,
+    }
+
+
+def test_cli_report_pgd_at_run_has_no_distribution(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    record = {"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25}}
+    (run / "metrics.jsonl").write_text(json.dumps(record) + "\n")
+    assert cli(["report", "--run", str(run), "--emit", "json"]) == 0
+    assert "distribution" not in json.loads(capsys.readouterr().out)
 
 
 def test_cli_eval_attack_none(tmp_path, capsys):

@@ -30,13 +30,6 @@ def test_oracle_extra_heads():
     assert at.projector is None and at.predictor is None
 
 
-def test_parameter_count_closed_form():
-    for role in (ORACLE, AT_MODEL):
-        params = init_model(TINY_ARCH, role, seed=2)
-        actual = sum(p.data.size for p in params.parameters())
-        assert actual == TINY_ARCH.parameter_count(role)
-
-
 def test_no_hidden_widths_is_single_linear_map():
     arch = ArchSpec(input_dim=4, encoder_widths=(), feature_dim=3, num_classes=2,
                     projector_hidden=4, projector_out=2, predictor_hidden=4,

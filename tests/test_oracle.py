@@ -85,8 +85,15 @@ def test_knn_split_rejects_k_below_one():
     pts = np.arange(10.0).reshape(5, 2)
     with pytest.raises(ValueError, match="k=0 must be at least 1"):
         KnnIndex(points=pts, k=0)
-    with pytest.raises(ValueError, match="k=0 must be at least 1"):
+    with pytest.raises(ValueError, match="k=0 differs from the index's k=1"):
         knn_split(KnnIndex(points=pts, k=1), pts, np.zeros(5, dtype=np.int64), k=0)
+
+
+def test_knn_split_rejects_a_k_other_than_the_index_k():
+    pts = SplitMix64(2).fork("knn_k").uniform(20).reshape(10, 2)
+    labels = np.arange(10) % 2
+    with pytest.raises(ValueError, match="k=7 differs from the index's k=1"):
+        knn_split(KnnIndex(points=pts, k=1), pts, labels, 7)
 
 
 @pytest.mark.parametrize("count", [4, 6])

@@ -13,14 +13,13 @@ import oat
 from oat import autodiff as ad
 from oat.adversary import AttackSpec
 from oat.autodiff import Value
-from oat.corruption import apply_symmetric_noise, class_counts
+from oat.corruption import ClassCounts, apply_symmetric_noise, class_counts
 from oat.dataio import SyntheticSpec, gen_synthetic
 from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model
 from oat.oracle import AugmentationPolicy, predict_probs
 from oat.rng import SplitMix64
-from oat.trainer import (LabelDistribution, TrainConfig, adjust_logits,
-                         at_model_loss, estimate_label_distribution, lr_at_epoch,
-                         soft_label_loss, train)
+from oat.trainer import (TrainConfig, adjust_logits, at_model_loss,
+                         estimate_label_distribution, lr_at_epoch, soft_label_loss, train)
 
 from helpers import TINY_ARCH, tiny_dataset
 
@@ -52,6 +51,7 @@ def test_estimate_distribution_partitions_dataset():
     oracle = init_model(TINY_ARCH, ORACLE, seed=1)
     ds = tiny_dataset(n_per_class=7, num_classes=3, dim=5)
     dist = estimate_label_distribution(oracle, ds)
+    assert isinstance(dist, ClassCounts)
     assert sum(dist.counts) == len(ds)
     assert np.all(dist.smoothed >= 1.0)
 
@@ -72,13 +72,13 @@ def test_estimate_distribution_constant_oracle_ties_to_class_zero():
 def test_adjust_logits_uniform_preserves_argmax():
     rng = SplitMix64(1).fork("rows")
     rows = rng.uniform_range(200 * 4, -5, 5).reshape(200, 4)
-    dist = LabelDistribution(counts=(25, 25, 25, 25))
+    dist = ClassCounts((25, 25, 25, 25))
     adjusted = adjust_logits(Value(rows), dist)
     assert np.array_equal(adjusted.data.argmax(axis=1), rows.argmax(axis=1))
 
 
 def test_adjust_logits_flip_example():
-    dist = LabelDistribution(counts=(900, 100))
+    dist = ClassCounts((900, 100))
     adjusted = adjust_logits(Value(np.array([[0.0, 2.0]])), dist)
     assert adjusted.data[0, 0] == pytest.approx(math.log(900.0))          # 6.8024
     assert adjusted.data[0, 1] == pytest.approx(2.0 + math.log(100.0))    # 6.6052
@@ -87,7 +87,7 @@ def test_adjust_logits_flip_example():
 
 
 def test_adjust_logits_zero_count_smoothed():
-    dist = LabelDistribution(counts=(10, 0))
+    dist = ClassCounts((10, 0))
     adjusted = adjust_logits(Value(np.array([[1.0, 1.0]])), dist)
     assert adjusted.data[0, 1] == pytest.approx(1.0)  # log(1) = 0 contribution
 
@@ -125,7 +125,7 @@ def test_short_run_with_default_decay_names_both_values():
 
 def test_config_roundtrip_through_dict():
     config = _fast_config(attack=AttackSpec(epsilon=0.1, alpha=0.02, steps=7,
-                                            adjustment=(3.0, 2.0, 1.0)))
+                                            loss_kind="cw_margin"))
     back = TrainConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert back == config
 
@@ -143,6 +143,10 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
     with pytest.raises(ValueError) as err:
         TrainConfig.from_dict(overrides)
     assert str(err.value) == named
+
+
+_ADJUSTMENT_SET = ("config key 'attack.adjustment' cannot be set: training derives "
+                   "the attack's prior from the oracle")
 
 
 @pytest.mark.parametrize("overrides,named", [
@@ -165,6 +169,10 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
     ({"augment": {"jitter_amp": -0.01}},
      "augment key 'jitter_amp' must be nonnegative, got -0.01"),
     ({"augment": {"scale_amp": -1}}, "augment key 'scale_amp' must be nonnegative, got -1"),
+    ({"attack": {"epsilon": 0.1, "alpha": 0.02, "steps": 7, "adjustment": [3.0, 2.0, 1.0]}},
+     _ADJUSTMENT_SET),
+    ({"method": "pgd_at", "attack": {"epsilon": 0.1, "alpha": 0.02, "steps": 7,
+                                     "adjustment": [1.0, 1.0]}}, _ADJUSTMENT_SET),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
@@ -204,7 +212,7 @@ def test_at_model_loss_composition_and_detach():
     x = rng.uniform(5 * 5).reshape(5, 5)
     x_adv = np.clip(x + 0.01, 0.0, 1.0)
     soft = predict_probs(oracle, x)
-    dist = LabelDistribution(counts=(3, 1, 1))
+    dist = ClassCounts((3, 1, 1))
 
     config = _fast_config(interaction_enabled=False, adjustment_enabled=False)
     total, parts = at_model_loss(at, oracle, x, x_adv, soft, dist, config)
@@ -241,12 +249,36 @@ def test_train_writes_run_directory(tmp_path):
         assert record["epoch"] == epoch
         ra = record["robust_accuracy"]["pgd3"]
         assert ra <= record["clean_accuracy"] + 1e-12
-    csvs = sorted((tmp_path / "run").glob("distribution_epoch_*.csv"))
-    assert len(csvs) == 3
-    rows = csvs[0].read_text().splitlines()
-    estimated_total = sum(int(r.split(",")[2]) for r in rows[1:])
-    assert estimated_total == len(train_ds)
+        assert sum(record["estimated_counts"]) == len(train_ds)
+        assert record["prior_counts"] == list(class_counts(train_ds).counts)
+        assert record["gt_counts"] == list(class_counts(train_ds, use_gt=True).counts)
     assert state.best_epoch <= state.config.epochs - 1
+
+
+@pytest.mark.parametrize("method", ["oat", "pgd_at"])
+def test_run_directory_holds_exactly_the_run_files(tmp_path, method):
+    train_ds, test_ds = _small_data(seed=1)
+    run = tmp_path / "run"
+    train(_fast_config(method=method, epochs=2, lr_decay_epochs=()), train_ds, test_ds, run)
+    assert sorted(p.name for p in run.iterdir()) == \
+        ["best", "config.json", "last", "metrics.jsonl", "summary.json"]
+    for checkpoint in ("best", "last"):
+        assert not any(p.name.endswith(".tmp") for p in (run / checkpoint).iterdir())
+    records = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
+    count_keys = {"prior_counts", "estimated_counts", "gt_counts"}
+    expected = count_keys if method == "oat" else set()
+    assert all(count_keys & set(r) == expected for r in records)
+
+
+def test_oat_records_without_ground_truth_hold_null_gt_counts(tmp_path):
+    train_ds, test_ds = _small_data(seed=2)
+    train_ds = dataclasses.replace(train_ds, gt_labels=None)
+    state = train(_fast_config(epochs=1, lr_decay_epochs=()), train_ds, test_ds,
+                  tmp_path / "run")
+    record = state.records[0]
+    assert record["gt_counts"] is None
+    assert record["prior_counts"] == list(class_counts(train_ds).counts)
+    assert "dist_l1_prior" not in record and "dist_l1_estimated" not in record
 
 
 def test_train_deterministic(tmp_path):
