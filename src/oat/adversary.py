@@ -6,9 +6,10 @@ input only: every step runs through a ``detached`` view of the model, so no
 weight gradient is computed and the model's ``grad`` buffers are never
 touched.
 
-When a class-count prior is attached, the loss is computed on shifted logits;
-the shift vector is normalized by its maximum so a uniform prior is exactly
-the zero vector and the attack output is bit-identical to the unadjusted path.
+When a class-count prior is passed, the loss is computed on logits shifted by
+its log; the shift vector is normalized by its maximum so a uniform prior is
+exactly the zero vector and the attack output is bit-identical to the
+unadjusted path.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
+from .corruption import ClassCounts
 from .models import ModelParams, detached, forward_logits
 from .rng import SplitMix64
 
@@ -32,7 +34,6 @@ class AttackSpec:
     alpha: float
     steps: int
     loss_kind: str = "cross_entropy"   # or "cw_margin"
-    adjustment: tuple[float, ...] | None = None  # per-class counts, all >= 1
     random_start: bool = True
 
     def __post_init__(self):
@@ -46,8 +47,6 @@ class AttackSpec:
             raise ValueError("steps must be >= 1")
         if self.loss_kind not in ("cross_entropy", "cw_margin"):
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
-        if self.adjustment is not None and any(c <= 0 for c in self.adjustment):
-            raise ValueError("adjustment counts must be positive (smooth zeros first)")
 
     def name(self) -> str:
         return ("pgd" if self.loss_kind == "cross_entropy" else "cw") + str(self.steps)
@@ -79,8 +78,10 @@ def _attack_objective(model: ModelParams, xv: Value, y: np.ndarray,
 
 
 def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
-               spec: AttackSpec, rng: SplitMix64 | None = None) -> np.ndarray:
-    """Iterative sign-gradient ascent projected onto the eps ball and [0,1] box."""
+               spec: AttackSpec, rng: SplitMix64 | None = None,
+               prior: ClassCounts | None = None) -> np.ndarray:
+    """Iterative sign-gradient ascent projected onto the eps ball and [0,1] box;
+    with a ``prior``, the attacked loss sees logits shifted by its log."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not len(x):  # a batch-mean loss over no rows has no gradient to follow
@@ -97,8 +98,8 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
         adv = x.copy()
 
     model, shift = detached(model), None
-    if spec.adjustment is not None:
-        log_prior = np.log(np.asarray(spec.adjustment, dtype=np.float64))
+    if prior is not None:
+        log_prior = np.log(prior.smoothed)
         # max-normalize: constant shifts cancel in both losses, and a uniform
         # prior becomes the exact zero vector (bitwise no-op)
         shift = Value(log_prior - log_prior.max())

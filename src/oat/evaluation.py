@@ -3,9 +3,9 @@ and distribution-recovery error.
 
 The training loop picks its best checkpoint with these functions and
 ``oat eval`` reports them, so both compute robust accuracy with the same code.
-Evaluation runs its batches one after another; each batch's attack stream is
-forked from the seed by batch index, so results depend only on the seed and
-the batch size. Predictions use raw logits (no class-prior adjustment).
+Evaluation runs its batches of ``BATCH_SIZE`` rows one after another; each
+batch's attack stream is forked from the seed by batch index, so results
+depend only on the seed. Predictions use raw logits (no class-prior adjustment).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .dataio import LabeledDataset
 from .models import ModelParams
 from .oracle import predict_probs
 from .rng import SplitMix64
+
+BATCH_SIZE = 256  # rows per evaluation batch; each batch forks its own attack stream
 
 
 @dataclass
@@ -57,14 +59,14 @@ def accuracy(model: ModelParams, x: np.ndarray, labels: np.ndarray) -> float:
 
 
 def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
-                    rng: SplitMix64, batch_size: int = 256) -> float:
+                    rng: SplitMix64) -> float:
     """Fraction of test points that are correctly classified both clean and
     after the attack (an attacked sample can only lose correctness)."""
     check_test_set(ds)
     robust = 0
-    for i, start in enumerate(range(0, len(ds), batch_size)):
-        x = ds.samples[start:start + batch_size]
-        y = ds.gt_labels[start:start + batch_size]
+    for i, start in enumerate(range(0, len(ds), BATCH_SIZE)):
+        x = ds.samples[start:start + BATCH_SIZE]
+        y = ds.gt_labels[start:start + BATCH_SIZE]
         clean_ok = predict_probs(model, x).argmax(axis=1) == y
         adv = pgd_attack(model, x, y, attack, rng.fork("batch", i))
         adv_ok = predict_probs(model, adv).argmax(axis=1) == y
@@ -73,8 +75,7 @@ def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
 
 
 def evaluate(model: ModelParams, test: LabeledDataset,
-             attacks: list[AttackSpec], seed: int = 0,
-             batch_size: int = 256) -> MetricsRecord:
+             attacks: list[AttackSpec], seed: int = 0) -> MetricsRecord:
     """Clean accuracy plus robust accuracy per attack; each attack's stream is
     forked from ``seed`` by the attack's name."""
     check_test_set(test)
@@ -83,7 +84,7 @@ def evaluate(model: ModelParams, test: LabeledDataset,
         robust_accuracy={
             attack.name(): robust_accuracy(
                 model, test, attack,
-                SplitMix64(seed).fork("evaluate." + attack.name()), batch_size)
+                SplitMix64(seed).fork("evaluate." + attack.name()))
             for attack in attacks})
 
 

@@ -51,23 +51,26 @@ class KnnIndex:
             raise ValueError(f"k={self.k} must be smaller than n={len(self.points)}")
 
 
+ERASE_PROB = 0.5  # chance that a strong view erases a window of a row
+
+
 @dataclass(frozen=True)
 class AugmentationPolicy:
     """Two fixed augmentation views over flat feature vectors in [0,1]^d.
 
     weak: jitter + flip. strong: jitter + flip + per-feature scaling jitter +
-    random erasing. The knobs control amplitude; flip reverses the feature
-    order, which only makes sense for data without coordinate semantics, so
-    tabular configs usually set flip_prob to 0.
+    random erasing. The knobs control amplitude; each strong view erases a
+    window with probability ``ERASE_PROB``. Flip reverses the feature order,
+    which only makes sense for data without coordinate semantics, so tabular
+    configs usually set flip_prob to 0.
     """
     jitter_amp: float = 0.05
     flip_prob: float = 0.5
     scale_amp: float = 0.2
     erase_frac: float = 0.25
-    erase_prob: float = 0.5
 
     def __post_init__(self):
-        for key in ("flip_prob", "erase_prob", "erase_frac"):
+        for key in ("flip_prob", "erase_frac"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ValueError(f"augment key {key!r} must lie in [0, 1], "
                                  f"got {getattr(self, key)!r}")
@@ -87,7 +90,7 @@ class AugmentationPolicy:
         if which == "strong":
             out *= 1.0 + rng.uniform_range(n * d, -self.scale_amp, self.scale_amp).reshape(n, d)
             width = max(1, int(round(self.erase_frac * d)))
-            hits = rng.uniform(n) < self.erase_prob
+            hits = rng.uniform(n) < ERASE_PROB
             starts = (rng.uniform(n) * max(1, d - width + 1)).astype(int)[:, None]
             offset = np.arange(d) - starts
             out[hits[:, None] & (offset >= 0) & (offset < width)] = 0.0

@@ -73,9 +73,6 @@ class TrainConfig:
                              f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")
         if list(self.lr_decay_epochs) != sorted(set(self.lr_decay_epochs)):
             raise ValueError("lr_decay_epochs must be strictly increasing")
-        if self.attack.adjustment is not None:
-            raise ValueError("config key 'attack.adjustment' cannot be set: training "
-                             "derives the attack's prior from the oracle")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -122,11 +119,9 @@ def _matches(value, hint) -> bool:
             return False
         return not isinstance(value, bool) and isinstance(
             value, (int, float) if hint is float else hint)
-    args = typing.get_args(hint)
-    if type(None) in args:                       # X | None
-        return value is None or _matches(value, args[0])
     if typing.get_origin(hint) is tuple:         # tuple[X, ...]
-        return isinstance(value, (list, tuple)) and all(_matches(v, args[0]) for v in value)
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
     return isinstance(value, hint)
 
 
@@ -303,15 +298,13 @@ def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
     state.model_opt.learning_rate = lr_at_epoch(config, state.epoch)
     rng = state.rng.fork("at_epoch", state.epoch)
     oat = config.method == "oat"
-    attack = config.attack
-    if oat and config.adjustment_enabled:
-        attack = dataclasses.replace(attack, adjustment=tuple(state.distribution.smoothed))
+    prior = state.distribution if oat and config.adjustment_enabled else None
 
     def batch_loss(i: int, idx: np.ndarray) -> tuple[Value, dict[str, float]]:
         x = ds.samples[idx]
         soft = predict_probs(state.oracle, x) if oat else None
         labels = soft.argmax(axis=1) if oat else ds.observed_labels[idx]
-        x_adv = pgd_attack(state.model, x, labels, attack, rng.fork("attack", i))
+        x_adv = pgd_attack(state.model, x, labels, config.attack, rng.fork("attack", i), prior)
         if oat:
             return at_model_loss(state.model, state.oracle, x, x_adv, soft,
                                  state.distribution, config)

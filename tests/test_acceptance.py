@@ -202,9 +202,9 @@ def test_criterion_4_attack_contracts():
         y = np.array([rng.randint(3) for _ in range(3)])
         eps = 0.005 + 0.25 * float(rng.uniform(1)[0])
         spec = AttackSpec(epsilon=eps, alpha=eps / 3, steps=1 + trial % 4,
-                          loss_kind="cw_margin" if trial % 5 == 0 else "cross_entropy",
-                          adjustment=(1.0, 4.0, 2.0) if trial % 7 == 0 else None)
-        adv = pgd_attack(model, x, y, spec, rng.fork("t", trial))
+                          loss_kind="cw_margin" if trial % 5 == 0 else "cross_entropy")
+        prior = ClassCounts((1, 4, 2)) if trial % 7 == 0 else None
+        adv = pgd_attack(model, x, y, spec, rng.fork("t", trial), prior)
         if np.max(np.abs(adv - x)) > eps + 1e-9:
             problems.append(f"trial {trial}: eps ball violated")
             break
@@ -234,11 +234,9 @@ def test_criterion_4_attack_contracts():
         model = models[trial % 10]
         x = rng.uniform(4 * 4).reshape(4, 4)
         y = np.array([rng.randint(3) for _ in range(4)])
-        plain = AttackSpec(epsilon=0.06, alpha=0.02, steps=5)
-        uniform = AttackSpec(epsilon=0.06, alpha=0.02, steps=5,
-                             adjustment=(9.0, 9.0, 9.0))
-        a = pgd_attack(model, x, y, plain, SplitMix64(trial).fork("u"))
-        b = pgd_attack(model, x, y, uniform, SplitMix64(trial).fork("u"))
+        spec = AttackSpec(epsilon=0.06, alpha=0.02, steps=5)
+        a = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("u"))
+        b = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("u"), ClassCounts((9, 9, 9)))
         if not np.array_equal(a, b):
             problems.append(f"uniform adjustment changed attack bits (trial {trial})")
             break

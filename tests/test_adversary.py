@@ -6,6 +6,7 @@ import pytest
 from oat import autodiff as ad
 from oat.adversary import AttackSpec, cw_margin_loss, pgd_attack
 from oat.autodiff import Value
+from oat.corruption import ClassCounts
 from oat.models import AT_MODEL, ArchSpec, init_model
 from oat.rng import SplitMix64
 
@@ -27,8 +28,6 @@ def test_attack_spec_validation():
         AttackSpec(epsilon=0.1, alpha=0.02, steps=0)
     with pytest.raises(ValueError):
         AttackSpec(epsilon=0.1, alpha=0.02, steps=5, loss_kind="fgsm")
-    with pytest.raises(ValueError):
-        AttackSpec(epsilon=0.1, alpha=0.02, steps=5, adjustment=(1.0, 0.0))
     assert AttackSpec(epsilon=8 / 255, alpha=2 / 255, steps=20).name() == "pgd20"
     assert AttackSpec(epsilon=8 / 255, alpha=2 / 255, steps=100,
                       loss_kind="cw_margin").name() == "cw100"
@@ -86,11 +85,9 @@ def test_uniform_adjustment_is_bitwise_noop():
     rng = SplitMix64(5).fork("u")
     x = _rand_batch(rng, 8, 5)
     y = np.array([rng.randint(3) for _ in range(8)])
-    base_spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=6)
-    adj_spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=6,
-                          adjustment=(7.0, 7.0, 7.0))
-    a = pgd_attack(model, x, y, base_spec, SplitMix64(9).fork("r"))
-    b = pgd_attack(model, x, y, adj_spec, SplitMix64(9).fork("r"))
+    spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=6)
+    a = pgd_attack(model, x, y, spec, SplitMix64(9).fork("r"))
+    b = pgd_attack(model, x, y, spec, SplitMix64(9).fork("r"), ClassCounts((7, 7, 7)))
     assert np.array_equal(a, b)
 
 
@@ -100,10 +97,24 @@ def test_nonuniform_adjustment_changes_attack():
     x = _rand_batch(rng, 8, 5)
     y = np.array([rng.randint(3) for _ in range(8)])
     spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=6)
-    skew = AttackSpec(epsilon=0.05, alpha=0.0125, steps=6, adjustment=(100.0, 1.0, 1.0))
     a = pgd_attack(model, x, y, spec, SplitMix64(9).fork("r"))
-    b = pgd_attack(model, x, y, skew, SplitMix64(9).fork("r"))
+    b = pgd_attack(model, x, y, spec, SplitMix64(9).fork("r"), ClassCounts((100, 1, 1)))
     assert not np.array_equal(a, b)
+
+
+def test_zero_count_prior_attacks_as_a_count_of_one():
+    # the prior's log is taken of its smoothed counts, so no class count can
+    # make the shift undefined
+    model = init_model(TINY_ARCH, AT_MODEL, seed=3)
+    rng = SplitMix64(8).fork("z")
+    x = _rand_batch(rng, 8, 5)
+    y = np.array([rng.randint(3) for _ in range(8)])
+    spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=6)
+    a = pgd_attack(model, x, y, spec, SplitMix64(9).fork("r"), ClassCounts((5, 0, 5)))
+    b = pgd_attack(model, x, y, spec, SplitMix64(9).fork("r"), ClassCounts((5, 1, 5)))
+    c = pgd_attack(model, x, y, spec, SplitMix64(9).fork("r"))
+    assert np.array_equal(a, b)
+    assert np.all(np.isfinite(a)) and not np.array_equal(a, c)
 
 
 def test_labels_out_of_range():
@@ -116,10 +127,10 @@ def test_labels_out_of_range():
 def test_pgd_attack_on_zero_rows_returns_zero_rows():
     model = init_model(TINY_ARCH, AT_MODEL, seed=2)
     x = np.zeros((0, TINY_ARCH.input_dim))
-    for spec in [AttackSpec(epsilon=0.08, alpha=0.02, steps=3),
-                 AttackSpec(epsilon=0.08, alpha=0.02, steps=3, loss_kind="cw_margin"),
-                 AttackSpec(epsilon=0.08, alpha=0.02, steps=3, adjustment=(9.0, 1.0, 1.0))]:
-        adv = pgd_attack(model, x, np.zeros(0, dtype=np.int64), spec)
+    ce = AttackSpec(epsilon=0.08, alpha=0.02, steps=3)
+    cw = AttackSpec(epsilon=0.08, alpha=0.02, steps=3, loss_kind="cw_margin")
+    for spec, prior in [(ce, None), (cw, None), (ce, ClassCounts((9, 1, 1)))]:
+        adv = pgd_attack(model, x, np.zeros(0, dtype=np.int64), spec, prior=prior)
         assert adv.shape == (0, TINY_ARCH.input_dim)
 
 
@@ -159,9 +170,8 @@ def test_pgd_attack_leaves_model_untouched():
     model = init_model(TINY_ARCH, AT_MODEL, seed=4)
     x = _rand_batch(SplitMix64(1).fork("x"), 4, 5)
     y = np.array([0, 1, 2, 0])
-    specs = [AttackSpec(epsilon=0.08, alpha=0.02, steps=3),
-             AttackSpec(epsilon=0.08, alpha=0.02, steps=3, loss_kind="cw_margin"),
-             AttackSpec(epsilon=0.08, alpha=0.02, steps=3, adjustment=(100.0, 1.0, 1.0))]
+    ce = AttackSpec(epsilon=0.08, alpha=0.02, steps=3)
+    cw = AttackSpec(epsilon=0.08, alpha=0.02, steps=3, loss_kind="cw_margin")
     with leaves_model_untouched(model):
-        for spec in specs:
-            pgd_attack(model, x, y, spec, SplitMix64(11).fork("s"))
+        for spec, prior in [(ce, None), (cw, None), (ce, ClassCounts((100, 1, 1)))]:
+            pgd_attack(model, x, y, spec, SplitMix64(11).fork("s"), prior)

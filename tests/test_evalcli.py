@@ -8,8 +8,8 @@ from oat.corruption import ClassCounts
 from oat.dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
                         save_dataset)
 from oat.evalcli import cli
-from oat.evaluation import (MetricsRecord, accuracy, distribution_error, evaluate,
-                            robust_accuracy)
+from oat.evaluation import (BATCH_SIZE, MetricsRecord, accuracy, distribution_error,
+                            evaluate, robust_accuracy)
 from oat.models import AT_MODEL, init_model, load_model, save_model
 from oat.rng import SplitMix64
 
@@ -62,10 +62,11 @@ def test_evaluate_more_steps_never_helps_much():
 
 def test_evaluate_deterministic():
     model = init_model(TINY_ARCH, AT_MODEL, seed=4)
-    ds = tiny_dataset(n_per_class=40, num_classes=3, dim=5, seed=5)
+    ds = tiny_dataset(n_per_class=110, num_classes=3, dim=5, seed=5)
+    assert BATCH_SIZE < len(ds) <= 2 * BATCH_SIZE  # two batches, two attack streams
     spec = AttackSpec(epsilon=0.05, alpha=0.0125, steps=3)
-    first = evaluate(model, ds, [spec], seed=1, batch_size=16)
-    second = evaluate(model, ds, [spec], seed=1, batch_size=16)
+    first = evaluate(model, ds, [spec], seed=1)
+    second = evaluate(model, ds, [spec], seed=1)
     assert first.clean_accuracy == second.clean_accuracy
     assert first.robust_accuracy == second.robust_accuracy
 
@@ -167,9 +168,9 @@ def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
     ('{"k": 0}', "config key 'k' must be at least 1, got 0"),
     ('{"eval_steps": 0}', "config key 'eval_steps' must be at least 1, got 0"),
     ('{"theta_r": 1.5}', "config key 'theta_r' must lie in (0, 1], got 1.5"),
-    ('{"augment": {"erase_prob": -3}}', "augment key 'erase_prob' must lie in [0, 1], got -3"),
+    ('{"augment": {"erase_prob": -3}}', "unknown augment key(s): erase_prob"),
     ('{"attack": {"epsilon": 0.03, "alpha": 0.01, "steps": 2, "adjustment": [1, 2, 3]}}',
-     "config key 'attack.adjustment' cannot be set"),
+     "unknown attack key(s): adjustment"),
 ])
 def test_cli_train_malformed_config_exits_1(tmp_path, capsys, text, named):
     config = tmp_path / "config.json"

@@ -324,7 +324,7 @@ def test_oversampled_copies_embed_bit_identically():
 def test_erase_zeroes_one_window_per_hit_row():
     # the other strong ops at zero amplitude leave x as it is
     policy = AugmentationPolicy(jitter_amp=0.0, flip_prob=0.0, scale_amp=0.0,
-                                erase_frac=0.25, erase_prob=0.5)
+                                erase_frac=0.25)
     x = SplitMix64(5).fork("erase_x").uniform(64 * 12).reshape(64, 12) + 0.01
     out = policy.apply(x, "strong", SplitMix64(5).fork("erase"))
     rng = SplitMix64(5).fork("erase")
