@@ -7,7 +7,6 @@ from .corruption import (ClassCounts, CorruptionSpec, apply_asymmetric_noise,
                          balanced_oversample, compute_ir, compute_nr, corrupt)
 from .dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
                      load_idx, save_dataset)
-from .evalcli import cli
 from .evaluation import MetricsRecord, distribution_error, evaluate
 from .models import (ArchSpec, ModelParams, forward_features, forward_logits,
                      init_model, load_model, project_predict, save_model)
@@ -24,7 +23,7 @@ __all__ = [
     "SplitSets", "SyntheticSpec", "TrainConfig", "Value",
     "adjust_logits", "apply_asymmetric_noise", "apply_exponential_imbalance",
     "apply_symmetric_noise", "at_model_loss", "backward", "balanced_oversample",
-    "cli", "compute_ir", "compute_nr", "corrupt", "cw_margin_loss", "detach",
+    "compute_ir", "compute_nr", "corrupt", "cw_margin_loss", "detach",
     "distribution_error", "estimate_label_distribution", "evaluate",
     "forward_features", "forward_logits", "gen_synthetic",
     "init_model", "knn_split", "load_dataset", "load_idx", "load_model",

@@ -53,8 +53,9 @@ class AttackSpec:
 
 
 def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
-    """Mean over the batch of (max_{j != y} z_j - z_y); logits are (B, C)."""
-    logits = ad.as_value(logits)
+    """Mean over the batch of (max_{j != y} z_j - z_y); logits are (B, C).
+
+    The max's subgradient goes to the lowest-index maximizer."""
     if logits.data.ndim != 2:
         raise ValueError(f"cw_margin_loss expects (B, C) logits, got {logits.shape}")
     if logits.data.shape[-1] < 2:
@@ -62,7 +63,8 @@ def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
     y = np.asarray(y, dtype=np.int64)
     mask = np.zeros(logits.data.shape)
     mask[np.arange(len(y)), y] = _MASK_NEG
-    other_max = ad.max_rows(ad.add(logits, Value(mask)))
+    masked = ad.add(logits, Value(mask))
+    other_max = ad.gather_rows(masked, np.argmax(masked.data, axis=1))
     true_logit = ad.gather_rows(logits, y)
     return ad.vmean(ad.sub(other_max, true_logit))
 

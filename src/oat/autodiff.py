@@ -1,20 +1,22 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A ``Value`` wraps a numpy buffer and remembers the operation that produced it.
-Only two kinds of node hold a ``.grad`` buffer: leaves made with
-``requires_grad=True`` (parameters, attacked inputs), which get a zero buffer
-when they are made, and the root of a ``backward`` call, which gets one on
-demand. Intermediate nodes, constants and ``detach`` outputs keep
-``grad is None``. An op records a graph edge only when one of its operands
-requires grad, so ``detach`` (and ``models.detached`` for a whole model) is
-the way to hold a value constant.
+Only leaves made with ``requires_grad=True`` (parameters, attacked inputs)
+hold a ``.grad`` buffer, a zero buffer made with the leaf. Intermediate
+nodes, constants and ``detach`` outputs keep ``grad is None``. An op records
+a graph edge only when one of its operands requires grad, so ``detach`` (and
+``models.detached`` for a whole model) is the way to hold a value constant.
+
+Elementwise operands may broadcast, but only a constant may be broadcast: an
+operand that requires grad must already have the result's shape, so every
+adjoint has its operand's shape and none is ever summed down.
 
 ``backward`` walks the part of the graph that requires grad in reverse
 topological order. Constant operands are never visited, and each op's backward
 skips the adjoint of a constant operand (returns ``None`` for it). Each pass's
-adjoints are *added* into the leaves' and the root's ``.grad``, so gradients
-accumulate across calls and must be zeroed explicitly (``SgdOptimizer.step``
-does this after applying the update).
+adjoints are *added* into the leaves' ``.grad``, so gradients accumulate
+across calls and must be zeroed explicitly (``SgdOptimizer.step`` does this
+after applying the update).
 
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
@@ -34,16 +36,16 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 class Value:
-    """Node in the differentiation graph: data, grad (or None), and producing op."""
+    """Node in the differentiation graph: data, grad (or None), parents and
+    the backward function of the op that produced it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "op", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = np.zeros_like(self.data) if requires_grad else None
         self.parents: tuple[Value, ...] = ()
-        self.op: str | None = None
         self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
 
     @property
@@ -53,40 +55,32 @@ class Value:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Value(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
-
 
 def as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Value, ...], backward_fn) -> Value:
+def _make(data: np.ndarray, parents: tuple[Value, ...], backward_fn) -> Value:
     """Wrap an op result, recording the graph edge only when grads can flow."""
     out = Value(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = parents
-        out.op = op
         out._backward_fn = backward_fn
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum an upstream gradient down to the shape it was broadcast from."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def _check_same_shape(kind: str, a: Value, b: Value) -> None:
+    """Reject operands that do not broadcast, and a grad-requiring operand
+    that would be broadcast (its adjoint would need summing down)."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        shape = np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ValueError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from None
+    for v in (a, b):
+        if v.requires_grad and v.shape != shape:
+            raise ValueError(f"{kind}: operand of shape {v.shape} requires grad "
+                             f"and would be broadcast to {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +92,10 @@ def add(a: Value, b: Value) -> Value:
     data = a.data + b.data
 
     def backward_fn(adj):
-        return (_unbroadcast(adj, a.shape) if a.requires_grad else None,
-                _unbroadcast(adj, b.shape) if b.requires_grad else None)
+        return (adj if a.requires_grad else None,
+                adj if b.requires_grad else None)
 
-    return _make(data, "add", (a, b), backward_fn)
+    return _make(data, (a, b), backward_fn)
 
 
 def sub(a: Value, b: Value) -> Value:
@@ -109,10 +103,10 @@ def sub(a: Value, b: Value) -> Value:
     data = a.data - b.data
 
     def backward_fn(adj):
-        return (_unbroadcast(adj, a.shape) if a.requires_grad else None,
-                _unbroadcast(-adj, b.shape) if b.requires_grad else None)
+        return (adj if a.requires_grad else None,
+                -adj if b.requires_grad else None)
 
-    return _make(data, "sub", (a, b), backward_fn)
+    return _make(data, (a, b), backward_fn)
 
 
 def mul(a: Value, b: Value) -> Value:
@@ -120,10 +114,10 @@ def mul(a: Value, b: Value) -> Value:
     data = a.data * b.data
 
     def backward_fn(adj):
-        return (_unbroadcast(adj * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(adj * a.data, b.shape) if b.requires_grad else None)
+        return (adj * b.data if a.requires_grad else None,
+                adj * a.data if b.requires_grad else None)
 
-    return _make(data, "mul", (a, b), backward_fn)
+    return _make(data, (a, b), backward_fn)
 
 
 def div(a: Value, b: Value) -> Value:
@@ -131,19 +125,17 @@ def div(a: Value, b: Value) -> Value:
     data = a.data / b.data
 
     def backward_fn(adj):
-        ga = _unbroadcast(adj / b.data, a.shape) if a.requires_grad else None
-        gb = (_unbroadcast(-adj * a.data / (b.data * b.data), b.shape)
-              if b.requires_grad else None)
-        return ga, gb
+        return (adj / b.data if a.requires_grad else None,
+                -adj * a.data / (b.data * b.data) if b.requires_grad else None)
 
-    return _make(data, "div", (a, b), backward_fn)
+    return _make(data, (a, b), backward_fn)
 
 
 def neg(a: Value) -> Value:
     def backward_fn(adj):
         return (-adj,)
 
-    return _make(-a.data, "neg", (a,), backward_fn)
+    return _make(-a.data, (a,), backward_fn)
 
 
 def scale(a: Value, factor: float) -> Value:
@@ -153,7 +145,7 @@ def scale(a: Value, factor: float) -> Value:
     def backward_fn(adj):
         return (adj * factor,)
 
-    return _make(a.data * factor, "scale", (a,), backward_fn)
+    return _make(a.data * factor, (a,), backward_fn)
 
 
 def linear(x: Value, w: Value, b: Value) -> Value:
@@ -173,7 +165,7 @@ def linear(x: Value, w: Value, b: Value) -> Value:
                 x.data.T @ adj if w.requires_grad else None,
                 adj.sum(axis=0) if b.requires_grad else None)
 
-    return _make(data, "linear", (x, w, b), backward_fn)
+    return _make(data, (x, w, b), backward_fn)
 
 
 def relu(a: Value) -> Value:
@@ -184,7 +176,7 @@ def relu(a: Value) -> Value:
     def backward_fn(adj):
         return (adj * (a.data > 0),)
 
-    return _make(data, "relu", (a,), backward_fn)
+    return _make(data, (a,), backward_fn)
 
 
 def log_softmax(a: Value) -> Value:
@@ -197,7 +189,7 @@ def log_softmax(a: Value) -> Value:
     def backward_fn(adj):
         return (adj - soft * adj.sum(axis=-1, keepdims=True),)
 
-    return _make(data, "log_softmax", (a,), backward_fn)
+    return _make(data, (a,), backward_fn)
 
 
 def softmax(a: Value) -> Value:
@@ -209,7 +201,7 @@ def softmax(a: Value) -> Value:
     def backward_fn(adj):
         return (data * (adj - (adj * data).sum(axis=-1, keepdims=True)),)
 
-    return _make(data, "softmax", (a,), backward_fn)
+    return _make(data, (a,), backward_fn)
 
 
 def mse(a: Value, b: Value) -> Value:
@@ -223,7 +215,7 @@ def mse(a: Value, b: Value) -> Value:
         g = (2.0 / n) * diff * adj
         return g if a.requires_grad else None, -g if b.requires_grad else None
 
-    return _make(data, "mse", (a, b), backward_fn)
+    return _make(data, (a, b), backward_fn)
 
 
 def vsum(a: Value) -> Value:
@@ -232,7 +224,7 @@ def vsum(a: Value) -> Value:
     def backward_fn(adj):
         return (np.full_like(a.data, float(adj)),)
 
-    return _make(np.asarray(a.data.sum()), "sum", (a,), backward_fn)
+    return _make(np.asarray(a.data.sum()), (a,), backward_fn)
 
 
 def vmean(a: Value) -> Value:
@@ -242,36 +234,36 @@ def vmean(a: Value) -> Value:
     def backward_fn(adj):
         return (np.full_like(a.data, float(adj) / n),)
 
-    return _make(np.asarray(a.data.mean()), "mean", (a,), backward_fn)
+    return _make(np.asarray(a.data.mean()), (a,), backward_fn)
 
 
 def l2_norm(a: Value) -> Value:
-    """Row-wise Euclidean norm for 2-D input, full norm for 1-D."""
-    axis = -1 if a.data.ndim else None
-    data = np.sqrt((a.data * a.data).sum(axis=axis))
+    """Row-wise Euclidean norm: (B, D) -> (B,)."""
+    if a.data.ndim != 2:
+        raise ValueError(f"l2_norm: expected 2-D input, got {a.shape}")
+    data = np.sqrt((a.data * a.data).sum(axis=-1))
 
     def backward_fn(adj):
         # undefined at exactly zero; callers guard (cosine losses reject
         # zero-norm embeddings before dividing)
         denom = np.where(data == 0, 1.0, data)
-        return (a.data * (adj / denom)[..., None] if a.data.ndim > 1
-                else a.data * (adj / denom),)
+        return (a.data * (adj / denom)[..., None],)
 
-    return _make(np.asarray(data), "l2_norm", (a,), backward_fn)
+    return _make(data, (a,), backward_fn)
 
 
 def dot(a: Value, b: Value) -> Value:
-    """Row-wise dot product: (B,D)x(B,D)->(B,), (D,)x(D,)->scalar."""
-    if a.shape != b.shape:
-        raise ValueError(f"dot: shapes differ {a.shape} vs {b.shape}")
+    """Row-wise dot product: (B, D) x (B, D) -> (B,)."""
+    if a.data.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"dot: expected two 2-D inputs of one shape, got {a.shape} and {b.shape}")
     data = (a.data * b.data).sum(axis=-1)
 
     def backward_fn(adj):
-        adj_e = np.asarray(adj)[..., None] if a.data.ndim > 1 else adj
+        adj_e = adj[..., None]
         return (adj_e * b.data if a.requires_grad else None,
                 adj_e * a.data if b.requires_grad else None)
 
-    return _make(np.asarray(data), "dot", (a, b), backward_fn)
+    return _make(data, (a, b), backward_fn)
 
 
 def gather_rows(a: Value, index: np.ndarray) -> Value:
@@ -287,14 +279,7 @@ def gather_rows(a: Value, index: np.ndarray) -> Value:
         np.add.at(g, (rows, index), adj)
         return (g,)
 
-    return _make(data, "gather_rows", (a,), backward_fn)
-
-
-def max_rows(a: Value) -> Value:
-    """Row-wise maximum; subgradient goes to the lowest-index argmax."""
-    if a.data.ndim != 2:
-        raise ValueError(f"max_rows: expected 2-D input, got {a.shape}")
-    return gather_rows(a, np.argmax(a.data, axis=1))
+    return _make(data, (a,), backward_fn)
 
 
 def detach(a: Value) -> Value:
@@ -307,14 +292,16 @@ def detach(a: Value) -> Value:
 # ---------------------------------------------------------------------------
 
 def backward(root: Value) -> None:
-    """Accumulate d(root)/d(leaf) into .grad of every grad-requiring leaf and
-    of the root.
+    """Accumulate d(root)/d(leaf) into .grad of every grad-requiring leaf.
 
     Adjoints are computed fresh per call and then added, so running backward
-    twice without zeroing doubles every gradient exactly.
+    twice without zeroing doubles every gradient exactly. Raises ValueError
+    for a root that is not scalar-shaped or requires no grad.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar-shaped, got {root.shape}")
+    if not root.requires_grad:
+        raise ValueError("backward: root requires no grad, so there is nothing to differentiate")
 
     # constants are never queued: they hold no grad and pass none on
     topo: list[Value] = []
@@ -340,11 +327,8 @@ def backward(root: Value) -> None:
     for node in reversed(topo):
         adj = adjoint.pop(id(node))
         fn = node._backward_fn
-        if fn is None or node is root:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += adj.reshape(node.data.shape)
-        if fn is None:
+        if fn is None:  # a leaf
+            node.grad += adj
             continue
         for parent, contribution in zip(node.parents, fn(adj)):
             if contribution is None or not parent.requires_grad:
@@ -381,7 +365,7 @@ class SgdOptimizer:
     """
 
     def __init__(self, params: Iterable[Value], learning_rate: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
+                 momentum: float, weight_decay: float):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)

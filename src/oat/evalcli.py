@@ -4,7 +4,7 @@ Subcommands:
   corrupt  -- apply label noise / imbalance to a dataset directory
   train    -- run a training method and persist a run directory
   eval     -- clean/robust accuracy of a saved checkpoint
-  report   -- aggregate a run (or corruption) directory to csv/json
+  report   -- aggregate a run (or corruption) directory to JSON
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. The metrics come from
 ``oat.evaluation``, the same code the training loop uses.
@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. The metrics come from
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .adversary import AttackSpec
 from .corruption import CorruptionSpec, corrupt
-from .dataio import load_dataset, save_dataset
+from .dataio import load_dataset, replaced_together, save_dataset
 from .evaluation import evaluate
 from .models import load_model
 from .trainer import TrainConfig, train
@@ -66,7 +65,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="aggregate a run or corruption directory")
     p.add_argument("--run", required=True)
-    p.add_argument("--emit", choices=["csv", "json"], default="json")
     return parser
 
 
@@ -99,9 +97,13 @@ def _cmd_corrupt(args) -> int:
     spec = CorruptionSpec(noise_type=args.noise, target_nr=args.nr, target_ir=args.ir,
                           asym_pairs=args.pairs, seed=args.seed)
     out, provenance = corrupt(ds, spec)
-    save_dataset(out, args.output)
-    (Path(args.output) / "corruption.json").write_text(
-        json.dumps(provenance, indent=2) + "\n")
+    output = Path(args.output)
+    output.mkdir(parents=True, exist_ok=True)
+    # the provenance is renamed into place only after the dataset is saved,
+    # so a failed write of either leaves a previous output directory as it was
+    with replaced_together(output, ("corruption.json",)) as temps:
+        temps["corruption.json"].write_text(json.dumps(provenance, indent=2) + "\n")
+        save_dataset(out, output)
     print(json.dumps(provenance))
     return 0
 
@@ -145,7 +147,9 @@ def _cmd_eval(args) -> int:
     record = evaluate(model, test, attacks, seed=args.seed)
     payload = json.dumps(record.to_dict(), indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
+        out = Path(args.out)
+        with replaced_together(out.parent, (out.name,)) as temps:
+            temps[out.name].write_text(payload)
     print(payload, end="")
     return 0
 
@@ -201,19 +205,7 @@ def _cmd_report(args) -> int:
     if not report:
         raise FileNotFoundError(f"nothing to report under {run}")
 
-    if args.emit == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        writer = csv.writer(sys.stdout)
-        if "provenance" in report:
-            prov = report["provenance"]
-            writer.writerow(sorted(prov))
-            writer.writerow([prov[k] for k in sorted(prov)])
-        if epochs:
-            fields = sorted({k for row in epochs for k in row})
-            writer.writerow(fields)
-            for row in epochs:
-                writer.writerow([row.get(k, "") for k in fields])
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -234,3 +226,7 @@ def cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -125,7 +125,7 @@ def project_predict(params: ModelParams, feats: Value, use_predictor: bool) -> V
     """Projector output, optionally pushed through the predictor as well."""
     if params.projector is None:
         raise ValueError(f"{params.role} params have no projector")
-    out = _mlp2(ad.as_value(feats), params.projector)
+    out = _mlp2(feats, params.projector)
     if use_predictor:
         if params.predictor is None:
             raise ValueError(f"{params.role} params have no predictor")

@@ -9,7 +9,9 @@ labels (``prior_counts``), of the oracle's predictions (``estimated_counts``)
 and of the ground truth (``gt_counts``, null when the data has none). "Best"
 is the epoch with the highest PGD robust accuracy on the test set; best/ is
 rewritten as soon as an epoch improves on it, so a run that aborts keeps the
-best checkpoint of the epochs it finished.
+best checkpoint of the epochs it finished. A run into a directory that holds
+an earlier run deletes that run's summary.json, best/ and last/ before its
+first epoch, so the directory never mixes two runs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import shutil
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -154,7 +157,7 @@ def estimate_label_distribution(oracle: ModelParams, ds: LabeledDataset) -> Clas
 
 def adjust_logits(logits: Value, dist: ClassCounts) -> Value:
     """Add the log class-count prior to every row of the logits."""
-    return ad.add(ad.as_value(logits), Value(np.log(dist.smoothed)))
+    return ad.add(logits, Value(np.log(dist.smoothed)))
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -232,6 +235,10 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.json").unlink(missing_ok=True)
+    for checkpoint in (out_dir / "best", out_dir / "last"):
+        if checkpoint.exists():
+            shutil.rmtree(checkpoint)
     metrics_path = out_dir / "metrics.jsonl"
     metrics_path.write_text("")
     with replaced_together(out_dir, ("config.json",)) as temps:

@@ -113,6 +113,11 @@ def tiny_dataset(n_per_class: int = 6, num_classes: int = 3, dim: int = 4,
                           ids=np.arange(len(labels), dtype=np.int64))
 
 
+def dir_bytes(path) -> dict[str, bytes]:
+    """Each file of directory ``path`` by name: equal dicts mean nothing changed."""
+    return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
+
+
 def reference_save_dataset(ds: LabeledDataset, path) -> None:
     """Row-by-row csv.writer + repr writer of the dataset directory format:
     the bytes save_dataset must reproduce."""

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import reference_save_dataset
+from helpers import dir_bytes, reference_save_dataset
 from oat import dataio
 from oat.dataio import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledDataset,
                         SyntheticSpec, class_means, gen_synthetic, load_dataset,
@@ -192,16 +192,12 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _dir_bytes(path):
-    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
-
-
 def test_save_dataset_golden_bytes(tmp_path):
     ds = LabeledDataset(samples=np.array([[0.0, -0.0, 1.0], [1e-05, 5e-324, 0.5]]),
                         observed_labels=np.array([1, 0]), gt_labels=np.array([0, 0]),
                         num_classes=2, ids=np.array([-3, 7]))
     save_dataset(ds, tmp_path / "ds")
-    assert _dir_bytes(tmp_path / "ds") == {
+    assert dir_bytes(tmp_path / "ds") == {
         "labels.csv": b"id,observed_label,gt_label\r\n-3,1,0\r\n7,0,0\r\n",
         "meta.json": b'{\n  "version": 1,\n  "num_classes": 2,\n  "dim": 3,\n'
                      b'  "count": 2,\n  "has_gt": true\n}\n',
@@ -229,7 +225,7 @@ def test_save_dataset_matches_reference_writer(tmp_path, layout):
     ds = _mixed_dataset(layout)
     save_dataset(ds, tmp_path / "new")
     reference_save_dataset(ds, tmp_path / "ref")
-    assert _dir_bytes(tmp_path / "new") == _dir_bytes(tmp_path / "ref")
+    assert dir_bytes(tmp_path / "new") == dir_bytes(tmp_path / "ref")
     back = load_dataset(tmp_path / "new")
     assert _same_bits(back.samples, ds.samples)
     assert np.array_equal(back.ids, ds.ids)
@@ -255,7 +251,7 @@ def test_failed_save_leaves_previous_dataset(tmp_path, monkeypatch):
     path = tmp_path / "ds"
     old = _mixed_dataset("C")
     save_dataset(old, path)
-    before = _dir_bytes(path)
+    before = dir_bytes(path)
     blocks = []
     format_block = dataio._format_block
 
@@ -271,5 +267,5 @@ def test_failed_save_leaves_previous_dataset(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="disk gone"):
         save_dataset(new, path)
     assert blocks == [256, 144]
-    assert _dir_bytes(path) == before  # no temp file left either
+    assert dir_bytes(path) == before  # no temp file left either
     assert _same_bits(load_dataset(path).samples, old.samples)

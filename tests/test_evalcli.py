@@ -1,19 +1,26 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oat
+from oat import dataio
 from oat.adversary import AttackSpec
 from oat.corruption import ClassCounts
 from oat.dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
                         save_dataset)
-from oat.evalcli import cli
+from oat.evalcli import _build_parser, cli
 from oat.evaluation import (BATCH_SIZE, MetricsRecord, accuracy, distribution_error,
                             evaluate, robust_accuracy)
 from oat.models import AT_MODEL, init_model, load_model, save_model
 from oat.rng import SplitMix64
 
-from helpers import TINY_ARCH, leaves_model_untouched, tiny_dataset
+from helpers import TINY_ARCH, dir_bytes, leaves_model_untouched, tiny_dataset
 
 
 def _separable_model_and_data():
@@ -130,6 +137,7 @@ def _make_dataset_dir(tmp_path, name, per_class=30, seed=0):
 def test_cli_usage_errors_exit_1(capsys):
     assert cli(["corrupt", "--bogus"]) == 1
     assert cli(["nonsense"]) == 1
+    assert cli(["report", "--run", "runs/demo", "--emit", "json"]) == 1  # JSON only
 
 
 def test_cli_train_unknown_config_key_exits_1(tmp_path, capsys):
@@ -204,7 +212,7 @@ def test_cli_corrupt_then_report_provenance(tmp_path, capsys):
                 "--output", str(out)])
     assert code == 0
     capsys.readouterr()
-    assert cli(["report", "--run", str(out), "--emit", "json"]) == 0
+    assert cli(["report", "--run", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["provenance"]["realized_nr"] == 0.4
     loaded = load_dataset(out)
@@ -253,7 +261,7 @@ def test_cli_full_chain(tmp_path, capsys):
     metrics = json.loads(out_file.read_text())
     assert 0.0 <= metrics["robust_accuracy"]["pgd20"] <= metrics["clean_accuracy"]
 
-    assert cli(["report", "--run", str(run), "--emit", "json"]) == 0
+    assert cli(["report", "--run", str(run)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["epochs"]) == 2
     assert report["distribution"]["epoch"] == 1
@@ -277,7 +285,7 @@ def test_cli_report_distribution_comes_from_the_last_non_error_record(tmp_path, 
     records = [_oat_record(0, [5, 4, 1], None), _oat_record(1, [4, 4, 2], None),
                {"epoch": 2, "error": "non-finite oracle loss"}]
     (run / "metrics.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
-    assert cli(["report", "--run", str(run), "--emit", "json"]) == 0
+    assert cli(["report", "--run", str(run)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["epochs"][-1] == {"epoch": 2, "error": "non-finite oracle loss"}
     assert report["distribution"] == {
@@ -294,7 +302,7 @@ def test_cli_report_pgd_at_run_has_no_distribution(tmp_path, capsys):
     run.mkdir()
     record = {"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25}}
     (run / "metrics.jsonl").write_text(json.dumps(record) + "\n")
-    assert cli(["report", "--run", str(run), "--emit", "json"]) == 0
+    assert cli(["report", "--run", str(run)]) == 0
     assert "distribution" not in json.loads(capsys.readouterr().out)
 
 
@@ -332,3 +340,78 @@ def test_cli_train_determinism(tmp_path, capsys):
                     "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "r1" / "metrics.jsonl").read_text() == \
         (tmp_path / "r2" / "metrics.jsonl").read_text()
+
+
+def _fail_writing(monkeypatch, name):
+    """Make Path.write_text to any file whose name holds ``name`` write half
+    of its text and then fail."""
+    write_text = Path.write_text
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        if name not in self.name:
+            return write_text(self, data, *args, **kwargs)
+        write_text(self, data[:len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+
+
+@pytest.mark.parametrize("fail_in", ["corruption.json", "dataset"])
+def test_failed_corrupt_leaves_previous_output(tmp_path, monkeypatch, capsys, fail_in):
+    data = _make_dataset_dir(tmp_path, "clean", per_class=100)
+    out = tmp_path / "noisy"
+    argv = ["corrupt", "--input", str(data), "--noise", "symmetric", "--nr", "0.2",
+            "--output", str(out)]
+    assert cli(argv + ["--seed", "1"]) == 0
+    before = dir_bytes(out)
+    if fail_in == "corruption.json":
+        _fail_writing(monkeypatch, "corruption.json")
+    else:
+        def fail(ids, block):
+            raise OSError("disk full")
+        monkeypatch.setattr(dataio, "_format_block", fail)
+    capsys.readouterr()
+    assert cli(argv + ["--seed", "2"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert dir_bytes(out) == before  # no temp file left either
+
+
+def test_failed_eval_out_leaves_previous_file(tmp_path, monkeypatch, capsys):
+    model, ds = _separable_model_and_data()
+    save_model(model, tmp_path / "ckpt")
+    save_dataset(ds, tmp_path / "data")
+    out_file = tmp_path / "metrics.json"
+    out_file.write_text("previous\n")
+    _fail_writing(monkeypatch, "metrics.json")
+    assert cli(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"),
+                "--attack", "none", "--out", str(out_file)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "data", "metrics.json"]
+    assert out_file.read_bytes() == b"previous\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    record = {"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25}}
+    (run / "metrics.jsonl").write_text(json.dumps(record) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(oat.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "oat.evalcli",
+                           "report", "--run", str(run)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["epochs"][0]["robust_pgd20"] == 0.25
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in commands if line.startswith("oat ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["corrupt", "train", "eval", "report"]
+    for argv in commands:
+        _build_parser().parse_args(argv)  # a usage error exits 1

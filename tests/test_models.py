@@ -99,7 +99,9 @@ def test_detached_passes_no_gradient():
     heads = detached(oracle)
     feats = forward_features(oracle, np.full((2, 5), 0.2))
     out = project_predict(heads, ad.detach(feats), use_predictor=True)
-    ad.backward(ad.vmean(out))
+    assert not out.requires_grad and out.parents == ()  # no edge back to the oracle
+    with pytest.raises(ValueError, match="requires no grad"):
+        ad.backward(ad.vmean(out))
     assert all(np.all(p.grad == 0) for p in oracle.parameters())
     # buffers are shared, not copied
     assert heads.projector[0][0].data is oracle.projector[0][0].data

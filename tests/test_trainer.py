@@ -274,6 +274,24 @@ def test_run_directory_holds_exactly_the_run_files(tmp_path, method):
     assert all(count_keys & set(r) == expected for r in records)
 
 
+def test_rerun_into_a_run_directory_keeps_nothing_of_the_earlier_run(tmp_path):
+    train_ds, test_ds = _small_data(seed=1)
+    run = tmp_path / "run"
+    train(_fast_config(method="pgd_at", epochs=2, lr_decay_epochs=()), train_ds, test_ds, run)
+    first_best = (run / "best" / "params.bin").read_bytes()
+    config = _fast_config(method="pgd_at", epochs=2, lr_decay_epochs=(), lr=1e300,
+                          batch_size=len(train_ds))
+    with pytest.raises(RuntimeError, match="aborted"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(config, train_ds, test_ds, run)
+    # epoch 0 finished and wrote best/; epoch 1 aborted before last/ and summary.json
+    assert sorted(p.name for p in run.iterdir()) == ["best", "config.json", "metrics.jsonl"]
+    assert (run / "best" / "params.bin").read_bytes() != first_best
+    assert json.loads((run / "config.json").read_text())["lr"] == 1e300
+    records = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
+    assert [r["epoch"] for r in records] == [0, 1] and "error" in records[1]
+
+
 def test_oat_records_without_ground_truth_hold_null_gt_counts(tmp_path):
     train_ds, test_ds = _small_data(seed=2)
     train_ds = dataclasses.replace(train_ds, gt_labels=None)
