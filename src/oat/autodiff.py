@@ -18,6 +18,11 @@ adjoints are *added* into the leaves' ``.grad``, so gradients accumulate
 across calls and must be zeroed explicitly (``SgdOptimizer.step`` does this
 after applying the update).
 
+Two composites are single nodes that compute their own backward: ``linear``
+(``x @ w + b``) and ``batch_cosine`` (the row cosine of the contrastive and
+feature-alignment losses). Each is bitwise equal to the plain numpy
+arithmetic its docstring spells out.
+
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
 
@@ -116,17 +121,6 @@ def mul(a: Value, b: Value) -> Value:
     def backward_fn(adj):
         return (adj * b.data if a.requires_grad else None,
                 adj * a.data if b.requires_grad else None)
-
-    return _make(data, (a, b), backward_fn)
-
-
-def div(a: Value, b: Value) -> Value:
-    _check_same_shape("div", a, b)
-    data = a.data / b.data
-
-    def backward_fn(adj):
-        return (adj / b.data if a.requires_grad else None,
-                -adj * a.data / (b.data * b.data) if b.requires_grad else None)
 
     return _make(data, (a, b), backward_fn)
 
@@ -237,35 +231,6 @@ def vmean(a: Value) -> Value:
     return _make(np.asarray(a.data.mean()), (a,), backward_fn)
 
 
-def l2_norm(a: Value) -> Value:
-    """Row-wise Euclidean norm: (B, D) -> (B,)."""
-    if a.data.ndim != 2:
-        raise ValueError(f"l2_norm: expected 2-D input, got {a.shape}")
-    data = np.sqrt((a.data * a.data).sum(axis=-1))
-
-    def backward_fn(adj):
-        # undefined at exactly zero; callers guard (cosine losses reject
-        # zero-norm embeddings before dividing)
-        denom = np.where(data == 0, 1.0, data)
-        return (a.data * (adj / denom)[..., None],)
-
-    return _make(data, (a,), backward_fn)
-
-
-def dot(a: Value, b: Value) -> Value:
-    """Row-wise dot product: (B, D) x (B, D) -> (B,)."""
-    if a.data.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"dot: expected two 2-D inputs of one shape, got {a.shape} and {b.shape}")
-    data = (a.data * b.data).sum(axis=-1)
-
-    def backward_fn(adj):
-        adj_e = adj[..., None]
-        return (adj_e * b.data if a.requires_grad else None,
-                adj_e * a.data if b.requires_grad else None)
-
-    return _make(data, (a, b), backward_fn)
-
-
 def gather_rows(a: Value, index: np.ndarray) -> Value:
     """out[i] = a[i, index[i]]; used for picking per-row class entries."""
     index = np.asarray(index, dtype=np.int64)
@@ -347,11 +312,30 @@ def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
 
 
 def batch_cosine(a: Value, b: Value) -> Value:
-    """Row-wise cosine similarity; rejects zero-norm rows (collapse signal)."""
-    na, nb = l2_norm(a), l2_norm(b)
-    if np.any(na.data == 0) or np.any(nb.data == 0):
+    """Row-wise cosine ``d / (na * nb)`` of two (B, D) batches -> (B,), from
+    the row dot ``d`` and row norms ``na``, ``nb``; rejects zero-norm rows
+    (collapse signal). With ``den = na * nb``, ``g_d = adj / den`` and
+    ``g_den = -adj * d / (den * den)``, backward gives ``a`` the dot term
+    ``g_d * b`` plus the norm term ``a * (g_den * nb / na)``, and ``b`` the
+    mirror.
+    """
+    if a.data.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"batch_cosine: expected two 2-D inputs of one shape, "
+                         f"got {a.shape} and {b.shape}")
+    na = np.sqrt((a.data * a.data).sum(axis=-1))
+    nb = np.sqrt((b.data * b.data).sum(axis=-1))
+    if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("batch_cosine: zero-norm embedding")
-    return div(dot(a, b), mul(na, nb))
+    d = (a.data * b.data).sum(axis=-1)
+    den = na * nb
+
+    def backward_fn(adj):
+        g_d = (adj / den)[:, None]
+        g_den = -adj * d / (den * den)
+        return (g_d * b.data + a.data * (g_den * nb / na)[:, None] if a.requires_grad else None,
+                g_d * a.data + b.data * (g_den * na / nb)[:, None] if b.requires_grad else None)
+
+    return _make(d / den, (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ is the epoch with the highest PGD robust accuracy on the test set; best/ is
 rewritten as soon as an epoch improves on it, so a run that aborts keeps the
 best checkpoint of the epochs it finished. A run into a directory that holds
 an earlier run deletes that run's summary.json, best/ and last/ before its
-first epoch, so the directory never mixes two runs.
+first epoch, so the directory never mixes two runs; a directory that holds
+anything else is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -65,12 +66,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in ("oat", "pgd_at"):
             raise ValueError(f"unknown method {self.method!r}")
-        for key in ("epochs", "batch_size", "k", "eval_steps"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"config key {key!r} must be at least 1, "
-                                 f"got {getattr(self, key)!r}")
-        if not 0.0 < self.theta_r <= 1.0:
-            raise ValueError(f"config key 'theta_r' must lie in (0, 1], got {self.theta_r!r}")
+
+        def require(key: str, ok, what: str) -> None:
+            if not ok(getattr(self, key)):
+                raise ValueError(f"config key {key!r} must {what}, got {getattr(self, key)!r}")
+
+        for key in ("epochs", "batch_size", "k", "eval_steps", "feature_dim"):
+            require(key, lambda v: v >= 1, "be at least 1")
+        if any(width < 1 for width in self.encoder_widths):
+            raise ValueError(f"config key 'encoder_widths' must all be at least 1, "
+                             f"got {list(self.encoder_widths)}")
+        require("lr", lambda v: v > 0.0, "be positive")
+        require("weight_decay", lambda v: v >= 0.0, "be nonnegative")
+        require("momentum", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+        for key in ("theta_r", "lr_decay_factor"):
+            require(key, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
         if any(e >= self.epochs for e in self.lr_decay_epochs):
             raise ValueError(f"lr_decay_epochs={list(self.lr_decay_epochs)} must all be "
                              f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")
@@ -226,14 +236,26 @@ def _append_jsonl(path: Path, record: dict) -> None:
         f.write(json.dumps(record) + "\n")
 
 
+RUN_ENTRIES = ("best", "config.json", "last", "metrics.jsonl", "summary.json")
+
+
 def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
           out_dir: str | Path) -> RunState:
-    """Run the configured method and persist metrics plus best/last checkpoints."""
+    """Run the configured method and persist metrics plus best/last checkpoints.
+
+    Raises FileExistsError, before writing anything, naming an entry of
+    ``out_dir`` that is not one of ``RUN_ENTRIES``.
+    """
     if ds.dim != test.dim or ds.num_classes != test.num_classes:
         raise ValueError("train and test datasets must share dim and num_classes")
     check_test_set(test)
 
     out_dir = Path(out_dir)
+    if out_dir.is_dir():
+        foreign = sorted(p.name for p in out_dir.iterdir() if p.name not in RUN_ENTRIES)
+        if foreign:
+            raise FileExistsError(f"{out_dir} holds {foreign[0]!r}, which is not part of a "
+                                  f"run; train into an empty directory or an earlier run's")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").unlink(missing_ok=True)
     for checkpoint in (out_dir / "best", out_dir / "last"):

@@ -114,8 +114,11 @@ def tiny_dataset(n_per_class: int = 6, num_classes: int = 3, dim: int = 4,
 
 
 def dir_bytes(path) -> dict[str, bytes]:
-    """Each file of directory ``path`` by name: equal dicts mean nothing changed."""
-    return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
+    """Each file under directory ``path`` by relative path: equal dicts mean
+    nothing changed."""
+    path = Path(path)
+    return {str(p.relative_to(path)): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
 
 
 def reference_save_dataset(ds: LabeledDataset, path) -> None:

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oat
 from oat import autodiff as ad
 from oat.adversary import cw_margin_loss
 from oat.autodiff import SgdOptimizer, Value, backward, detach, sgd_pass
@@ -37,7 +41,7 @@ def test_shape_mismatch_names_kind():
         ad.linear(Value(np.zeros((2, 3))), Value(np.zeros((3, 4))), Value(np.zeros(3)))
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
 def test_only_a_constant_operand_may_broadcast(op):
     rows = Value(np.ones((2, 3)), requires_grad=True)
     prior = np.array([1.0, 2.0, 4.0])
@@ -58,14 +62,14 @@ def test_backward_rejects_a_root_that_requires_no_grad():
         backward(ad.vsum(frozen))
 
 
-def test_l2_norm_and_dot_take_2d_rows_only():
+def test_batch_cosine_takes_2d_rows_of_one_shape():
     for bad in (np.ones(3), np.ones((1, 2, 3))):
-        with pytest.raises(ValueError, match="l2_norm"):
-            ad.l2_norm(Value(bad))
-        with pytest.raises(ValueError, match="dot"):
-            ad.dot(Value(bad), Value(bad))
-    with pytest.raises(ValueError, match="dot"):
-        ad.dot(Value(np.ones((2, 3))), Value(np.ones((2, 4))))
+        with pytest.raises(ValueError, match="batch_cosine: expected two 2-D inputs"):
+            ad.batch_cosine(Value(bad), Value(bad))
+    with pytest.raises(ValueError, match="batch_cosine: expected two 2-D inputs"):
+        ad.batch_cosine(Value(np.ones((2, 3))), Value(np.ones((2, 4))))
+    with pytest.raises(ValueError, match="batch_cosine: expected two 2-D inputs"):
+        ad.batch_cosine(Value(np.ones((2, 3))), Value(np.ones((3, 3))))
 
 
 def test_backward_relu_subgradient():
@@ -164,6 +168,21 @@ def test_detach_byol_style_one_sided_gradient():
 def test_batch_cosine_rejects_zero_norm():
     with pytest.raises(ValueError, match="zero-norm"):
         ad.batch_cosine(Value([[0.0, 0.0]]), Value([[1.0, 0.0]]))
+
+
+def test_batch_cosine_gradients_match_finite_differences():
+    # both operands require grad; a non-uniform probe weights each row's cosine
+    for seed in range(5):
+        rng = SplitMix64(seed).fork("cosine")
+        a = Value(rng.uniform_range(4 * 6, -1.0, 1.0).reshape(4, 6), requires_grad=True)
+        b = Value(rng.uniform_range(4 * 6, -1.0, 1.0).reshape(4, 6), requires_grad=True)
+        probe = Value(rng.uniform_range(4, -1.0, 1.0))
+
+        def loss():
+            return ad.vsum(ad.mul(ad.batch_cosine(a, b), probe))
+
+        err = fd_max_rel_error(loss, [a, b], coords_per_tensor=24)
+        assert err < 1e-6, f"seed {seed}: max rel error {err}"
 
 
 def test_gather_rows_and_cw_margin_max_subgradient():
@@ -338,3 +357,39 @@ def test_linear_detached_weight_gets_no_grad():
     assert np.array_equal(w.grad, np.zeros((4, 3)))
     assert np.array_equal(x.grad, probe @ w.data.T)
     assert np.array_equal(b.grad, probe.sum(axis=0))
+
+
+def _names_called(tree: ast.Module) -> set[str]:
+    """Names of ``oat.autodiff`` a module calls, as ``alias.name(...)`` or as
+    ``name(...)`` after ``from .autodiff import name``."""
+    aliases, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "autodiff":
+                imported |= {a.asname or a.name for a in node.names}
+            elif node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in aliases:
+            called.add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in imported:
+            called.add(f.id)
+    return called
+
+
+def test_every_public_engine_name_is_called_from_another_module():
+    package = Path(oat.__file__).parent
+    engine = ast.parse((package / "autodiff.py").read_text())
+    public = {node.name for node in engine.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    called = set()
+    for path in package.glob("*.py"):
+        if path.name != "autodiff.py":
+            called |= _names_called(ast.parse(path.read_text()))
+    assert sorted(public - called) == []

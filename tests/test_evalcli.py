@@ -325,6 +325,19 @@ def test_cli_eval_attack_none(tmp_path, capsys):
     assert metrics["clean_accuracy"] >= 0.0
 
 
+def test_cli_train_refuses_a_directory_holding_another_file_exits_2(tmp_path, capsys):
+    data = _make_dataset_dir(tmp_path, "foreign", per_class=4, seed=3)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "eval.json").write_text("{}")
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps({"epochs": 1, "lr_decay_epochs": []}))
+    assert cli(["train", "--config", str(config_file), "--data", str(data),
+                "--test", str(data), "--out", str(run)]) == 2
+    assert "holds 'eval.json'" in capsys.readouterr().err
+    assert [p.name for p in run.iterdir()] == ["eval.json"]
+
+
 def test_cli_train_determinism(tmp_path, capsys):
     data = _make_dataset_dir(tmp_path, "det", per_class=12, seed=4)
     config = {"epochs": 2, "batch_size": 16, "lr": 0.01, "seed": 5,

@@ -21,7 +21,7 @@ from oat.rng import SplitMix64
 from oat.trainer import (TrainConfig, adjust_logits, at_model_loss,
                          estimate_label_distribution, lr_at_epoch, soft_label_loss, train)
 
-from helpers import TINY_ARCH, tiny_dataset
+from helpers import TINY_ARCH, dir_bytes, tiny_dataset
 
 
 def _fast_config(**overrides):
@@ -178,6 +178,18 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
     ({"method": "pgd_at", "attack": {"epsilon": 0.1, "alpha": 0.02, "steps": 7,
                                      "adjustment": [1.0, 1.0]}},
      "unknown attack key(s): adjustment"),
+    ({"lr": -0.05}, "config key 'lr' must be positive, got -0.05"),
+    ({"lr": 0}, "config key 'lr' must be positive, got 0"),
+    ({"momentum": -1}, "config key 'momentum' must lie in [0, 1), got -1"),
+    ({"momentum": 1.0}, "config key 'momentum' must lie in [0, 1), got 1.0"),
+    ({"weight_decay": -1}, "config key 'weight_decay' must be nonnegative, got -1"),
+    ({"lr_decay_factor": -1}, "config key 'lr_decay_factor' must lie in (0, 1], got -1"),
+    ({"lr_decay_factor": 0.0}, "config key 'lr_decay_factor' must lie in (0, 1], got 0.0"),
+    ({"lr_decay_factor": 1.5}, "config key 'lr_decay_factor' must lie in (0, 1], got 1.5"),
+    ({"feature_dim": 0}, "config key 'feature_dim' must be at least 1, got 0"),
+    ({"encoder_widths": [0]}, "config key 'encoder_widths' must all be at least 1, got [0]"),
+    ({"encoder_widths": [64, -3]},
+     "config key 'encoder_widths' must all be at least 1, got [64, -3]"),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
@@ -187,7 +199,8 @@ def test_config_from_dict_rejects_wrong_value_types(overrides, named):
 
 def test_config_accepts_range_bounds():
     config = TrainConfig(epochs=1, batch_size=1, k=1, eval_steps=1, theta_r=1.0,
-                         lr_decay_epochs=(),
+                         lr_decay_epochs=(), lr=1e-300, momentum=0.0, weight_decay=0.0,
+                         lr_decay_factor=1.0, feature_dim=1, encoder_widths=(1,),
                          augment=AugmentationPolicy(jitter_amp=0.0, flip_prob=1.0,
                                                     scale_amp=0.0, erase_frac=0.0))
     assert config.theta_r == 1.0 and config.augment.flip_prob == 1.0
@@ -290,6 +303,18 @@ def test_rerun_into_a_run_directory_keeps_nothing_of_the_earlier_run(tmp_path):
     assert json.loads((run / "config.json").read_text())["lr"] == 1e300
     records = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
     assert [r["epoch"] for r in records] == [0, 1] and "error" in records[1]
+
+
+def test_train_refuses_a_directory_holding_another_commands_file(tmp_path):
+    train_ds, test_ds = _small_data(seed=1)
+    run = tmp_path / "run"
+    config = _fast_config(method="pgd_at", epochs=1, lr_decay_epochs=())
+    train(config, train_ds, test_ds, run)
+    (run / "eval.json").write_text("{}")
+    before = dir_bytes(run)
+    with pytest.raises(FileExistsError, match="holds 'eval.json'"):
+        train(config, train_ds, test_ds, run)
+    assert dir_bytes(run) == before
 
 
 def test_oat_records_without_ground_truth_hold_null_gt_counts(tmp_path):
