@@ -18,20 +18,21 @@ adjoints are *added* into the leaves' ``.grad``, so gradients accumulate
 across calls and must be zeroed explicitly (``SgdOptimizer.step`` does this
 after applying the update).
 
-Two composites are single nodes that compute their own backward: ``linear``
-(``x @ w + b``) and ``batch_cosine`` (the row cosine of the contrastive and
-feature-alignment losses). Each is bitwise equal to the plain numpy
-arithmetic its docstring spells out.
+Two composites are single nodes that compute their own backward: ``mlp`` (a
+whole ReLU MLP, one node per encoder, head, projector or predictor call) and
+``batch_cosine`` (the row cosine of the contrastive and feature-alignment
+losses). Each is bitwise equal to the plain numpy arithmetic its docstring
+spells out.
 
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
 
 The two kernels on every training step stay off numpy's slow paths without
-changing a bit. ``relu`` is ``np.fmax(a, 0.0) + 0.0``, because ``np.where``
-slows sharply above 8192 elements and the ``+ 0.0`` turns the ``-0.0`` that
-``fmax`` may keep into the ``+0.0`` that ``where`` gives; its mask is built
-in backward only. ``SgdOptimizer.step`` updates in place, with each ``.grad``
-as scratch.
+changing a bit. ``mlp``'s ReLU is ``np.fmax(h, 0.0) + 0.0``, because
+``np.where`` slows sharply above 8192 elements and the ``+ 0.0`` turns the
+``-0.0`` that ``fmax`` may keep into the ``+0.0`` that ``where`` gives; its
+mask is built in backward only, from the stored output. ``SgdOptimizer.step``
+updates in place, with each ``.grad`` as scratch.
 """
 
 from __future__ import annotations
@@ -142,35 +143,41 @@ def scale(a: Value, factor: float) -> Value:
     return _make(a.data * factor, (a,), backward_fn)
 
 
-def linear(x: Value, w: Value, b: Value) -> Value:
-    """Affine layer ``x @ w + b`` as one node: (B, in) @ (in, out) + (out,).
-
-    Forward computes ``x @ w + b``; backward gives ``adj @ w.T``,
-    ``x.T @ adj`` and ``adj.sum(axis=0)``, each skipped for a constant
-    operand. The results are bitwise equal to that numpy arithmetic.
+def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
+    """ReLU MLP as one node: each ``(w, b)`` layer computes ``h = h @ w + b``,
+    and every layer but the last is followed by ``np.fmax(h, 0.0) + 0.0``.
+    Backward walks the layers in reverse: layer i with input ``acts[i]`` gives
+    ``adj.sum(axis=0)``, ``acts[i].T @ adj`` and ``(adj @ w.T) * (acts[i] > 0)``
+    (``adj @ w0.T`` at i = 0), skipping constant operands. No adjoint is summed
+    inside, so it is bitwise one matmul-add node and one ReLU node per layer.
     """
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ValueError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    data = x.data @ w.data + b.data
+    parents = (x, *(p for layer in layers for p in layer))
+    acts = [x.data]   # each layer's input, then the output
+    for i, (w, b) in enumerate(layers):
+        h = acts[-1]
+        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+            raise ValueError(f"mlp: layer {i} has incompatible shapes {h.shape}, "
+                             f"{w.shape} and {b.shape}")
+        h = h @ w.data + b.data
+        if i < len(layers) - 1:
+            np.fmax(h, 0.0, out=h)
+            h += 0.0  # fmax may keep a -0.0 input; np.where(h > 0, h, 0.0) gives +0.0
+        acts.append(h)
 
     def backward_fn(adj):
-        return (adj @ w.data.T if x.requires_grad else None,
-                x.data.T @ adj if w.requires_grad else None,
-                adj.sum(axis=0) if b.requires_grad else None)
+        grads = [None] * len(parents)
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            grads[2 * i + 1] = acts[i].T @ adj if w.requires_grad else None
+            grads[2 * i + 2] = adj.sum(axis=0) if b.requires_grad else None
+            if not any(p.requires_grad for p in parents[:2 * i + 1]):
+                break  # nothing below this layer takes a gradient
+            # the stored ReLU output is > 0 exactly where its input is
+            adj = (adj @ w.data.T) * (acts[i] > 0) if i else adj @ w.data.T
+        grads[0] = adj if x.requires_grad else None
+        return grads
 
-    return _make(data, (x, w, b), backward_fn)
-
-
-def relu(a: Value) -> Value:
-    """``max(a, 0)``, bitwise equal to ``np.where(a > 0, a, 0.0)``."""
-    data = np.fmax(a.data, 0.0)
-    data += 0.0  # fmax may keep a -0.0 input; where gives +0.0
-
-    def backward_fn(adj):
-        return (adj * (a.data > 0),)
-
-    return _make(data, (a,), backward_fn)
+    return _make(acts[-1], parents, backward_fn)
 
 
 def log_softmax(a: Value) -> Value:

@@ -38,9 +38,12 @@ class CorruptionSpec:
             raise ValueError("asymmetric noise requires asym_pairs")
         if self.noise_type != "asymmetric" and self.asym_pairs:
             raise ValueError("asym_pairs only valid for asymmetric noise")
+        if self.noise_type == "none" and self.target_nr > 0:
+            raise ValueError(f"target_nr {self.target_nr} needs a noise type, got 'none'")
         for src, dst in self.asym_pairs:
             if src == dst:
                 raise ValueError(f"asym pair {src}->{dst} maps a class to itself")
+        _check_distinct_sources(self.asym_pairs)
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,19 @@ def apply_symmetric_noise(ds: LabeledDataset, nr: float, seed: int) -> LabeledDa
     return ds.with_observed(observed)
 
 
+def _check_distinct_sources(pairs: tuple[tuple[int, int], ...]) -> None:
+    # a second pair from one source would draw again from all of its rows,
+    # so the first pair's flip count would no longer be exact
+    sources = [src for src, _ in pairs]
+    for src in sources:
+        if sources.count(src) > 1:
+            raise ValueError(f"asym pairs name source class {src} more than once")
+
+
 def apply_asymmetric_noise(ds: LabeledDataset, nr: float,
                            pairs: tuple[tuple[int, int], ...], seed: int) -> LabeledDataset:
-    """For each (src, dst) pair relabel round(nr*N_src) of src's samples to dst."""
+    """For each (src, dst) pair relabel round(nr*N_src) of src's samples to
+    dst; each source class may appear in one pair only."""
     if not 0.0 <= nr < 1.0:
         raise ValueError("nr must lie in [0, 1)")
     if ds.gt_labels is None:
@@ -115,6 +128,7 @@ def apply_asymmetric_noise(ds: LabeledDataset, nr: float,
     for src, dst in pairs:
         if not (0 <= src < ds.num_classes and 0 <= dst < ds.num_classes):
             raise ValueError(f"pair {src}->{dst} references class outside [0, {ds.num_classes})")
+    _check_distinct_sources(pairs)
     rng = SplitMix64(seed).fork("asymmetric_noise")
     observed = ds.observed_labels.copy()
     for src, dst in pairs:

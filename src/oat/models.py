@@ -98,39 +98,28 @@ def init_model(spec: ArchSpec, role: str, seed: int) -> ModelParams:
                        head=head, projector=projector, predictor=predictor)
 
 
-def _affine(x: Value, layer: Layer) -> Value:
-    return ad.linear(x, layer[0], layer[1])
-
-
-def _mlp(x: Value, layers: list[Layer]) -> Value:
-    """Affine layers with a ReLU after every one but the last."""
-    for layer in layers[:-1]:
-        x = ad.relu(_affine(x, layer))
-    return _affine(x, layers[-1])
-
-
 def forward_features(params: ModelParams, x) -> Value:
     """Encoder output (batch x feature_dim): ReLU after hidden layers, linear out."""
     v = ad.as_value(x)
     if v.data.ndim != 2 or v.data.shape[1] != params.arch.input_dim:
         raise ValueError(f"expected batch of shape (B, {params.arch.input_dim}), got {v.shape}")
-    return _mlp(v, params.encoder)
+    return ad.mlp(v, params.encoder)
 
 
 def forward_logits(params: ModelParams, x) -> Value:
     """Classifier logits (batch x C)."""
-    return _affine(forward_features(params, x), params.head)
+    return ad.mlp(forward_features(params, x), [params.head])
 
 
 def project_predict(params: ModelParams, feats: Value, use_predictor: bool) -> Value:
     """Projector output, optionally pushed through the predictor as well."""
     if params.projector is None:
         raise ValueError(f"{params.role} params have no projector")
-    out = _mlp(feats, params.projector)
+    out = ad.mlp(feats, params.projector)
     if use_predictor:
         if params.predictor is None:
             raise ValueError(f"{params.role} params have no predictor")
-        out = _mlp(out, params.predictor)
+        out = ad.mlp(out, params.predictor)
     return out
 
 

@@ -81,6 +81,9 @@ class TrainConfig:
         require("momentum", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
         for key in ("theta_r", "lr_decay_factor"):
             require(key, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+        if any(e < 0 for e in self.lr_decay_epochs):
+            raise ValueError(f"config key 'lr_decay_epochs' must all be nonnegative, "
+                             f"got {list(self.lr_decay_epochs)}")
         if any(e >= self.epochs for e in self.lr_decay_epochs):
             raise ValueError(f"lr_decay_epochs={list(self.lr_decay_epochs)} must all be "
                              f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")

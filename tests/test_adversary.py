@@ -147,10 +147,10 @@ def test_cw_gradient_direction_matches_ce_on_2class_linear():
     w = Value(np.array([[1.0, -1.0], [0.5, 2.0]]))
     x = Value(np.array([[0.3, 0.7]]), requires_grad=True)
     y = np.array([0])
-    ad.backward(cw_margin_loss(ad.linear(x, w, Value(np.zeros(2))), y))
+    ad.backward(cw_margin_loss(ad.mlp(x, [(w, Value(np.zeros(2)))]), y))
     cw_sign = np.sign(x.grad.copy())
     x2 = Value(np.array([[0.3, 0.7]]), requires_grad=True)
-    ad.backward(ad.cross_entropy(ad.linear(x2, w, Value(np.zeros(2))), y))
+    ad.backward(ad.cross_entropy(ad.mlp(x2, [(w, Value(np.zeros(2)))]), y))
     assert np.array_equal(np.sign(x2.grad), cw_sign)
 
 

@@ -13,15 +13,20 @@ from oat.rng import SplitMix64
 from helpers import fd_max_rel_error
 
 
+def _identity_layer(n: int):
+    return Value(np.eye(n)), Value(np.zeros(n))
+
+
 def test_linear_identity():
+    # a one-layer mlp is the affine map alone: no ReLU after the last layer
     x = np.array([[3.0, -1.0, 2.5]])
-    out = ad.linear(Value(x), Value(np.eye(3)), Value(np.zeros(3)))
+    out = ad.mlp(Value(x), [_identity_layer(3)])
     assert np.array_equal(out.data, x)
 
 
 def test_relu_definition():
-    out = ad.relu(Value(np.array([-1.0, 0.0, 2.0])))
-    assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+    out = ad.mlp(Value([[-1.0, 0.0, 2.0]]), [_identity_layer(3), _identity_layer(3)])
+    assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
 
 
 def test_softmax_symmetry():
@@ -37,8 +42,11 @@ def test_softmax_rows_sum_to_one():
 def test_shape_mismatch_names_kind():
     with pytest.raises(ValueError, match="add"):
         ad.add(Value(np.zeros(3)), Value(np.zeros(4)))
-    with pytest.raises(ValueError, match="linear"):
-        ad.linear(Value(np.zeros((2, 3))), Value(np.zeros((3, 4))), Value(np.zeros(3)))
+    with pytest.raises(ValueError, match="mlp: layer 0 has incompatible shapes"):
+        ad.mlp(Value(np.zeros((2, 3))), [(Value(np.zeros((3, 4))), Value(np.zeros(3)))])
+    with pytest.raises(ValueError, match=r"mlp: layer 1 has incompatible shapes \(2, 4\)"):
+        ad.mlp(Value(np.zeros((2, 3))), [(Value(np.zeros((3, 4))), Value(np.zeros(4))),
+                                         (Value(np.zeros((3, 2))), Value(np.zeros(2)))])
 
 
 @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
@@ -73,10 +81,10 @@ def test_batch_cosine_takes_2d_rows_of_one_shape():
 
 
 def test_backward_relu_subgradient():
-    x = Value([2.0, -2.0], requires_grad=True)
-    root = ad.vsum(ad.relu(x))
+    x = Value([[2.0, -2.0]], requires_grad=True)
+    root = ad.vsum(ad.mlp(x, [_identity_layer(2), _identity_layer(2)]))
     backward(root)
-    assert np.array_equal(x.grad, [1.0, 0.0])
+    assert np.array_equal(x.grad, [[1.0, 0.0]])
     assert root.grad is None
 
 
@@ -84,39 +92,27 @@ _RELU_EDGES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
 
 
 def test_relu_bitwise_equals_where_reference():
-    # shapes on both sides of np.where's 8192-element slow path, a strided and
-    # a transposed view, 0-d and 1-d; fmax's scalar tail and 0-d path are
-    # where it keeps a -0.0 input
+    # a one-wide hidden layer between [[1.0]] weights: the ReLU sees the
+    # column a (a -0.0 arrives as +0.0, as a matmul sum starts from +0.0) and
+    # the output shows each ReLU result; sizes on both sides of np.where's
+    # 8192-element slow path, with edges throughout and in the scalar tail
     rng = SplitMix64(7).fork("relu")
-
-    def with_edges(a):
-        a.flat[::5] = np.resize(_RELU_EDGES, a.flat[::5].size)
-        a.flat[a.size - len(_RELU_EDGES):] = _RELU_EDGES
-        return a
-
-    def normal(*shape):
-        return rng.normal(int(np.prod(shape))).reshape(shape)
-
-    inputs = [with_edges(normal(128, 64)), with_edges(normal(128, 256)),
-              with_edges(normal(256, 64)), with_edges(normal(96, 90)[::2, 1::3]),
-              with_edges(normal(64, 128).T), np.array(-0.0), np.array(-5e-324),
-              np.array(_RELU_EDGES + [2.5, -0.0])]
-    for a in inputs:
-        probe = normal(*a.shape)
-        x = Value(a, requires_grad=True)
-        out = ad.relu(x)
-        with np.errstate(invalid="ignore"):  # the root sums inf and -inf
-            backward(ad.vsum(ad.mul(out, Value(probe))))
-        want = np.where(a > 0, a, 0.0)
-        want_grad = 0.0 + np.ones_like(a) * probe * (a > 0)
-        assert np.array_equal(out.data.view(np.uint64), np.asarray(want).view(np.uint64))
-        assert np.array_equal(x.grad.view(np.uint64), np.asarray(want_grad).view(np.uint64))
+    for n in (len(_RELU_EDGES), 8192, 8195, 32771):
+        a = rng.normal(n)
+        a[::5] = np.resize(_RELU_EDGES, a[::5].size)
+        a[n - len(_RELU_EDGES):] = _RELU_EDGES
+        x = Value(a[:, None], requires_grad=True)
+        layers = [(Value([[1.0]], requires_grad=True), Value([0.0], requires_grad=True))
+                  for _ in range(2)]
+        with np.errstate(invalid="ignore"):  # sums of inf and -inf
+            out = _assert_matches_reference(x, layers, rng.normal(n)[:, None])
+        assert np.isnan(a).any() and not np.signbit(out.data[out.data == 0]).any()
 
 
 def test_backward_requires_scalar_root():
     x = Value([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        backward(ad.relu(x))
+        backward(ad.scale(x, 2.0))
 
 
 def test_mse_of_value_with_itself_cancels():
@@ -206,15 +202,13 @@ def test_mlp_gradients_match_finite_differences():
         b1 = Value(rng.uniform_range(6, -0.5, 0.5), requires_grad=True)
         w2 = Value(rng.uniform_range(6 * 3, -0.5, 0.5).reshape(6, 3), requires_grad=True)
         b2 = Value(rng.uniform_range(3, -0.5, 0.5), requires_grad=True)
-        x = rng.uniform(2 * 4).reshape(2, 4)
+        x = Value(rng.uniform(2 * 4).reshape(2, 4), requires_grad=True)
         y = np.array([0, 2])
 
         def loss():
-            h = ad.relu(ad.linear(Value(x), w1, b1))
-            logits = ad.linear(h, w2, b2)
-            return ad.cross_entropy(logits, y)
+            return ad.cross_entropy(ad.mlp(x, [(w1, b1), (w2, b2)]), y)
 
-        err = fd_max_rel_error(loss, [w1, b1, w2, b2], coords_per_tensor=50)
+        err = fd_max_rel_error(loss, [x, w1, b1, w2, b2], coords_per_tensor=50)
         assert err < 1e-4, f"seed {seed}: max rel error {err}"
 
 
@@ -299,64 +293,99 @@ def test_sgd_pass_non_finite_loss_raises_before_its_step():
     assert w.grad.tolist() == [0.0, 0.0]           # batch 2 never ran backward
 
 
-def _random_linear(seed: int, batch: int, fan_in: int, fan_out: int):
-    rng = SplitMix64(seed).fork("linear")
-    x = Value(rng.uniform_range(batch * fan_in, -1.0, 1.0).reshape(batch, fan_in),
-              requires_grad=True)
-    w = Value(rng.uniform_range(fan_in * fan_out, -1.0, 1.0).reshape(fan_in, fan_out),
-              requires_grad=True)
-    b = Value(rng.uniform_range(fan_out, -1.0, 1.0), requires_grad=True)
-    probe = rng.uniform_range(batch * fan_out, -1.0, 1.0).reshape(batch, fan_out)
-    return x, w, b, probe
+def _random_mlp(seed: int, batch: int, dims: tuple[int, ...]):
+    """A grad-requiring (batch, dims[0]) input, layers dims[i] -> dims[i + 1],
+    and a non-uniform probe of the output's shape."""
+    rng = SplitMix64(seed).fork("mlp")
+
+    def leaf(*shape):
+        return Value(rng.uniform_range(int(np.prod(shape)), -1.0, 1.0).reshape(shape),
+                     requires_grad=True)
+
+    layers = [(leaf(a, b), leaf(b)) for a, b in zip(dims, dims[1:])]
+    probe = rng.uniform_range(batch * dims[-1], -1.0, 1.0).reshape(batch, dims[-1])
+    return leaf(batch, dims[0]), layers, probe
 
 
-def test_linear_bitwise_equals_add_of_matmul():
-    for seed, shape in enumerate([(1, 1, 1), (3, 5, 2), (128, 16, 64), (7, 64, 10)]):
-        x, w, b, probe = _random_linear(seed, *shape)
-        out = ad.linear(x, w, b)
-        # a non-uniform adjoint, so every backward product is exercised
-        backward(ad.vsum(ad.relu(ad.mul(out, Value(probe)))))
-        # numpy reference: the forward, the adjoint that vsum, relu and mul send
-        # back, and linear's three backward products added into zero grads
-        ref = x.data @ w.data + b.data
-        adj = np.ones_like(ref) * (ref * probe > 0) * probe
-        reference = [ref, 0.0 + adj @ w.data.T, 0.0 + x.data.T @ adj, 0.0 + adj.sum(axis=0)]
-        for got, want in zip([out.data, x.grad, w.grad, b.grad], reference):
-            assert got.tobytes() == want.tobytes()
+def _assert_matches_reference(x, layers, probe):
+    """Run mlp and backward of sum(out * probe) on zero grads; compare the
+    output and every leaf's grad bitwise with numpy per layer (matmul and
+    add, np.where for the ReLU, its mask from the pre-activation) and return
+    the output."""
+    out = ad.mlp(x, layers)
+    backward(ad.vsum(ad.mul(out, Value(probe))))
+    acts, pre, h = [], [], x.data
+    for i, (w, b) in enumerate(layers):
+        acts.append(h)
+        h = h @ w.data + b.data
+        if i < len(layers) - 1:
+            pre.append(h)
+            h = np.where(h > 0, h, 0.0)
+    assert out.data.tobytes() == h.tobytes()
+    adj = np.ones_like(h) * probe   # what vsum and mul send back
+    for i in reversed(range(len(layers))):
+        w, b = layers[i]
+        for leaf, want in ((w, acts[i].T @ adj), (b, adj.sum(axis=0))):
+            if leaf.requires_grad:
+                assert leaf.grad.tobytes() == (0.0 + want).tobytes()
+        adj = adj @ w.data.T
+        if i:
+            adj = adj * (pre[i - 1] > 0)
+    if x.requires_grad:
+        assert x.grad.tobytes() == (0.0 + adj).tobytes()
+    return out
+
+
+def test_mlp_bitwise_equals_per_layer_numpy_reference():
+    # 1, 2 and 3 layers, with a grad-requiring and with a constant input (as
+    # in training); the 128- and 256-row hidden layers of width 64 hold 8192
+    # and 16384 elements
+    for seed, (batch, dims) in enumerate([(1, (1, 1)), (3, (5, 2)), (7, (64, 10)),
+                                          (1, (1, 1, 1)), (3, (5, 4, 2)),
+                                          (128, (16, 64, 10)), (256, (16, 64, 32, 10))]):
+        _assert_matches_reference(*_random_mlp(seed, batch, dims))
+        x, layers, probe = _random_mlp(seed, batch, dims)
+        _assert_matches_reference(detach(x), layers, probe)
 
 
 def test_grads_held_by_leaves_only():
-    x, w, b, probe = _random_linear(11, 4, 3, 2)
+    x, layers, probe = _random_mlp(11, 4, (3, 5, 2))
     const = Value(probe)
-    hidden = ad.linear(x, w, b)
-    scaled = ad.mul(hidden, const)
+    out = ad.mlp(x, layers)
+    scaled = ad.mul(out, const)
     root = ad.vsum(scaled)
     backward(root)
-    assert hidden.grad is None and scaled.grad is None and const.grad is None
+    assert out.grad is None and scaled.grad is None and const.grad is None
     assert root.grad is None
-    assert np.array_equal(x.grad, probe @ w.data.T)
-    assert np.array_equal(b.grad, probe.sum(axis=0))
-    assert w.grad.shape == (3, 2) and np.any(w.grad != 0)
+    for leaf in (x, *(p for layer in layers for p in layer)):
+        assert np.any(leaf.grad != 0)
 
 
 def test_backward_twice_doubles_leaf_grads_exactly():
-    x, w, b, probe = _random_linear(12, 5, 4, 3)
-    root = ad.vmean(ad.mul(ad.relu(ad.linear(x, w, b)), Value(probe)))
+    x, layers, probe = _random_mlp(12, 5, (4, 6, 3))
+    root = ad.vmean(ad.mul(ad.mlp(x, layers), Value(probe)))
+    leaves = [x, *(p for layer in layers for p in layer)]
     backward(root)
-    first = [p.grad.copy() for p in (x, w, b)]
+    first = [p.grad.copy() for p in leaves]
     backward(root)
-    for p, g in zip((x, w, b), first):
+    for p, g in zip(leaves, first):
         assert np.array_equal(p.grad, 2.0 * g)
 
 
-def test_linear_detached_weight_gets_no_grad():
-    x, w, b, probe = _random_linear(13, 6, 4, 3)
-    frozen = detach(w)
-    backward(ad.vsum(ad.mul(ad.linear(x, frozen, b), Value(probe))))
+def test_mlp_detached_weight_gets_no_grad():
+    # one detached weight: every other operand's grad is as without it
+    x, layers, probe = _random_mlp(13, 6, (4, 5, 3))
+    w0 = layers[0][0]
+    frozen = detach(w0)
+    _assert_matches_reference(x, [(frozen, layers[0][1]), layers[1]], probe)
     assert frozen.grad is None
-    assert np.array_equal(w.grad, np.zeros((4, 3)))
-    assert np.array_equal(x.grad, probe @ w.data.T)
-    assert np.array_equal(b.grad, probe.sum(axis=0))
+    assert np.array_equal(w0.grad, np.zeros((4, 5)))
+    # a constant input and first layer: only the top layer takes a gradient
+    x, layers, probe = _random_mlp(14, 6, (4, 5, 3))
+    below = [detach(x), detach(layers[0][0]), detach(layers[0][1])]
+    _assert_matches_reference(below[0], [tuple(below[1:]), layers[1]], probe)
+    assert all(v.grad is None for v in below)
+    assert np.any(layers[1][0].grad != 0) and np.any(layers[1][1].grad != 0)
 
 
 def _names_called(tree: ast.Module) -> set[str]:

@@ -227,3 +227,19 @@ def test_corruption_spec_validation():
         CorruptionSpec("symmetric", 0.2, 0.0)
     with pytest.raises(ValueError):
         CorruptionSpec("asymmetric", 0.2, 1.0, asym_pairs=((1, 1),))
+    with pytest.raises(ValueError, match="target_nr 0.4 needs a noise type, got 'none'"):
+        CorruptionSpec("none", 0.4, 1.0)
+
+
+def test_asymmetric_noise_rejects_a_repeated_source_class():
+    # a second pair from class 0 would redraw from all of class 0's rows, so
+    # pair 0->1 would end below its exact round(nr * 50) = 20 flips
+    with pytest.raises(ValueError, match="source class 0 more than once"):
+        CorruptionSpec("asymmetric", 0.4, 1.0, asym_pairs=((0, 1), (0, 2)))
+    ds = _dataset(num_classes=4, per_class=50)
+    with pytest.raises(ValueError, match="source class 0 more than once"):
+        apply_asymmetric_noise(ds, 0.4, pairs=((0, 1), (0, 2)), seed=1)
+    # a chain is fine: each class is the source of one pair
+    noisy = apply_asymmetric_noise(ds, 0.4, pairs=((0, 1), (1, 2)), seed=1)
+    for src, dst in ((0, 1), (1, 2)):
+        assert np.sum((ds.gt_labels == src) & (noisy.observed_labels == dst)) == 20

@@ -160,6 +160,19 @@ def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--nr", "0.4"], "target_nr 0.4 needs a noise type, got 'none'"),
+    (["--noise", "asymmetric", "--nr", "0.4", "--pairs", "0:1,0:2"],
+     "asym pairs name source class 0 more than once"),
+])
+def test_cli_corrupt_rejected_spec_exits_2(tmp_path, capsys, flags, named):
+    data = _make_dataset_dir(tmp_path, "data", per_class=4)
+    code = cli(["corrupt", "--input", str(data), *flags, "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text,named", [
     ('{"epochs": "ten"}', "config key 'epochs' must be int, got 'ten'"),
     ('{"epochs": 2,', "Expecting property name"),

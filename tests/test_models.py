@@ -42,6 +42,22 @@ def test_no_hidden_widths_is_single_linear_map():
     assert np.allclose(feats.data, expected)
 
 
+def test_forward_logits_is_one_node_per_mlp():
+    arch = ArchSpec(input_dim=5, encoder_widths=(7, 6), feature_dim=4, num_classes=3)
+    params = init_model(arch, AT_MODEL, seed=2)
+    x = ad.as_value(np.full((2, 5), 0.5))
+    logits = forward_logits(params, x)
+    nodes, stack = [], [logits]
+    while stack:
+        node = stack.pop()
+        if node.parents:
+            nodes.append(node)
+            stack.extend(node.parents)
+    head, encoder = nodes
+    assert head.parents == (encoder, *params.head)
+    assert encoder.parents == (x, *(p for layer in params.encoder for p in layer))
+
+
 def test_forward_shapes_and_equivariance():
     params = init_model(TINY_ARCH, ORACLE, seed=4)
     rng = SplitMix64(0).fork("x")

@@ -190,6 +190,9 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
     ({"encoder_widths": [0]}, "config key 'encoder_widths' must all be at least 1, got [0]"),
     ({"encoder_widths": [64, -3]},
      "config key 'encoder_widths' must all be at least 1, got [64, -3]"),
+    ({"lr_decay_epochs": [-3]}, "config key 'lr_decay_epochs' must all be nonnegative, got [-3]"),
+    ({"lr_decay_epochs": [-1, 30]},
+     "config key 'lr_decay_epochs' must all be nonnegative, got [-1, 30]"),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
