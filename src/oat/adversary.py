@@ -81,13 +81,19 @@ def _attack_objective(model: ModelParams, xv: Value, y: np.ndarray,
 
 def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
                spec: AttackSpec, rng: SplitMix64 | None = None,
-               prior: ClassCounts | None = None) -> np.ndarray:
+               prior: ClassCounts | None = None,
+               rows: np.ndarray | None = None) -> np.ndarray:
     """Iterative sign-gradient ascent projected onto the eps ball and [0,1] box;
-    with a ``prior``, the attacked loss sees logits shifted by its log."""
+    with a ``prior``, the attacked loss sees logits shifted by its log.
+
+    With ``rows`` (an index array into the batch), the random start is still
+    drawn for the whole batch, but only ``x[rows]`` is attacked and only those
+    rows are returned. Each row's gradient involves that row alone, up to the
+    batch-mean's positive 1/n factor, which the sign step discards; so the
+    result equals ``pgd_attack(...)[rows]`` bit for bit, as the tests pin.
+    The label-range check covers all of ``y``."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if not len(x):  # a batch-mean loss over no rows has no gradient to follow
-        return x.copy()
     if len(y) and (y.min() < 0 or y.max() >= model.arch.num_classes):
         raise ValueError("labels outside [0, num_classes)")
     if rng is None:
@@ -98,6 +104,10 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
         adv = np.clip(x + start, 0.0, 1.0)
     else:
         adv = x.copy()
+    if rows is not None:
+        x, y, adv = x[rows], y[rows], adv[rows]
+    if not len(x):  # a batch-mean loss over no rows has no gradient to follow
+        return adv
 
     model, shift = detached(model), None
     if prior is not None:

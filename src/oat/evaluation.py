@@ -5,7 +5,9 @@ The training loop picks its best checkpoint with these functions and
 ``oat eval`` reports them, so both compute robust accuracy with the same code.
 Evaluation runs its batches of ``BATCH_SIZE`` rows one after another; each
 batch's attack stream is forked from the seed by batch index, so results
-depend only on the seed. Predictions use raw logits (no class-prior adjustment).
+depend only on the seed. The attack runs only on the rows a batch classifies
+correctly clean, since no other row can count as robust; a batch with no such
+row runs no attack. Predictions use raw logits (no class-prior adjustment).
 """
 
 from __future__ import annotations
@@ -61,24 +63,37 @@ def accuracy(model: ModelParams, x: np.ndarray, labels: np.ndarray) -> float:
 def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
                     rng: SplitMix64) -> float:
     """Fraction of test points that are correctly classified both clean and
-    after the attack (an attacked sample can only lose correctness)."""
+    after the attack (an attacked sample can only lose correctness).
+
+    A row that is wrong clean can never count, so each batch attacks only its
+    clean-correct rows (as AutoAttack does), and a batch with none runs no
+    attack. The count equals attacking the whole batch bit for bit: the random
+    start is drawn for the whole batch, and each row's attack depends on that
+    row alone (see ``pgd_attack``'s ``rows``)."""
     check_test_set(ds)
     robust = 0
     for i, start in enumerate(range(0, len(ds), BATCH_SIZE)):
         x = ds.samples[start:start + BATCH_SIZE]
         y = ds.gt_labels[start:start + BATCH_SIZE]
-        clean_ok = predict_probs(model, x).argmax(axis=1) == y
-        adv = pgd_attack(model, x, y, attack, rng.fork("batch", i))
-        adv_ok = predict_probs(model, adv).argmax(axis=1) == y
-        robust += int(np.sum(clean_ok & adv_ok))
+        rows = np.flatnonzero(predict_probs(model, x).argmax(axis=1) == y)
+        if not len(rows):
+            continue
+        adv = pgd_attack(model, x, y, attack, rng.fork("batch", i), rows=rows)
+        robust += int(np.sum(predict_probs(model, adv).argmax(axis=1) == y[rows]))
     return robust / len(ds)
 
 
 def evaluate(model: ModelParams, test: LabeledDataset,
              attacks: list[AttackSpec], seed: int = 0) -> MetricsRecord:
     """Clean accuracy plus robust accuracy per attack; each attack's stream is
-    forked from ``seed`` by the attack's name."""
+    forked from ``seed`` by the attack's name. Raises ValueError if ``test``'s
+    dim or num_classes differs from the model's arch."""
     check_test_set(test)
+    arch = model.arch
+    if test.dim != arch.input_dim or test.num_classes != arch.num_classes:
+        raise ValueError(f"the test set has dim {test.dim} and {test.num_classes} classes; "
+                         f"the model expects dim {arch.input_dim} and "
+                         f"{arch.num_classes} classes")
     return MetricsRecord(
         clean_accuracy=accuracy(model, test.samples, test.gt_labels),
         robust_accuracy={

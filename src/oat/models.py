@@ -177,7 +177,10 @@ def load_model(path: str | Path) -> ModelParams:
 
     The model is built by ``init_model`` from the manifest's arch and role,
     then each buffer is filled by name; raises ValueError naming a buffer
-    that is missing, unexpected or of the wrong shape for that arch.
+    that is missing, unexpected or of the wrong shape for that arch, and one
+    whose bytes do not tile ``params.bin``: in offset order, each buffer must
+    start where the one before it ended and span 8 bytes per element, and the
+    last must end where ``params.bin`` does.
     """
     path = Path(path)
     manifest = json.loads((path / "checkpoint.json").read_text())
@@ -191,14 +194,26 @@ def load_model(path: str | Path) -> ModelParams:
     extra = sorted(entries.keys() - expected.keys())
     if extra:
         raise ValueError(f"checkpoint buffer {extra[0]!r} is not part of its arch")
+    missing = [name for name in expected if name not in entries]
+    if missing:
+        raise ValueError(f"checkpoint is missing buffer {missing[0]!r}")
     blob = (path / "params.bin").read_bytes()
-    for name, value in expected.items():
-        if name not in entries:
-            raise ValueError(f"checkpoint is missing buffer {name!r}")
-        entry = entries[name]
+    end = 0
+    for entry in sorted(entries.values(), key=lambda e: e["offset"]):
+        name, value = entry["name"], expected[entry["name"]]
         if tuple(entry["shape"]) != value.shape:
             raise ValueError(f"checkpoint buffer {name!r} has shape {tuple(entry['shape'])}, "
                              f"its arch needs {value.shape}")
-        raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        value.data[...] = np.frombuffer(raw, dtype="<f8").reshape(value.shape)
+        start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
+        if (start, stop) != (end, end + value.data.nbytes):
+            raise ValueError(f"params.bin: buffer {name!r} is listed at bytes {start}..{stop}, "
+                             f"its place is bytes {end}..{end + value.data.nbytes}")
+        if stop > len(blob):
+            raise ValueError(f"params.bin ends at byte {len(blob)}, inside buffer {name!r} "
+                             f"(bytes {start}..{stop})")
+        value.data[...] = np.frombuffer(blob[start:stop], dtype="<f8").reshape(value.shape)
+        end = stop
+    if end != len(blob):
+        raise ValueError(f"params.bin holds {len(blob) - end} bytes after its last buffer "
+                         f"{name!r}")
     return params

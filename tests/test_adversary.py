@@ -134,6 +134,36 @@ def test_pgd_attack_on_zero_rows_returns_zero_rows():
         assert adv.shape == (0, TINY_ARCH.input_dim)
 
 
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
+@pytest.mark.parametrize("random_start", [True, False])
+def test_attacking_some_rows_is_bitwise_the_whole_batch_attack_at_those_rows(
+        loss_kind, random_start):
+    rng = SplitMix64(11).fork("rows." + loss_kind, int(random_start))
+    spec = AttackSpec(epsilon=0.1, alpha=0.025, steps=8, loss_kind=loss_kind,
+                      random_start=random_start)
+    for trial, dim in enumerate((2, 16, 128)):
+        arch = ArchSpec(input_dim=dim, encoder_widths=(24, 12), feature_dim=8, num_classes=10)
+        model = init_model(arch, AT_MODEL, seed=trial)
+        n = 37
+        x = _rand_batch(rng, n, dim)
+        y = np.array([rng.randint(10) for _ in range(n)])
+        whole = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"))
+        some = np.flatnonzero(rng.uniform(n) < 0.4)
+        for rows in (np.array([rng.randint(n)]), some, np.arange(n)):
+            adv = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"), rows=rows)
+            assert np.array_equal(adv, whole[rows])
+
+
+def test_attacking_no_rows_still_checks_every_label():
+    model = init_model(TINY_ARCH, AT_MODEL, seed=2)
+    spec = AttackSpec(epsilon=0.1, alpha=0.05, steps=1)
+    x = np.full((3, 5), 0.5)
+    adv = pgd_attack(model, x, np.array([0, 1, 2]), spec, rows=np.array([], dtype=np.int64))
+    assert adv.shape == (0, 5)
+    with pytest.raises(ValueError, match="labels"):
+        pgd_attack(model, x, np.array([0, 1, 3]), spec, rows=np.array([0]))
+
+
 def test_cw_margin_closed_forms():
     assert cw_margin_loss(Value([[3.0, 1.0]]), np.array([0])).item() == pytest.approx(-2.0)
     assert cw_margin_loss(Value([[1.0, 1.0]]), np.array([0])).item() == pytest.approx(0.0)

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 import oat
-from oat import dataio
-from oat.adversary import AttackSpec
+from oat import dataio, evaluation
+from oat.adversary import AttackSpec, pgd_attack
 from oat.corruption import ClassCounts
 from oat.dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_dataset,
                         save_dataset)
 from oat.evalcli import _build_parser, cli
 from oat.evaluation import (BATCH_SIZE, MetricsRecord, accuracy, distribution_error,
                             evaluate, robust_accuracy)
-from oat.models import AT_MODEL, init_model, load_model, save_model
+from oat.models import AT_MODEL, ArchSpec, init_model, load_model, save_model
+from oat.oracle import predict_probs
 from oat.rng import SplitMix64
 
 from helpers import TINY_ARCH, dir_bytes, leaves_model_untouched, tiny_dataset
@@ -76,6 +77,70 @@ def test_evaluate_deterministic():
     second = evaluate(model, ds, [spec], seed=1)
     assert first.clean_accuracy == second.clean_accuracy
     assert first.robust_accuracy == second.robust_accuracy
+
+
+def _three_batch_case(seed):
+    """A random model and three batches of test rows: the first all right
+    clean, the second all wrong clean, the third mixed. The weights are
+    scaled up so that predictions vary across rows and an attack flips some
+    of them."""
+    model = init_model(TINY_ARCH, AT_MODEL, seed=seed)
+    for p in model.parameters():
+        p.data *= 6.0
+    rng = SplitMix64(seed).fork("three_batches")
+    n = 2 * BATCH_SIZE + 40
+    samples = rng.uniform(n * TINY_ARCH.input_dim).reshape(n, TINY_ARCH.input_dim)
+    predicted = predict_probs(model, samples).argmax(axis=1)
+    labels = np.array([rng.randint(3) for _ in range(n)], dtype=np.int64)
+    labels[:BATCH_SIZE] = predicted[:BATCH_SIZE]
+    labels[BATCH_SIZE:2 * BATCH_SIZE] = (predicted[BATCH_SIZE:2 * BATCH_SIZE] + 1) % 3
+    ds = LabeledDataset(samples=samples, observed_labels=labels, gt_labels=labels.copy(),
+                        num_classes=3, ids=np.arange(n, dtype=np.int64))
+    return model, ds
+
+
+def _whole_batch_robust_accuracy(model, ds, attack, rng):
+    robust = 0
+    for i, start in enumerate(range(0, len(ds), BATCH_SIZE)):
+        x = ds.samples[start:start + BATCH_SIZE]
+        y = ds.gt_labels[start:start + BATCH_SIZE]
+        clean_ok = predict_probs(model, x).argmax(axis=1) == y
+        adv = pgd_attack(model, x, y, attack, rng.fork("batch", i))
+        robust += int(np.sum(clean_ok & (predict_probs(model, adv).argmax(axis=1) == y)))
+    return robust / len(ds)
+
+
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
+@pytest.mark.parametrize("random_start", [True, False])
+def test_robust_accuracy_equals_attacking_every_row(loss_kind, random_start):
+    spec = AttackSpec(epsilon=0.2, alpha=0.05, steps=4, loss_kind=loss_kind,
+                      random_start=random_start)
+    for seed in (1, 2, 3):
+        model, ds = _three_batch_case(seed)
+        got = robust_accuracy(model, ds, spec, SplitMix64(seed).fork("eval"))
+        assert got == _whole_batch_robust_accuracy(model, ds, spec,
+                                                   SplitMix64(seed).fork("eval"))
+        assert 0 < got < accuracy(model, ds.samples, ds.gt_labels)
+
+
+def test_robust_accuracy_attacks_only_the_rows_right_clean(monkeypatch):
+    model, ds = _three_batch_case(2)
+    calls = []
+
+    def spy(model, x, y, spec, rng=None, prior=None, rows=None):
+        calls.append((x, rows))
+        return pgd_attack(model, x, y, spec, rng, prior, rows=rows)
+
+    monkeypatch.setattr(evaluation, "pgd_attack", spy)
+    robust_accuracy(model, ds, AttackSpec(epsilon=0.1, alpha=0.025, steps=2),
+                    SplitMix64(0).fork("eval"))
+    clean_ok = predict_probs(model, ds.samples).argmax(axis=1) == ds.gt_labels
+    assert [len(x) for x, _ in calls] == [BATCH_SIZE, 40]  # the all-wrong batch is skipped
+    for (x, rows), start in zip(calls, (0, 2 * BATCH_SIZE)):
+        assert np.array_equal(x, ds.samples[start:start + len(x)])
+        assert np.array_equal(rows, np.flatnonzero(clean_ok[start:start + len(x)]))
+    assert np.array_equal(calls[0][1], np.arange(BATCH_SIZE))
+    assert 0 < len(calls[1][1]) < 40
 
 
 def test_evaluation_feeds_no_gradient_into_the_model(tmp_path):
@@ -336,6 +401,26 @@ def test_cli_eval_attack_none(tmp_path, capsys):
     metrics = json.loads(capsys.readouterr().out)
     assert metrics["robust_accuracy"] == {}
     assert metrics["clean_accuracy"] >= 0.0
+
+
+@pytest.mark.parametrize("dim,classes,attack,named", [
+    (4, 5, "none", "the test set has dim 4 and 5 classes; the model expects dim 4 and 3 classes"),
+    (4, 5, "pgd20", "the test set has dim 4 and 5 classes; the model expects dim 4 and 3 classes"),
+    (6, 3, "pgd20", "the test set has dim 6 and 3 classes; the model expects dim 4 and 3 classes"),
+])
+def test_cli_eval_rejects_a_test_set_the_checkpoint_does_not_fit_exits_2(
+        tmp_path, capsys, dim, classes, attack, named):
+    arch = ArchSpec(input_dim=4, encoder_widths=(6,), feature_dim=5, num_classes=3)
+    save_model(init_model(arch, AT_MODEL, seed=0), tmp_path / "ckpt")
+    save_dataset(gen_synthetic(SyntheticSpec(num_classes=classes, dim=dim,
+                                             per_class=100 // classes, cluster_spread=0.05,
+                                             seed=1)),
+                 tmp_path / "test")
+    assert cli(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data",
+                str(tmp_path / "test"), "--attack", attack]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oat: error: {named}\n"
 
 
 def test_cli_train_refuses_a_directory_holding_another_file_exits_2(tmp_path, capsys):

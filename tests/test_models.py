@@ -169,6 +169,38 @@ def test_load_model_rejects_manifest_that_disagrees_with_arch(tmp_path, edit, na
     assert str(err.value) == named
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda blob: blob + bytes(8), "params.bin holds 8 bytes after its last buffer 'head.b'"),
+    (lambda blob: blob[:-8],
+     "params.bin ends at byte 880, inside buffer 'head.b' (bytes 864..888)"),
+    (lambda blob: blob[:-3],
+     "params.bin ends at byte 885, inside buffer 'head.b' (bytes 864..888)"),
+])
+def test_load_model_rejects_params_bin_of_the_wrong_length(tmp_path, edit, named):
+    save_model(init_model(TINY_ARCH, AT_MODEL, seed=9), tmp_path)
+    blob = tmp_path / "params.bin"
+    blob.write_bytes(edit(blob.read_bytes()))
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path)
+    assert str(err.value) == named
+
+
+@pytest.mark.parametrize("field,delta,named", [
+    ("nbytes", 8, "params.bin: buffer 'encoder.1.w' is listed at bytes 336..680, "
+                  "its place is bytes 336..672"),
+    ("offset", 8, "params.bin: buffer 'encoder.1.w' is listed at bytes 344..680, "
+                  "its place is bytes 336..672"),
+])
+def test_load_model_rejects_buffers_that_do_not_tile_params_bin(tmp_path, field, delta, named):
+    save_model(init_model(TINY_ARCH, AT_MODEL, seed=9), tmp_path)
+    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    manifest["buffers"][2][field] += delta
+    (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path)
+    assert str(err.value) == named
+
+
 def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ckpt"
     old = init_model(TINY_ARCH, ORACLE, seed=9)
