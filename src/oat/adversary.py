@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value
+from .autodiff import Value, cw_margin_loss
 from .corruption import ClassCounts
 from .models import ModelParams, detached, forward_logits
 from .rng import SplitMix64
-
-_MASK_NEG = -1e18  # dominates any finite logit without leaving double range
 
 
 @dataclass(frozen=True)
@@ -50,23 +48,6 @@ class AttackSpec:
 
     def name(self) -> str:
         return ("pgd" if self.loss_kind == "cross_entropy" else "cw") + str(self.steps)
-
-
-def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
-    """Mean over the batch of (max_{j != y} z_j - z_y); logits are (B, C).
-
-    The max's subgradient goes to the lowest-index maximizer."""
-    if logits.data.ndim != 2:
-        raise ValueError(f"cw_margin_loss expects (B, C) logits, got {logits.shape}")
-    if logits.data.shape[-1] < 2:
-        raise ValueError("cw_margin_loss needs at least 2 classes")
-    y = np.asarray(y, dtype=np.int64)
-    mask = np.zeros(logits.data.shape)
-    mask[np.arange(len(y)), y] = _MASK_NEG
-    masked = ad.add(logits, Value(mask))
-    other_max = ad.gather_rows(masked, np.argmax(masked.data, axis=1))
-    true_logit = ad.gather_rows(logits, y)
-    return ad.vmean(ad.sub(other_max, true_logit))
 
 
 def _attack_objective(model: ModelParams, xv: Value, y: np.ndarray,

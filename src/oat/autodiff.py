@@ -7,9 +7,9 @@ nodes, constants and ``detach`` outputs keep ``grad is None``. An op records
 a graph edge only when one of its operands requires grad, so ``detach`` (and
 ``models.detached`` for a whole model) is the way to hold a value constant.
 
-Elementwise operands may broadcast, but only a constant may be broadcast: an
-operand that requires grad must already have the result's shape, so every
-adjoint has its operand's shape and none is ever summed down.
+``add`` may broadcast only a constant operand: an operand that requires grad
+must already have the result's shape, so every adjoint has its operand's
+shape and none is ever summed down.
 
 ``backward`` walks the part of the graph that requires grad in reverse
 topological order. Constant operands are never visited, and each op's backward
@@ -18,11 +18,13 @@ adjoints are *added* into the leaves' ``.grad``, so gradients accumulate
 across calls and must be zeroed explicitly (``SgdOptimizer.step`` does this
 after applying the update).
 
-Two composites are single nodes that compute their own backward: ``mlp`` (a
-whole ReLU MLP, one node per encoder, head, projector or predictor call) and
+Five composites are single nodes that compute their own backward: ``mlp`` (a
+whole ReLU MLP, one node per encoder, head, projector or predictor call),
 ``batch_cosine`` (the row cosine of the contrastive and feature-alignment
-losses). Each is bitwise equal to the plain numpy arithmetic its docstring
-spells out.
+losses) and the three classification losses, ``cross_entropy``,
+``soft_cross_entropy`` and ``cw_margin_loss``. Each is bitwise equal to the
+plain numpy arithmetic its docstring spells out, so a model's logits and
+their loss are three graph nodes.
 
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
@@ -76,25 +78,22 @@ def _make(data: np.ndarray, parents: tuple[Value, ...], backward_fn) -> Value:
     return out
 
 
-def _check_same_shape(kind: str, a: Value, b: Value) -> None:
-    """Reject operands that do not broadcast, and a grad-requiring operand
-    that would be broadcast (its adjoint would need summing down)."""
-    try:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from None
-    for v in (a, b):
-        if v.requires_grad and v.shape != shape:
-            raise ValueError(f"{kind}: operand of shape {v.shape} requires grad "
-                             f"and would be broadcast to {shape}")
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
 
 def add(a: Value, b: Value) -> Value:
-    _check_same_shape("add", a, b)
+    """Elementwise sum. Only a constant operand may be broadcast: one that
+    requires grad must have the result's shape, so its adjoint is never
+    summed down."""
+    try:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+    for v in (a, b):
+        if v.requires_grad and v.shape != shape:
+            raise ValueError(f"add: operand of shape {v.shape} requires grad "
+                             f"and would be broadcast to {shape}")
     data = a.data + b.data
 
     def backward_fn(adj):
@@ -104,43 +103,11 @@ def add(a: Value, b: Value) -> Value:
     return _make(data, (a, b), backward_fn)
 
 
-def sub(a: Value, b: Value) -> Value:
-    _check_same_shape("sub", a, b)
-    data = a.data - b.data
-
-    def backward_fn(adj):
-        return (adj if a.requires_grad else None,
-                -adj if b.requires_grad else None)
-
-    return _make(data, (a, b), backward_fn)
-
-
-def mul(a: Value, b: Value) -> Value:
-    _check_same_shape("mul", a, b)
-    data = a.data * b.data
-
-    def backward_fn(adj):
-        return (adj * b.data if a.requires_grad else None,
-                adj * a.data if b.requires_grad else None)
-
-    return _make(data, (a, b), backward_fn)
-
-
 def neg(a: Value) -> Value:
     def backward_fn(adj):
         return (-adj,)
 
     return _make(-a.data, (a,), backward_fn)
-
-
-def scale(a: Value, factor: float) -> Value:
-    """Multiply by a python scalar constant."""
-    factor = float(factor)
-
-    def backward_fn(adj):
-        return (adj * factor,)
-
-    return _make(a.data * factor, (a,), backward_fn)
 
 
 def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
@@ -180,19 +147,6 @@ def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
     return _make(acts[-1], parents, backward_fn)
 
 
-def log_softmax(a: Value) -> Value:
-    """Row-wise log-softmax with max subtraction for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = shifted - lse
-    soft = np.exp(data)
-
-    def backward_fn(adj):
-        return (adj - soft * adj.sum(axis=-1, keepdims=True),)
-
-    return _make(data, (a,), backward_fn)
-
-
 def softmax(a: Value) -> Value:
     """Row-wise softmax (stable); rows sum to 1."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -219,15 +173,6 @@ def mse(a: Value, b: Value) -> Value:
     return _make(data, (a, b), backward_fn)
 
 
-def vsum(a: Value) -> Value:
-    """Sum of all elements -> scalar."""
-
-    def backward_fn(adj):
-        return (np.full_like(a.data, float(adj)),)
-
-    return _make(np.asarray(a.data.sum()), (a,), backward_fn)
-
-
 def vmean(a: Value) -> Value:
     """Mean of all elements -> scalar."""
     n = a.data.size
@@ -236,22 +181,6 @@ def vmean(a: Value) -> Value:
         return (np.full_like(a.data, float(adj) / n),)
 
     return _make(np.asarray(a.data.mean()), (a,), backward_fn)
-
-
-def gather_rows(a: Value, index: np.ndarray) -> Value:
-    """out[i] = a[i, index[i]]; used for picking per-row class entries."""
-    index = np.asarray(index, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ValueError(f"gather_rows: expected 2-D input, got {a.shape}")
-    rows = np.arange(a.data.shape[0])
-    data = a.data[rows, index]
-
-    def backward_fn(adj):
-        g = np.zeros_like(a.data)
-        np.add.at(g, (rows, index), adj)
-        return (g,)
-
-    return _make(data, (a,), backward_fn)
 
 
 def detach(a: Value) -> Value:
@@ -313,9 +242,89 @@ def backward(root: Value) -> None:
 # composite losses shared across modules
 # ---------------------------------------------------------------------------
 
+def _row_labels(kind: str, logits: Value, labels) -> np.ndarray:
+    """Check that ``logits`` is (B, C) and ``labels`` holds B classes in
+    [0, C); return the labels as int64."""
+    if logits.data.ndim != 2:
+        raise ValueError(f"{kind} expects (B, C) logits, got {logits.shape}")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != logits.shape[:1]:
+        raise ValueError(f"{kind}: expected {logits.shape[0]} labels, got shape {labels.shape}")
+    if len(labels) and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise ValueError(f"{kind}: labels outside [0, {logits.shape[1]})")
+    return labels
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax with max subtraction for stability."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _log_softmax_grad(g: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    """The logits' adjoint given the adjoint ``g`` of their log-softmax."""
+    return g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
+
+
 def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
-    """Mean cross-entropy of row logits against integer labels."""
-    return neg(vmean(gather_rows(log_softmax(logits), labels)))
+    """Mean over the B rows of ``-log_softmax(z)[i, y_i]``. Backward puts
+    ``-adj / B`` at each row's label and passes that through the
+    log-softmax."""
+    y = _row_labels("cross_entropy", logits, labels)
+    rows = np.arange(len(y))
+    log_probs = _log_softmax(logits.data)
+
+    def backward_fn(adj):
+        g = np.zeros_like(log_probs)
+        g[rows, y] += float(-adj) / len(y)
+        return (_log_softmax_grad(g, log_probs),)
+
+    return _make(np.asarray(-log_probs[rows, y].mean()), (logits,), backward_fn)
+
+
+def soft_cross_entropy(logits: Value, target: np.ndarray) -> Value:
+    """``-sum(log_softmax(z) * t) * (1 / B)`` for (B, C) logits and a constant
+    target ``t`` of their shape (one distribution per row). Backward passes
+    ``t * (-adj / B)`` through the log-softmax."""
+    target = np.asarray(target, dtype=np.float64)
+    if logits.data.ndim != 2 or target.shape != logits.shape:
+        raise ValueError(f"soft_cross_entropy: expected (B, C) logits and a target of "
+                         f"their shape, got {logits.shape} and {target.shape}")
+    log_probs = _log_softmax(logits.data)
+    factor = 1.0 / len(target)
+
+    def backward_fn(adj):
+        return (_log_softmax_grad(target * float(-adj * factor), log_probs),)
+
+    return _make(np.asarray(-((log_probs * target).sum() * factor)), (logits,), backward_fn)
+
+
+_MASK_NEG = -1e18  # dominates any finite logit without leaving double range
+
+
+def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
+    """Mean over the B rows of ``max_{j != y_i} z_j - z_{y_i}``, the max taken
+    over the logits plus ``_MASK_NEG`` at the label. Backward puts ``adj / B``
+    at each row's maximizer, the lowest-index one on a tie, and ``-adj / B``
+    at its label."""
+    y = _row_labels("cw_margin_loss", logits, y)
+    if logits.shape[1] < 2:
+        raise ValueError("cw_margin_loss needs at least 2 classes")
+    rows = np.arange(len(y))
+    mask = np.zeros(logits.shape)
+    mask[rows, y] = _MASK_NEG
+    masked = logits.data + mask
+    other = np.argmax(masked, axis=1)
+
+    def backward_fn(adj):
+        u = float(adj) / len(y)
+        g = np.zeros_like(masked)
+        g[rows, other] += u
+        g[rows, y] -= u
+        return (g,)
+
+    return _make(np.asarray((masked[rows, other] - logits.data[rows, y]).mean()),
+                 (logits,), backward_fn)
 
 
 def batch_cosine(a: Value, b: Value) -> Value:

@@ -186,13 +186,6 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 # robust-model losses
 # ---------------------------------------------------------------------------
 
-def soft_label_loss(adjusted_logits: Value, soft_labels: np.ndarray) -> Value:
-    """Cross-entropy of log-softmaxed logits against a soft target distribution."""
-    n = adjusted_logits.data.shape[0]
-    inner = ad.mul(ad.log_softmax(adjusted_logits), Value(soft_labels))
-    return ad.neg(ad.scale(ad.vsum(inner), 1.0 / n))
-
-
 def at_model_loss(at_model: ModelParams, oracle: ModelParams | None,
                   x: np.ndarray, x_adv: np.ndarray, soft: np.ndarray,
                   dist: ClassCounts | None,
@@ -207,7 +200,7 @@ def at_model_loss(at_model: ModelParams, oracle: ModelParams | None,
     if config.adjustment_enabled:
         assert dist is not None
         logits = adjust_logits(logits, dist)
-    l_ce = soft_label_loss(logits, soft)
+    l_ce = ad.soft_cross_entropy(logits, soft)
     parts = {"soft_ce": l_ce.item()}
     total = l_ce
 

@@ -171,6 +171,32 @@ def test_cw_margin_closed_forms():
         cw_margin_loss(Value([[1.0]]), np.array([0]))
 
 
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
+def test_pgd_step_graph_is_input_two_mlps_and_loss(loss_kind, monkeypatch):
+    # the graph each step differentiates: the attacked input, the encoder and
+    # head nodes of forward_logits, and the loss node
+    model = init_model(TINY_ARCH, AT_MODEL, seed=4)
+    x = _rand_batch(SplitMix64(1).fork("x"), 4, 5)
+    spec = AttackSpec(epsilon=0.08, alpha=0.02, steps=2, loss_kind=loss_kind)
+    graphs, backward = [], ad.backward
+
+    def spy(root):
+        nodes, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(p for p in node.parents if p.requires_grad)
+        graphs.append(nodes)
+        backward(root)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    pgd_attack(model, x, np.array([0, 1, 2, 0]), spec)
+    assert [len(nodes) for nodes in graphs] == [4, 4]
+    for loss, head, encoder, xv in graphs:
+        assert loss.parents == (head,) and head.parents[0] is encoder
+        assert encoder.parents[0] is xv and xv.parents == () and xv.grad is not None
+
+
 def test_cw_gradient_direction_matches_ce_on_2class_linear():
     # symmetric 2-class toy: d(CW)/dz = [-1, 1] for y=0; CE gives softmax-e_y,
     # proportional along the same axis, so input-gradient signs agree

@@ -6,8 +6,7 @@ import pytest
 
 import oat
 from oat import autodiff as ad
-from oat.adversary import cw_margin_loss
-from oat.autodiff import SgdOptimizer, Value, backward, detach, sgd_pass
+from oat.autodiff import SgdOptimizer, Value, backward, cw_margin_loss, detach, sgd_pass
 from oat.rng import SplitMix64
 
 from helpers import fd_max_rel_error
@@ -49,7 +48,7 @@ def test_shape_mismatch_names_kind():
                                          (Value(np.zeros((3, 2))), Value(np.zeros(2)))])
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+@pytest.mark.parametrize("op", [ad.add])
 def test_only_a_constant_operand_may_broadcast(op):
     rows = Value(np.ones((2, 3)), requires_grad=True)
     prior = np.array([1.0, 2.0, 4.0])
@@ -64,10 +63,10 @@ def test_only_a_constant_operand_may_broadcast(op):
 
 def test_backward_rejects_a_root_that_requires_no_grad():
     with pytest.raises(ValueError, match="requires no grad"):
-        backward(ad.vsum(Value([1.0, 2.0])))
+        backward(ad.vmean(Value([1.0, 2.0])))
     frozen = detach(Value([1.0, 2.0], requires_grad=True))
     with pytest.raises(ValueError, match="requires no grad"):
-        backward(ad.vsum(frozen))
+        backward(ad.vmean(frozen))
 
 
 def test_batch_cosine_takes_2d_rows_of_one_shape():
@@ -82,9 +81,9 @@ def test_batch_cosine_takes_2d_rows_of_one_shape():
 
 def test_backward_relu_subgradient():
     x = Value([[2.0, -2.0]], requires_grad=True)
-    root = ad.vsum(ad.mlp(x, [_identity_layer(2), _identity_layer(2)]))
+    root = ad.vmean(ad.mlp(x, [_identity_layer(2), _identity_layer(2)]))
     backward(root)
-    assert np.array_equal(x.grad, [[1.0, 0.0]])
+    assert np.array_equal(x.grad, [[0.5, 0.0]])
     assert root.grad is None
 
 
@@ -112,7 +111,7 @@ def test_relu_bitwise_equals_where_reference():
 def test_backward_requires_scalar_root():
     x = Value([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        backward(ad.scale(x, 2.0))
+        backward(ad.neg(x))
 
 
 def test_mse_of_value_with_itself_cancels():
@@ -123,7 +122,7 @@ def test_mse_of_value_with_itself_cancels():
 
 def test_grad_accumulates_and_doubles():
     x = Value([1.0, 2.0], requires_grad=True)
-    root = ad.vsum(ad.mul(x, x))
+    root = ad.mse(x, Value([0.5, -1.0]))
     backward(root)
     first = x.grad.copy()
     backward(root)
@@ -132,20 +131,20 @@ def test_grad_accumulates_and_doubles():
 
 def test_value_reused_twice_accumulates_both_paths():
     x = Value([1.5], requires_grad=True)
-    root = ad.vsum(ad.add(ad.mul(x, x), x))  # x^2 + x -> grad 2x + 1
+    root = ad.add(ad.mse(x, Value([0.0])), ad.vmean(x))  # x^2 + x -> grad 2x + 1
     backward(root)
     assert np.allclose(x.grad, [4.0])
 
 
 def test_detach_shares_data_and_blocks_gradient():
     x = Value([1.0, -2.0], requires_grad=True)
-    y = ad.mul(x, x)
+    y = ad.softmax(x)
     d = detach(y)
     assert d.data is y.data
     assert not d.requires_grad and d.parents == ()
-    backward(ad.vsum(ad.mul(d, x)))
-    # only the direct x path contributes: d(d*x)/dx = d.data
-    assert np.array_equal(x.grad, y.data)
+    backward(ad.mse(x, d))
+    # only the direct x path contributes: d mse(x, d)/dx = (2 / n) * (x - d)
+    assert np.array_equal(x.grad, (2.0 / 2) * (x.data - y.data))
 
 
 def test_detach_byol_style_one_sided_gradient():
@@ -167,7 +166,8 @@ def test_batch_cosine_rejects_zero_norm():
 
 
 def test_batch_cosine_gradients_match_finite_differences():
-    # both operands require grad; a non-uniform probe weights each row's cosine
+    # both operands require grad; the mse against a random target weights
+    # each row's cosine differently
     for seed in range(5):
         rng = SplitMix64(seed).fork("cosine")
         a = Value(rng.uniform_range(4 * 6, -1.0, 1.0).reshape(4, 6), requires_grad=True)
@@ -175,16 +175,14 @@ def test_batch_cosine_gradients_match_finite_differences():
         probe = Value(rng.uniform_range(4, -1.0, 1.0))
 
         def loss():
-            return ad.vsum(ad.mul(ad.batch_cosine(a, b), probe))
+            return ad.mse(ad.batch_cosine(a, b), probe)
 
         err = fd_max_rel_error(loss, [a, b], coords_per_tensor=24)
         assert err < 1e-6, f"seed {seed}: max rel error {err}"
 
 
-def test_gather_rows_and_cw_margin_max_subgradient():
+def test_cw_margin_max_subgradient():
     z = Value(np.array([[1.0, 5.0, 2.0], [4.0, 4.0, 0.0]]), requires_grad=True)
-    picked = ad.gather_rows(z, np.array([1, 2]))
-    assert np.array_equal(picked.data, [5.0, 0.0])
     # the true class is 2 in both rows, so the max over the others is 5 and 4
     loss = cw_margin_loss(z, np.array([2, 2]))
     assert loss.item() == ((5.0 - 2.0) + (4.0 - 0.0)) / 2
@@ -192,6 +190,124 @@ def test_gather_rows_and_cw_margin_max_subgradient():
     expected = np.array([[0.0, 0.5, -0.5],
                          [0.5, 0.0, -0.5]])  # tie at 4.0 resolves to the lower index
     assert np.array_equal(z.grad, expected)
+
+
+# Each loss node against the chain of single-purpose ops it replaced, written
+# out as the numpy arithmetic those ops ran, forward and backward in order:
+# each returns the loss value and the adjoint of the logits.
+
+def _chain_log_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    data = shifted - lse
+    return data, np.exp(data)
+
+
+def _chain_cross_entropy(z, y):
+    """neg(vmean(gather_rows(log_softmax(z), y)))"""
+    ls, soft = _chain_log_softmax(z)
+    rows = np.arange(len(y))
+    picked = ls[rows, y]
+    value = -np.asarray(picked.mean())
+    adj = np.full_like(picked, float(-np.ones(())) / picked.size)   # neg, vmean
+    g = np.zeros_like(ls)
+    np.add.at(g, (rows, y), adj)                                    # gather_rows
+    return value, g - soft * g.sum(axis=-1, keepdims=True)          # log_softmax
+
+
+def _chain_soft_cross_entropy(z, t):
+    """neg(scale(vsum(mul(log_softmax(z), t)), 1 / n))"""
+    ls, soft = _chain_log_softmax(z)
+    factor = float(1.0 / len(z))
+    value = -(np.asarray((ls * t).sum()) * factor)
+    adj = -np.ones(()) * factor                                     # neg, scale
+    g = np.full_like(ls, float(adj)) * t                            # vsum, mul
+    return value, g - soft * g.sum(axis=-1, keepdims=True)          # log_softmax
+
+
+def _chain_cw_margin(z, y):
+    """vmean(sub(gather_rows(add(z, mask), argmax), gather_rows(z, y)))"""
+    rows = np.arange(len(y))
+    mask = np.zeros(z.shape)
+    mask[rows, y] = -1e18
+    masked = z + mask
+    other = np.argmax(masked, axis=1)
+    diff = masked[rows, other] - z[rows, y]
+    adj = np.full_like(diff, float(np.ones(())) / diff.size)       # vmean
+    g_other, g_true = np.zeros_like(z), np.zeros_like(z)
+    np.add.at(g_other, (rows, other), adj)                         # sub, gather_rows
+    np.add.at(g_true, (rows, y), -adj)
+    return np.asarray(diff.mean()), g_other + g_true
+
+
+def _loss_cases():
+    """Random (B, C) logits, labels and a target distribution per row: a
+    1-row batch, CW ties at the max, and logits shifted by a log prior."""
+    rng = SplitMix64(21).fork("losses")
+    for batch, classes in [(1, 2), (1, 10), (3, 2), (7, 3), (128, 10), (33, 5)]:
+        z = rng.normal(batch * classes).reshape(batch, classes) * 4.0
+        y = np.array([rng.randint(classes) for _ in range(batch)])
+        t = np.exp(rng.normal(batch * classes).reshape(batch, classes))
+        yield z, y, t / t.sum(axis=1, keepdims=True)
+        prior = np.log(rng.uniform_range(classes, 1.0, 900.0))
+        yield z + (prior - prior.max()), y, np.eye(classes)[y]
+    tied = np.array([[4.0, 4.0, 0.0], [1.0, 3.0, 3.0], [2.0, 2.0, 2.0], [0.0, 7.0, 7.0]])
+    yield tied, np.array([2, 0, 1, 0]), np.full((4, 3), 1 / 3)
+
+
+_FUSED = [(ad.cross_entropy, _chain_cross_entropy, "labels"),
+          (ad.soft_cross_entropy, _chain_soft_cross_entropy, "target"),
+          (cw_margin_loss, _chain_cw_margin, "labels")]
+
+
+@pytest.mark.parametrize("op,chain,second", _FUSED)
+def test_loss_node_bitwise_equals_its_op_chain(op, chain, second):
+    for z, y, t in _loss_cases():
+        arg = y if second == "labels" else t
+        logits = Value(z, requires_grad=True)
+        loss = op(logits, arg)
+        backward(loss)
+        value, grad = chain(z, arg)
+        assert loss.data.tobytes() == value.tobytes()
+        assert logits.grad.tobytes() == (0.0 + grad).tobytes()
+
+
+def test_cw_margin_tie_goes_to_the_lower_index():
+    z = Value(np.array([[0.0, 7.0, 7.0], [3.0, 1.0, 3.0]]), requires_grad=True)
+    backward(cw_margin_loss(z, np.array([0, 1])))
+    assert np.array_equal(z.grad, [[-0.5, 0.5, 0.0], [0.5, -0.5, 0.0]])
+
+
+@pytest.mark.parametrize("op,chain,second", _FUSED)
+def test_loss_node_gradients_match_finite_differences(op, chain, second):
+    # ties are kinks of the CW margin, so only the random cases are checked
+    for z, y, t in list(_loss_cases())[:-1]:
+        logits = Value(z, requires_grad=True)
+        arg = y if second == "labels" else t
+        err = fd_max_rel_error(lambda: op(logits, arg), [logits], coords_per_tensor=30)
+        assert err < 1e-6, f"{op.__name__} on {z.shape}: max rel error {err}"
+
+
+def test_loss_nodes_reject_bad_shapes():
+    z = Value(np.zeros((4, 3)))
+    for op in (ad.cross_entropy, cw_margin_loss):
+        with pytest.raises(ValueError, match=r"expects \(B, C\) logits"):
+            op(Value(np.zeros(3)), np.array([0]))
+        with pytest.raises(ValueError, match="expected 4 labels, got shape"):
+            op(z, np.array([0]))          # would broadcast over the rows
+        with pytest.raises(ValueError, match="expected 4 labels, got shape"):
+            op(z, np.zeros((4, 1), dtype=np.int64))
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match=r"labels outside \[0, 3\)"):
+                op(z, np.array([0, 1, bad, 2]))
+    with pytest.raises(ValueError, match="2 classes"):
+        cw_margin_loss(Value(np.zeros((2, 1))), np.array([0, 0]))
+    for logits, target in [(z, np.full(3, 1 / 3)),          # a (C,) target broadcast
+                           (z, np.full((4, 1), 1.0)),
+                           (z, np.full((3, 3), 1 / 3)),
+                           (Value(np.zeros(3)), np.full(3, 1 / 3))]:
+        with pytest.raises(ValueError, match="soft_cross_entropy: expected"):
+            ad.soft_cross_entropy(logits, target)
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -270,7 +386,8 @@ def test_sgd_pass_batches_order_and_means_parts_over_every_batch():
 
     def batch_loss(i, idx):
         seen.append((i, idx.tolist()))
-        return ad.vsum(ad.scale(w, float(len(idx)))), part_of[i]
+        # d/dw of (w - t)^2 is 2 * (w - t) = len(idx)
+        return ad.mse(w, Value(w.data - len(idx) / 2)), part_of[i]
 
     means = sgd_pass(opt, np.array([4, 2, 0, 3, 1]), 2, batch_loss, "test loss")
     assert seen == [(0, [4, 2]), (1, [0, 3]), (2, [1])]
@@ -281,10 +398,10 @@ def test_sgd_pass_batches_order_and_means_parts_over_every_batch():
 
 def test_sgd_pass_non_finite_loss_raises_before_its_step():
     w = Value(np.ones(2), requires_grad=True)
-    opt = SgdOptimizer([w], learning_rate=0.1, momentum=0.0, weight_decay=0.0)
+    opt = SgdOptimizer([w], learning_rate=0.2, momentum=0.0, weight_decay=0.0)
 
     def batch_loss(i, idx):
-        loss = ad.vsum(w) if i < 2 else ad.scale(ad.vsum(w), np.nan)
+        loss = ad.vmean(w) if i < 2 else ad.add(ad.vmean(w), Value(np.nan))
         return loss, {"loss": loss.item()}
 
     with pytest.raises(FloatingPointError, match="^non-finite test loss$"):
@@ -308,12 +425,12 @@ def _random_mlp(seed: int, batch: int, dims: tuple[int, ...]):
 
 
 def _assert_matches_reference(x, layers, probe):
-    """Run mlp and backward of sum(out * probe) on zero grads; compare the
+    """Run mlp and backward of mse(out, probe) on zero grads; compare the
     output and every leaf's grad bitwise with numpy per layer (matmul and
     add, np.where for the ReLU, its mask from the pre-activation) and return
     the output."""
     out = ad.mlp(x, layers)
-    backward(ad.vsum(ad.mul(out, Value(probe))))
+    backward(ad.mse(out, Value(probe)))
     acts, pre, h = [], [], x.data
     for i, (w, b) in enumerate(layers):
         acts.append(h)
@@ -322,7 +439,7 @@ def _assert_matches_reference(x, layers, probe):
             pre.append(h)
             h = np.where(h > 0, h, 0.0)
     assert out.data.tobytes() == h.tobytes()
-    adj = np.ones_like(h) * probe   # what vsum and mul send back
+    adj = (2.0 / h.size) * (h - probe)   # what mse sends back
     for i in reversed(range(len(layers))):
         w, b = layers[i]
         for leaf, want in ((w, acts[i].T @ adj), (b, adj.sum(axis=0))):
@@ -352,10 +469,9 @@ def test_grads_held_by_leaves_only():
     x, layers, probe = _random_mlp(11, 4, (3, 5, 2))
     const = Value(probe)
     out = ad.mlp(x, layers)
-    scaled = ad.mul(out, const)
-    root = ad.vsum(scaled)
+    root = ad.mse(out, const)
     backward(root)
-    assert out.grad is None and scaled.grad is None and const.grad is None
+    assert out.grad is None and const.grad is None
     assert root.grad is None
     for leaf in (x, *(p for layer in layers for p in layer)):
         assert np.any(leaf.grad != 0)
@@ -363,7 +479,7 @@ def test_grads_held_by_leaves_only():
 
 def test_backward_twice_doubles_leaf_grads_exactly():
     x, layers, probe = _random_mlp(12, 5, (4, 6, 3))
-    root = ad.vmean(ad.mul(ad.mlp(x, layers), Value(probe)))
+    root = ad.mse(ad.mlp(x, layers), Value(probe))
     leaves = [x, *(p for layer in layers for p in layer)]
     backward(root)
     first = [p.grad.copy() for p in leaves]

@@ -19,7 +19,7 @@ from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model
 from oat.oracle import AugmentationPolicy, predict_probs
 from oat.rng import SplitMix64
 from oat.trainer import (TrainConfig, adjust_logits, at_model_loss,
-                         estimate_label_distribution, lr_at_epoch, soft_label_loss, train)
+                         estimate_label_distribution, lr_at_epoch, train)
 
 from helpers import TINY_ARCH, dir_bytes, tiny_dataset
 
@@ -213,14 +213,14 @@ def test_config_accepts_range_bounds():
 # robust-model loss
 # ---------------------------------------------------------------------------
 
-def test_soft_label_loss_matches_hard_ce_for_one_hot():
+def test_soft_cross_entropy_matches_hard_ce_for_one_hot():
     at = init_model(TINY_ARCH, AT_MODEL, seed=3)
     x = SplitMix64(4).fork("x").uniform(6 * 5).reshape(6, 5)
     y = np.array([0, 1, 2, 0, 1, 2])
     one_hot = np.zeros((6, 3))
     one_hot[np.arange(6), y] = 1.0
     logits = forward_logits(at, x)
-    soft = soft_label_loss(logits, one_hot)
+    soft = ad.soft_cross_entropy(logits, one_hot)
     hard = ad.cross_entropy(forward_logits(at, x), y)
     assert soft.item() == pytest.approx(hard.item(), abs=1e-12)
 
