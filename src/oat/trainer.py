@@ -366,6 +366,6 @@ def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSp
         if gt is not None:
             record["dist_l1_prior"] = dist_l1_prior
             record["dist_l1_estimated"] = distribution_error(
-                state.distribution.smoothed, gt.counts)
+                state.distribution.counts, gt.counts)
     record["losses"] = losses
     return record

@@ -11,10 +11,12 @@ import pytest
 
 import oat
 from oat import autodiff as ad
+from oat import trainer
 from oat.adversary import AttackSpec
 from oat.autodiff import Value
 from oat.corruption import ClassCounts, apply_symmetric_noise, class_counts
 from oat.dataio import SyntheticSpec, gen_synthetic
+from oat.evaluation import distribution_error
 from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model
 from oat.oracle import AugmentationPolicy, predict_probs
 from oat.rng import SplitMix64
@@ -331,6 +333,28 @@ def test_oat_records_without_ground_truth_hold_null_gt_counts(tmp_path):
     assert "dist_l1_prior" not in record and "dist_l1_estimated" not in record
 
 
+def test_dist_l1_estimated_is_over_the_raw_estimated_counts(tmp_path, monkeypatch):
+    # an oracle that predicts no row as class 0: the error compares the
+    # recorded counts, as dist_l1_prior does, not counts floored at 1
+    estimate = trainer.estimate_label_distribution
+
+    def without_class_0(oracle, ds):
+        counts = list(estimate(oracle, ds).counts)
+        counts[1] += counts[0]
+        return ClassCounts((0, *counts[1:]))
+
+    monkeypatch.setattr(trainer, "estimate_label_distribution", without_class_0)
+    train_ds, test_ds = _small_data(seed=2)
+    state = train(_fast_config(epochs=2, lr_decay_epochs=()), train_ds, test_ds,
+                  tmp_path / "run")
+    for record in state.records:
+        assert record["estimated_counts"][0] == 0
+        assert record["dist_l1_estimated"] == distribution_error(
+            record["estimated_counts"], record["gt_counts"])
+        assert record["dist_l1_prior"] == distribution_error(
+            record["prior_counts"], record["gt_counts"])
+
+
 def test_train_deterministic(tmp_path):
     train_ds, test_ds = _small_data(seed=3)
     train(_fast_config(seed=9), train_ds, test_ds, tmp_path / "a")
@@ -343,6 +367,7 @@ _BLAS_RUN = """
 import sys
 from oat.corruption import CorruptionSpec, corrupt
 from oat.dataio import SyntheticSpec, gen_synthetic
+from oat.evaluation import distribution_error
 from oat.trainer import TrainConfig, train
 clean = gen_synthetic(SyntheticSpec(4, 16, 150, 0.1, 1))
 ds, _ = corrupt(clean, CorruptionSpec("symmetric", 0.3, 0.2, seed=5))
