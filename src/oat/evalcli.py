@@ -148,6 +148,7 @@ def _cmd_eval(args) -> int:
     payload = json.dumps(record.to_dict(), indent=2) + "\n"
     if args.out:
         out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
         with replaced_together(out.parent, (out.name,)) as temps:
             temps[out.name].write_text(payload)
     print(payload, end="")

@@ -239,12 +239,19 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
           out_dir: str | Path) -> RunState:
     """Run the configured method and persist metrics plus best/last checkpoints.
 
-    Raises FileExistsError, before writing anything, naming an entry of
-    ``out_dir`` that is not one of ``RUN_ENTRIES``.
+    Before writing anything, raises ValueError for an empty training set, an
+    unevaluable test set or (under ``oat``) a class with no training rows, and
+    FileExistsError naming an entry of ``out_dir`` that is not one of
+    ``RUN_ENTRIES``.
     """
     if ds.dim != test.dim or ds.num_classes != test.num_classes:
         raise ValueError("train and test datasets must share dim and num_classes")
+    if len(ds) == 0:
+        raise ValueError("the training set has no rows")
     check_test_set(test)
+    # built once per run, and seeded alone, so building it first moves no bit;
+    # later epochs reuse the same balanced set
+    oversampled = balanced_oversample(ds, seed=config.seed + 3) if config.method == "oat" else None
 
     out_dir = Path(out_dir)
     if out_dir.is_dir():
@@ -266,8 +273,9 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
                     feature_dim=config.feature_dim, num_classes=ds.num_classes)
     rng = SplitMix64(config.seed).fork("train")
     model = init_model(arch, AT_MODEL, seed=config.seed + 1)
-    state = RunState(config=config, oracle=None, model=model, oversampled=None,
-                     labels=None, rng=rng)
+    state = RunState(config=config, oracle=None, model=model, oversampled=oversampled,
+                     labels=None if oversampled is None else oversampled.observed_labels.copy(),
+                     rng=rng)
     state.model_opt = SgdOptimizer(model.parameters(), config.lr,
                                    config.momentum, config.weight_decay)
 
@@ -275,9 +283,6 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
         state.oracle = init_model(arch, ORACLE, seed=config.seed + 2)
         state.oracle_opt = SgdOptimizer(state.oracle.parameters(), config.lr,
                                         config.momentum, config.weight_decay)
-        # built once per run; later epochs reuse the same balanced set
-        state.oversampled = balanced_oversample(ds, seed=config.seed + 3)
-        state.labels = state.oversampled.observed_labels.copy()
 
     prior = class_counts(ds)
     gt = None if ds.gt_labels is None else class_counts(ds, use_gt=True)

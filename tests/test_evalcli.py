@@ -436,6 +436,51 @@ def test_cli_train_refuses_a_directory_holding_another_file_exits_2(tmp_path, ca
     assert [p.name for p in run.iterdir()] == ["eval.json"]
 
 
+def _rows(ds: LabeledDataset, keep: np.ndarray) -> LabeledDataset:
+    return LabeledDataset(samples=ds.samples[keep], observed_labels=ds.observed_labels[keep],
+                          gt_labels=ds.gt_labels[keep], num_classes=ds.num_classes,
+                          ids=ds.ids[keep])
+
+
+@pytest.mark.parametrize("method,rows,named", [
+    ("pgd-at", "none", "the training set has no rows"),
+    ("oat", "none", "the training set has no rows"),
+    ("oat", "no class 2", "cannot oversample: class 2 has no samples"),
+])
+def test_cli_train_rejects_a_bad_training_set_before_touching_the_run(
+        tmp_path, capsys, method, rows, named):
+    data = _make_dataset_dir(tmp_path, "data", per_class=6, seed=3)
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps({
+        "epochs": 1, "batch_size": 16, "lr_decay_epochs": [], "k": 3, "encoder_widths": [6],
+        "feature_dim": 5, "eval_steps": 1, "attack": {"epsilon": 0.03, "alpha": 0.01,
+                                                      "steps": 1}}))
+    run = tmp_path / "run"
+    argv = ["train", "--config", str(config_file), "--test", str(data), "--method", method,
+            "--out", str(run)]
+    assert cli(argv + ["--data", str(data)]) == 0
+    before = dir_bytes(run)
+    ds = load_dataset(data)
+    keep = np.zeros(len(ds), bool) if rows == "none" else ds.observed_labels != 2
+    save_dataset(_rows(ds, keep), tmp_path / "bad")
+    capsys.readouterr()
+    assert cli(argv + ["--data", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == f"oat: error: {named}\n"
+    assert dir_bytes(run) == before
+
+
+def test_cli_eval_out_creates_its_directory(tmp_path, capsys):
+    model, ds = _separable_model_and_data()
+    save_model(model, tmp_path / "ckpt")
+    save_dataset(ds, tmp_path / "data")
+    out_file = tmp_path / "reports" / "seed0" / "metrics.json"
+    assert cli(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data"),
+                "--attack", "none", "--out", str(out_file)]) == 0
+    printed = capsys.readouterr().out
+    assert out_file.read_text() == printed
+    assert [p.name for p in out_file.parent.iterdir()] == ["metrics.json"]
+
+
 def test_cli_train_determinism(tmp_path, capsys):
     data = _make_dataset_dir(tmp_path, "det", per_class=12, seed=4)
     config = {"epochs": 2, "batch_size": 16, "lr": 0.01, "seed": 5,
