@@ -249,8 +249,8 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     if len(ds) == 0:
         raise ValueError("the training set has no rows")
     check_test_set(test)
-    # built once per run, and seeded alone, so building it first moves no bit;
-    # later epochs reuse the same balanced set
+    # built before out_dir is touched, so a class with no rows fails first;
+    # seeded alone, so its place here moves no bit; every epoch reuses it
     oversampled = balanced_oversample(ds, seed=config.seed + 3) if config.method == "oat" else None
 
     out_dir = Path(out_dir)
@@ -273,9 +273,8 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
                     feature_dim=config.feature_dim, num_classes=ds.num_classes)
     rng = SplitMix64(config.seed).fork("train")
     model = init_model(arch, AT_MODEL, seed=config.seed + 1)
-    state = RunState(config=config, oracle=None, model=model, oversampled=oversampled,
-                     labels=None if oversampled is None else oversampled.observed_labels.copy(),
-                     rng=rng)
+    state = RunState(config=config, oracle=None, model=model, oversampled=None,
+                     labels=None, rng=rng)
     state.model_opt = SgdOptimizer(model.parameters(), config.lr,
                                    config.momentum, config.weight_decay)
 
@@ -283,6 +282,8 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
         state.oracle = init_model(arch, ORACLE, seed=config.seed + 2)
         state.oracle_opt = SgdOptimizer(state.oracle.parameters(), config.lr,
                                         config.momentum, config.weight_decay)
+        state.oversampled = oversampled
+        state.labels = oversampled.observed_labels.copy()
 
     prior = class_counts(ds)
     gt = None if ds.gt_labels is None else class_counts(ds, use_gt=True)
