@@ -61,11 +61,9 @@ class ClassCounts:
         return np.maximum(np.asarray(self.counts, dtype=np.float64), 1.0)
 
 
-def class_counts(ds: LabeledDataset, use_gt: bool = False) -> ClassCounts:
-    labels = ds.gt_labels if use_gt else ds.observed_labels
-    if labels is None:
-        raise ValueError("dataset has no gt_labels")
-    return ClassCounts.of(labels, ds.num_classes)
+def class_counts(ds: LabeledDataset) -> ClassCounts:
+    """Counts of the observed labels."""
+    return ClassCounts.of(ds.observed_labels, ds.num_classes)
 
 
 def compute_nr(ds: LabeledDataset) -> float:

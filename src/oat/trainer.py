@@ -8,11 +8,13 @@ last/ checkpoints. An ``oat`` record carries the class counts of the observed
 labels (``prior_counts``), of the oracle's predictions (``estimated_counts``)
 and of the ground truth (``gt_counts``, null when the data has none). "Best"
 is the epoch with the highest PGD robust accuracy on the test set; best/ is
-rewritten as soon as an epoch improves on it, so a run that aborts keeps the
-best checkpoint of the epochs it finished. A run into a directory that holds
-an earlier run deletes that run's summary.json, best/ and last/ before its
-first epoch, so the directory never mixes two runs; a directory that holds
-anything else is refused before anything is written.
+rewritten as soon as an epoch improves on it. Any exception inside an epoch,
+evaluation included, appends one ``{"epoch", "error"}`` record and is raised
+again as ``RuntimeError("run aborted: ...")`` chained to it, with no last/ or
+summary.json written. A run into a directory that holds an earlier run
+deletes that run's summary.json, best/ and last/ before its first epoch, so
+the directory never mixes two runs; a directory that holds anything else is
+refused before anything is written.
 """
 
 from __future__ import annotations
@@ -143,19 +145,52 @@ def _matches(value, hint) -> bool:
 
 @dataclass
 class RunState:
+    """Everything an epoch reads or updates: models, optimizers, working labels,
+    distribution, epoch and best epoch, then the run's constants. Oracle fields
+    are None under ``pgd_at``; ``records`` repeats metrics.jsonl in memory. An
+    epoch that raises aborts the run and leaves the state half-updated."""
     config: TrainConfig
-    oracle: ModelParams | None
+    rng: SplitMix64
     model: ModelParams
+    model_opt: SgdOptimizer
+    oracle: ModelParams | None
+    oracle_opt: SgdOptimizer | None
     oversampled: LabeledDataset | None
     labels: np.ndarray | None          # working labels over the oversampled set
-    rng: SplitMix64
-    oracle_opt: SgdOptimizer | None = None
-    model_opt: SgdOptimizer | None = None
-    epoch: int = 0
+    eval_attack: AttackSpec            # the per-epoch robust-accuracy attack
+    prior: ClassCounts                 # counts of the observed training labels
+    gt: ClassCounts | None             # counts of the hidden labels, if the data has them
     distribution: ClassCounts | None = None
-    records: list = field(default_factory=list)
+    epoch: int = 0
     best_epoch: int = -1
     best_robust: float = -1.0
+    records: list = field(default_factory=list)
+
+    @staticmethod
+    def start(config: TrainConfig, ds: LabeledDataset) -> "RunState":
+        """The state before epoch 0. Under ``oat``, raises ValueError for a
+        class with no rows or a one-row oversampled set."""
+        arch = ArchSpec(input_dim=ds.dim, encoder_widths=config.encoder_widths,
+                        feature_dim=config.feature_dim, num_classes=ds.num_classes)
+        sgd = (config.lr, config.momentum, config.weight_decay)
+        # each model and the oversampling are seeded alone: their order moves no bit
+        model = init_model(arch, AT_MODEL, seed=config.seed + 1)
+        oracle = oracle_opt = oversampled = labels = None
+        if config.method == "oat":
+            oversampled = balanced_oversample(ds, seed=config.seed + 3)
+            if len(oversampled) < 2:
+                raise ValueError(f"oat's k-NN split needs at least 2 oversampled rows, "
+                                 f"got {len(oversampled)}")
+            oracle = init_model(arch, ORACLE, seed=config.seed + 2)
+            oracle_opt = SgdOptimizer(oracle.parameters(), *sgd)
+            labels = oversampled.observed_labels.copy()
+        return RunState(
+            config=config, rng=SplitMix64(config.seed).fork("train"), model=model,
+            model_opt=SgdOptimizer(model.parameters(), *sgd), oracle=oracle,
+            oracle_opt=oracle_opt, oversampled=oversampled, labels=labels,
+            eval_attack=AttackSpec(config.attack.epsilon, config.attack.alpha, config.eval_steps),
+            prior=class_counts(ds),
+            gt=None if ds.gt_labels is None else ClassCounts.of(ds.gt_labels, ds.num_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +221,16 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 # robust-model losses
 # ---------------------------------------------------------------------------
 
-def at_model_loss(at_model: ModelParams, oracle: ModelParams | None,
-                  x: np.ndarray, x_adv: np.ndarray, soft: np.ndarray,
-                  dist: ClassCounts | None,
+def at_model_loss(at_model: ModelParams, oracle: ModelParams,
+                  x: np.ndarray, x_adv: np.ndarray, soft: np.ndarray, dist: ClassCounts,
                   config: TrainConfig) -> tuple[Value, dict[str, float]]:
     """Soft-label cross-entropy on adversarial inputs against ``soft``, the
     oracle's class probabilities on ``x``, plus (when interaction is on) a
     cosine term pulling the robust model's adversarial features toward the
     oracle's clean-view embedding. The oracle contributes only constants: no
     gradient reaches it."""
-    assert oracle is not None
     logits = forward_logits(at_model, x_adv)
     if config.adjustment_enabled:
-        assert dist is not None
         logits = adjust_logits(logits, dist)
     l_ce = ad.soft_cross_entropy(logits, soft)
     parts = {"soft_ce": l_ce.item()}
@@ -227,11 +259,6 @@ def hard_label_loss(at_model: ModelParams, x_adv: np.ndarray,
 # the training loop
 # ---------------------------------------------------------------------------
 
-def _append_jsonl(path: Path, record: dict) -> None:
-    with open(path, "a") as f:
-        f.write(json.dumps(record) + "\n")
-
-
 RUN_ENTRIES = ("best", "config.json", "last", "metrics.jsonl", "summary.json")
 
 
@@ -240,7 +267,7 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     """Run the configured method and persist metrics plus best/last checkpoints.
 
     Before writing anything, raises ValueError for an empty training set, an
-    unevaluable test set or (under ``oat``) a class with no training rows, and
+    unevaluable test set or what ``RunState.start`` rejects, and
     FileExistsError naming an entry of ``out_dir`` that is not one of
     ``RUN_ENTRIES``.
     """
@@ -249,10 +276,7 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     if len(ds) == 0:
         raise ValueError("the training set has no rows")
     check_test_set(test)
-    # built before out_dir is touched, so a class with no rows fails first;
-    # seeded alone, so its place here moves no bit; every epoch reuses it
-    oversampled = balanced_oversample(ds, seed=config.seed + 3) if config.method == "oat" else None
-
+    state = RunState.start(config, ds)
     out_dir = Path(out_dir)
     if out_dir.is_dir():
         foreign = sorted(p.name for p in out_dir.iterdir() if p.name not in RUN_ENTRIES)
@@ -264,63 +288,42 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     for checkpoint in (out_dir / "best", out_dir / "last"):
         if checkpoint.exists():
             shutil.rmtree(checkpoint)
-    metrics_path = out_dir / "metrics.jsonl"
-    metrics_path.write_text("")
-    with replaced_together(out_dir, ("config.json",)) as temps:
-        temps["config.json"].write_text(json.dumps(config.to_dict(), indent=2) + "\n")
+    # line-buffered: each record reaches the file as soon as its epoch ends
+    with open(out_dir / "metrics.jsonl", "w", buffering=1) as metrics:
+        with replaced_together(out_dir, ("config.json",)) as temps:
+            temps["config.json"].write_text(json.dumps(config.to_dict(), indent=2) + "\n")
+        for epoch in range(config.epochs):
+            state.epoch = epoch
+            try:
+                record = run_epoch(state, ds, test)
+            except Exception as err:
+                metrics.write(json.dumps({"epoch": epoch, "error": str(err)}) + "\n")
+                raise RuntimeError(f"run aborted: {err}") from err
+            state.records.append(record)
+            metrics.write(json.dumps(record) + "\n")
 
-    arch = ArchSpec(input_dim=ds.dim, encoder_widths=config.encoder_widths,
-                    feature_dim=config.feature_dim, num_classes=ds.num_classes)
-    rng = SplitMix64(config.seed).fork("train")
-    model = init_model(arch, AT_MODEL, seed=config.seed + 1)
-    state = RunState(config=config, oracle=None, model=model, oversampled=None,
-                     labels=None, rng=rng)
-    state.model_opt = SgdOptimizer(model.parameters(), config.lr,
-                                   config.momentum, config.weight_decay)
-
-    if config.method == "oat":
-        state.oracle = init_model(arch, ORACLE, seed=config.seed + 2)
-        state.oracle_opt = SgdOptimizer(state.oracle.parameters(), config.lr,
-                                        config.momentum, config.weight_decay)
-        state.oversampled = oversampled
-        state.labels = oversampled.observed_labels.copy()
-
-    prior = class_counts(ds)
-    gt = None if ds.gt_labels is None else class_counts(ds, use_gt=True)
-    dist_l1_prior = None if gt is None else distribution_error(prior.counts, gt.counts)
-    eval_attack = AttackSpec(epsilon=config.attack.epsilon, alpha=config.attack.alpha,
-                             steps=config.eval_steps, loss_kind="cross_entropy")
-
-    for epoch in range(config.epochs):
-        state.epoch = epoch
-        oracle_stats = None
-        try:
-            if config.method == "oat":
-                oracle_stats = oracle_epoch(state)
-                state.distribution = estimate_label_distribution(state.oracle, ds)
-            at_losses = _at_epoch(state, ds)
-        except FloatingPointError as err:
-            _append_jsonl(metrics_path, {"epoch": epoch, "error": str(err)})
-            raise RuntimeError(f"run aborted: {err}") from err
-
-        record = _evaluate_epoch(state, test, eval_attack, prior, gt, dist_l1_prior,
-                                 at_losses, oracle_stats)
-        state.records.append(record)
-        _append_jsonl(metrics_path, record)
-
-        robust = record["robust_accuracy"][eval_attack.name()]
-        if robust > state.best_robust:
-            state.best_robust, state.best_epoch = robust, epoch
-            save_model(state.model, out_dir / "best")
+            robust = record["robust_accuracy"][state.eval_attack.name()]
+            if robust > state.best_robust:
+                state.best_robust, state.best_epoch = robust, epoch
+                save_model(state.model, out_dir / "best")
 
     save_model(state.model, out_dir / "last")
     with replaced_together(out_dir, ("summary.json",)) as temps:
         temps["summary.json"].write_text(json.dumps({
-            "best_epoch": state.best_epoch,
-            "best_robust_accuracy": state.best_robust,
-            "last_epoch": config.epochs - 1,
-        }, indent=2) + "\n")
+            "best_epoch": state.best_epoch, "best_robust_accuracy": state.best_robust,
+            "last_epoch": config.epochs - 1}, indent=2) + "\n")
     return state
+
+
+def run_epoch(state: RunState, ds: LabeledDataset, test: LabeledDataset) -> dict:
+    """Epoch ``state.epoch``'s phases in order (the oracle epoch and distribution
+    estimate under ``oat``, the adversarial pass, the evaluation); returns its record."""
+    oracle_stats = None
+    if state.config.method == "oat":
+        oracle_stats = oracle_epoch(state)
+        state.distribution = estimate_label_distribution(state.oracle, ds)
+    at_losses = _at_epoch(state, ds)
+    return _evaluate_epoch(state, test, at_losses, oracle_stats)
 
 
 def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
@@ -346,19 +349,16 @@ def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
                        f"model loss at epoch {state.epoch}")
 
 
-def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSpec,
-                    prior: ClassCounts, gt: ClassCounts | None,
-                    dist_l1_prior: float | None, at_losses: dict[str, float],
+def _evaluate_epoch(state: RunState, test: LabeledDataset, at_losses: dict[str, float],
                     oracle_stats: OracleEpochRecord | None) -> dict:
-    config = state.config
+    config, attack, gt = state.config, state.eval_attack, state.gt
     ca = accuracy(state.model, test.samples, test.gt_labels)
-    ra = robust_accuracy(state.model, test, eval_attack,
-                         state.rng.fork("eval", state.epoch))
+    ra = robust_accuracy(state.model, test, attack, state.rng.fork("eval", state.epoch))
 
     losses = dict(at_losses)
     record: dict = {
         "epoch": state.epoch,
-        **MetricsRecord(ca, {eval_attack.name(): ra}).to_dict(),
+        **MetricsRecord(ca, {attack.name(): ra}).to_dict(),
         "lr_model": lr_at_epoch(config, state.epoch),
         "lr_oracle": config.lr if config.method == "oat" else None,
         "adjustment_enabled": config.adjustment_enabled if config.method == "oat" else False,
@@ -366,11 +366,11 @@ def _evaluate_epoch(state: RunState, test: LabeledDataset, eval_attack: AttackSp
     if config.method == "oat":
         oracle_record = dataclasses.asdict(oracle_stats)
         losses.update(oracle_record.pop("losses"))
-        record.update(oracle_record, prior_counts=list(prior.counts),
+        record.update(oracle_record, prior_counts=list(state.prior.counts),
                       estimated_counts=list(state.distribution.counts),
                       gt_counts=None if gt is None else list(gt.counts))
         if gt is not None:
-            record["dist_l1_prior"] = dist_l1_prior
+            record["dist_l1_prior"] = distribution_error(state.prior.counts, gt.counts)
             record["dist_l1_estimated"] = distribution_error(
                 state.distribution.counts, gt.counts)
     record["losses"] = losses

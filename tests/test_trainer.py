@@ -15,7 +15,8 @@ from oat import trainer
 from oat.adversary import AttackSpec
 from oat.autodiff import Value
 from oat.corruption import ClassCounts, apply_symmetric_noise, class_counts
-from oat.dataio import SyntheticSpec, gen_synthetic
+from oat.dataio import SyntheticSpec, gen_synthetic, save_dataset
+from oat.evalcli import cli
 from oat.evaluation import distribution_error
 from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model
 from oat.oracle import AugmentationPolicy, predict_probs
@@ -35,6 +36,10 @@ def _fast_config(**overrides):
                 eval_steps=3)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _records(run: Path) -> list[dict]:
+    return [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
 
 
 def _small_data(seed=0):
@@ -273,7 +278,7 @@ def test_train_writes_run_directory(tmp_path):
         assert ra <= record["clean_accuracy"] + 1e-12
         assert sum(record["estimated_counts"]) == len(train_ds)
         assert record["prior_counts"] == list(class_counts(train_ds).counts)
-        assert record["gt_counts"] == list(class_counts(train_ds, use_gt=True).counts)
+        assert record["gt_counts"] == list(ClassCounts.of(train_ds.gt_labels, 3).counts)
     assert state.best_epoch <= state.config.epochs - 1
 
 
@@ -286,7 +291,7 @@ def test_run_directory_holds_exactly_the_run_files(tmp_path, method):
         ["best", "config.json", "last", "metrics.jsonl", "summary.json"]
     for checkpoint in ("best", "last"):
         assert not any(p.name.endswith(".tmp") for p in (run / checkpoint).iterdir())
-    records = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
+    records = _records(run)
     count_keys = {"prior_counts", "estimated_counts", "gt_counts"}
     expected = count_keys if method == "oat" else set()
     assert all(count_keys & set(r) == expected for r in records)
@@ -306,7 +311,7 @@ def test_rerun_into_a_run_directory_keeps_nothing_of_the_earlier_run(tmp_path):
     assert sorted(p.name for p in run.iterdir()) == ["best", "config.json", "metrics.jsonl"]
     assert (run / "best" / "params.bin").read_bytes() != first_best
     assert json.loads((run / "config.json").read_text())["lr"] == 1e300
-    records = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
+    records = _records(run)
     assert [r["epoch"] for r in records] == [0, 1] and "error" in records[1]
 
 
@@ -325,9 +330,8 @@ def test_train_refuses_a_directory_holding_another_commands_file(tmp_path):
 def test_oat_records_without_ground_truth_hold_null_gt_counts(tmp_path):
     train_ds, test_ds = _small_data(seed=2)
     train_ds = dataclasses.replace(train_ds, gt_labels=None)
-    state = train(_fast_config(epochs=1, lr_decay_epochs=()), train_ds, test_ds,
-                  tmp_path / "run")
-    record = state.records[0]
+    train(_fast_config(epochs=1, lr_decay_epochs=()), train_ds, test_ds, tmp_path / "run")
+    [record] = _records(tmp_path / "run")
     assert record["gt_counts"] is None
     assert record["prior_counts"] == list(class_counts(train_ds).counts)
     assert "dist_l1_prior" not in record and "dist_l1_estimated" not in record
@@ -345,9 +349,8 @@ def test_dist_l1_estimated_is_over_the_raw_estimated_counts(tmp_path, monkeypatc
 
     monkeypatch.setattr(trainer, "estimate_label_distribution", without_class_0)
     train_ds, test_ds = _small_data(seed=2)
-    state = train(_fast_config(epochs=2, lr_decay_epochs=()), train_ds, test_ds,
-                  tmp_path / "run")
-    for record in state.records:
+    train(_fast_config(epochs=2, lr_decay_epochs=()), train_ds, test_ds, tmp_path / "run")
+    for record in _records(tmp_path / "run"):
         assert record["estimated_counts"][0] == 0
         assert record["dist_l1_estimated"] == distribution_error(
             record["estimated_counts"], record["gt_counts"])
@@ -456,12 +459,13 @@ def test_best_checkpoint_holds_the_best_epoch(tmp_path, method, epochs):
     train_ds, test_ds = _small_data(seed=2)
     config = _fast_config(method=method, epochs=epochs, lr_decay_epochs=(), lr=0.05)
     state = train(config, train_ds, test_ds, tmp_path / "run")
-    best_record = state.records[state.best_epoch]
+    records = _records(tmp_path / "run")
+    best_record = records[state.best_epoch]
     # preconditions: the model learned something (3 classes, so chance is 1/3),
     # the best epoch is not the last, and the two differ in accuracy
     assert best_record["clean_accuracy"] > 1 / 3
     assert state.best_epoch < config.epochs - 1
-    assert best_record["clean_accuracy"] != state.records[-1]["clean_accuracy"]
+    assert best_record["clean_accuracy"] != records[-1]["clean_accuracy"]
     best, last = tmp_path / "run" / "best", tmp_path / "run" / "last"
     assert (best / "params.bin").read_bytes() != (last / "params.bin").read_bytes()
     from oat.evaluation import accuracy
@@ -506,3 +510,53 @@ def test_train_aborts_on_non_finite_loss(tmp_path, method):
     assert json.loads(lines[-1])["error"].startswith("non-finite model loss at epoch ")
 
 
+@pytest.mark.parametrize("method, module, name, err", [
+    ("oat", ad, "batch_cosine", ValueError("batch_cosine: zero-norm embedding")),
+    ("pgd_at", trainer, "robust_accuracy", IndexError("evaluation failed")),
+], ids=["oat-zero-norm", "pgd_at-evaluation"])
+def test_any_exception_in_an_epoch_leaves_one_error_record(tmp_path, monkeypatch, capsys,
+                                                           method, module, name, err):
+    train_ds, test_ds = _small_data(seed=8)
+    run = tmp_path / "run"
+    real = getattr(module, name)
+
+    def failing_once_epoch_0_is_recorded(*args, **kwargs):
+        if (run / "metrics.jsonl").read_text():
+            raise err
+        return real(*args, **kwargs)
+
+    def assert_aborted_in_epoch_1():
+        assert sorted(p.name for p in run.iterdir()) == ["best", "config.json", "metrics.jsonl"]
+        records = _records(run)
+        assert [r["epoch"] for r in records] == [0, 1] and "error" not in records[0]
+        assert records[1] == {"epoch": 1, "error": str(err)}
+
+    monkeypatch.setattr(module, name, failing_once_epoch_0_is_recorded)
+    config = _fast_config(method=method, epochs=3, lr_decay_epochs=())
+    with pytest.raises(RuntimeError, match="aborted") as raised:
+        train(config, train_ds, test_ds, run)
+    assert raised.value.__cause__ is err
+    assert_aborted_in_epoch_1()
+
+    # the same run from the command line, into the same directory
+    save_dataset(train_ds, tmp_path / "train")
+    save_dataset(test_ds, tmp_path / "test")
+    (tmp_path / "config.json").write_text(json.dumps(config.to_dict()))
+    assert cli(["train", "--config", str(tmp_path / "config.json"), "--data",
+                str(tmp_path / "train"), "--test", str(tmp_path / "test"),
+                "--out", str(run)]) == 2
+    assert capsys.readouterr().err == f"oat: error: run aborted: {err}\n"
+    assert_aborted_in_epoch_1()
+    assert cli(["report", "--run", str(run)]) == 0
+    assert json.loads(capsys.readouterr().out)["epochs"][-1] == {"epoch": 1, "error": str(err)}
+
+
+def test_oat_rejects_a_one_row_oversampled_set_before_writing(tmp_path):
+    # oat's k-NN split needs two rows, and one row of one class oversamples to
+    # one; the plain baseline, which has no split, trains on it
+    ds = tiny_dataset(n_per_class=1, num_classes=1)
+    config = _fast_config(epochs=1, lr_decay_epochs=())
+    with pytest.raises(ValueError, match="needs at least 2 oversampled rows, got 1"):
+        train(config, ds, ds, tmp_path / "oat")
+    assert not (tmp_path / "oat").exists()
+    train(dataclasses.replace(config, method="pgd_at"), ds, ds, tmp_path / "pgd_at")
