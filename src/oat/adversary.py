@@ -69,9 +69,13 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
 
     With ``rows`` (an index array into the batch), the random start is still
     drawn for the whole batch, but only ``x[rows]`` is attacked and only those
-    rows are returned. Each row's gradient involves that row alone, up to the
-    batch-mean's positive 1/n factor, which the sign step discards; so the
-    result equals ``pgd_attack(...)[rows]`` bit for bit, as the tests pin.
+    rows are returned. In exact arithmetic each row's gradient involves that
+    row alone, up to the batch-mean's positive 1/n factor. In floating point
+    it need not: BLAS may round a row's products differently when the batch
+    has another row count, so logits and gradients can differ in the last
+    bits. The sign step absorbs such rounding-level differences, and the
+    tests pin ``pgd_attack(...)[rows]`` bit for bit on sampled data; that is
+    a measured property, not a guarantee for every input.
     The label-range check covers all of ``y``."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -14,6 +14,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -234,27 +235,68 @@ def _csv_rows(file: Path, count: int, width: int):
         raise ValueError(f"{file.name} has {n} rows, meta.json declares {count}")
 
 
+# the most distinct field texts load_dataset remembers per call: 8-bit data has
+# at most 256, and continuous data stops adding to the table once it is full
+_TEXT_TABLE_LIMIT = 4096
+
+
+def _read_meta(meta_file: Path) -> dict:
+    """meta.json as a dict, with the keys load_dataset relies on checked."""
+    meta = json.loads(meta_file.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta.json must hold a JSON object, not a {type(meta).__name__}")
+    version = meta.get("version")
+    if type(version) is not int or version != 1:
+        raise ValueError(f"unsupported dataset version {version!r}")
+    for key in ("count", "dim", "num_classes", "has_gt"):
+        if key not in meta:
+            raise ValueError(f"meta.json has no {key!r}")
+    for key, least in (("count", 0), ("dim", 1), ("num_classes", 1)):
+        if type(meta[key]) is not int or meta[key] < least:
+            raise ValueError(f"meta.json {key!r} must be an integer >= {least}, "
+                             f"got {meta[key]!r}")
+    if type(meta["has_gt"]) is not bool:
+        raise ValueError(f"meta.json 'has_gt' must be true or false, got {meta['has_gt']!r}")
+    return meta
+
+
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a directory written by save_dataset.
 
-    Raises ValueError when either CSV's row count differs from meta.json's,
-    a row has the wrong number of fields, or the ids of labels.csv differ
-    from those of samples.csv.
+    Each sample value is ``float()`` of its field text, and each distinct
+    text is parsed once: a row whose texts have all been seen is converted
+    by table lookups. A row with a new text is parsed field by field, as if
+    there were no table, and its texts join the table until it holds
+    ``_TEXT_TABLE_LIMIT`` entries. So 8-bit pixel data (at most 256 texts)
+    is mostly looked up, and continuous data costs one parse per field.
+
+    Raises ValueError when meta.json is not an object with ``version`` 1,
+    integer ``count`` >= 0, ``dim`` >= 1 and ``num_classes`` >= 1 and a
+    boolean ``has_gt``; when either CSV's row count differs from meta.json's,
+    a row has the wrong number of fields, a field is not a number, or the
+    ids of labels.csv differ from those of samples.csv.
     """
     path = Path(path)
     meta_file = path / "meta.json"
     if not meta_file.exists():
         raise FileNotFoundError(f"no meta.json under {path}")
-    meta = json.loads(meta_file.read_text())
-    if meta.get("version") != 1:
-        raise ValueError(f"unsupported dataset version {meta.get('version')!r}")
+    meta = _read_meta(meta_file)
     count, dim = meta["count"], meta["dim"]
 
     samples = np.zeros((count, dim))
     ids = np.zeros(count, dtype=np.int64)
+    table: dict[str, float] = {}
+    lookup = table.__getitem__
     for i, row in _csv_rows(path / "samples.csv", count, dim + 1):
         ids[i] = int(row[0])
-        samples[i] = list(map(float, row[1:]))
+        fields = row[1:]
+        try:
+            samples[i] = np.fromiter(map(lookup, fields), np.float64, dim)
+        except KeyError:
+            samples[i] = np.fromiter(map(float, fields), np.float64, dim)
+            room = _TEXT_TABLE_LIMIT - len(table)
+            if room > 0:
+                table.update(islice(zip(fields, samples[i].tolist()), room))
 
     labels_file = path / "labels.csv"
     if not labels_file.exists():

@@ -67,9 +67,10 @@ def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
 
     A row that is wrong clean can never count, so each batch attacks only its
     clean-correct rows (as AutoAttack does), and a batch with none runs no
-    attack. The count equals attacking the whole batch bit for bit: the random
-    start is drawn for the whole batch, and each row's attack depends on that
-    row alone (see ``pgd_attack``'s ``rows``)."""
+    attack. The random start is drawn for the whole batch, and the sign step
+    absorbs the rounding-level differences a smaller BLAS batch can bring, so
+    the count matches attacking the whole batch on the data the tests sample
+    (see ``pgd_attack``'s ``rows``)."""
     check_test_set(ds)
     robust = 0
     for i, start in enumerate(range(0, len(ds), BATCH_SIZE)):

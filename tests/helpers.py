@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradients, brute-force k-NN,
-a reference dataset writer, a model-untouched check and small fixture
-builders."""
+a reference dataset writer and reader, a model-untouched check and small
+fixture builders."""
 
 from __future__ import annotations
 
@@ -143,3 +143,23 @@ def reference_save_dataset(ds: LabeledDataset, path) -> None:
             if ds.gt_labels is not None:
                 row.append(int(ds.gt_labels[i]))
             writer.writerow(row)
+
+
+def reference_load_dataset(path) -> LabeledDataset:
+    """Row-by-row csv.reader reader of the dataset directory format, with a
+    plain float() per field: the values load_dataset must reproduce bit for
+    bit."""
+    path = Path(path)
+    meta = json.loads((path / "meta.json").read_text())
+    with open(path / "samples.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    with open(path / "labels.csv", newline="") as f:
+        labels = np.array([[int(v) for v in row] for row in list(csv.reader(f))[1:]],
+                          dtype=np.int64).reshape(len(rows), -1)
+    return LabeledDataset(
+        samples=np.array([[float(v) for v in row[1:]] for row in rows]).reshape(
+            len(rows), meta["dim"]),
+        observed_labels=labels[:, 1],
+        gt_labels=labels[:, 2] if meta["has_gt"] else None,
+        num_classes=meta["num_classes"],
+        ids=np.array([int(row[0]) for row in rows], dtype=np.int64))

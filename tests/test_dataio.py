@@ -1,9 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from helpers import dir_bytes, reference_save_dataset
+from helpers import dir_bytes, reference_load_dataset, reference_save_dataset
 from oat import dataio
 from oat.dataio import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledDataset,
                         SyntheticSpec, class_means, gen_synthetic, load_dataset,
@@ -180,12 +181,75 @@ def test_load_dataset_rejects_id_mismatch(tmp_path):
         load_dataset(path)
 
 
+def _repeating(tmp_path):
+    """Six rows of the same three pixel values: row 1 fills load_dataset's
+    table of field texts, and every later row is converted by lookups."""
+    samples = np.tile([0.0, 128 / 255, 1.0], (6, 1))
+    labels = np.arange(6, dtype=np.int64) % 2
+    save_dataset(LabeledDataset(samples=samples, observed_labels=labels, gt_labels=None,
+                                num_classes=2, ids=np.arange(6, dtype=np.int64)),
+                 tmp_path / "repeating")
+    return tmp_path / "repeating"
+
+
 def test_load_dataset_rejects_nan_field(tmp_path):
     path = _saved(tmp_path)
     _edit_lines(path / "samples.csv",
                 lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",nan\n"] + lines[3:])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         load_dataset(path)
+    # row 4 comes after rows 2 and 3, which hit the table, so its unseen text
+    # takes the per-field path and must fail there as a plain float() does
+    for text, message in (("abc", "could not convert string to float: 'abc'"),
+                          ("", "could not convert string to float: ''"),
+                          ("nan", r"\[0, 1\]")):
+        path = _repeating(tmp_path)
+        _edit_lines(path / "samples.csv",
+                    lambda lines: lines[:4] + [lines[4].replace(",0.0,", f",{text},")]
+                    + lines[5:])
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
+
+
+_DROP = object()
+
+
+_MALFORMED_META = {
+    "list": (None, [1, 2], "meta.json must hold a JSON object, not a list"),
+    "version-2": ("version", 2, "unsupported dataset version 2"),
+    "version-true": ("version", True, "unsupported dataset version True"),
+    "count-missing": ("count", _DROP, "meta.json has no 'count'"),
+    "count-negative": ("count", -1, "meta.json 'count' must be an integer >= 0, got -1"),
+    "count-float": ("count", 6.0, "meta.json 'count' must be an integer >= 0, got 6.0"),
+    "dim-missing": ("dim", _DROP, "meta.json has no 'dim'"),
+    "dim-zero": ("dim", 0, "meta.json 'dim' must be an integer >= 1, got 0"),
+    "dim-true": ("dim", True, "meta.json 'dim' must be an integer >= 1, got True"),
+    "num_classes-float": ("num_classes", 2.5,
+                          "meta.json 'num_classes' must be an integer >= 1, got 2.5"),
+    "num_classes-string": ("num_classes", "2",
+                           "meta.json 'num_classes' must be an integer >= 1, got '2'"),
+    "num_classes-zero": ("num_classes", 0,
+                         "meta.json 'num_classes' must be an integer >= 1, got 0"),
+    "has_gt-missing": ("has_gt", _DROP, "meta.json has no 'has_gt'"),
+    "has_gt-int": ("has_gt", 1, "meta.json 'has_gt' must be true or false, got 1"),
+}
+
+
+@pytest.mark.parametrize("key,value,named", _MALFORMED_META.values(), ids=_MALFORMED_META)
+def test_load_dataset_rejects_malformed_meta(tmp_path, key, value, named):
+    path = _saved(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    if key is None:
+        meta = value
+    elif value is _DROP:
+        del meta[key]
+    else:
+        meta[key] = value
+    (path / "meta.json").write_text(json.dumps(meta))
+    (path / "samples.csv").unlink()  # meta.json is checked before any CSV is read
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == named
 
 
 def _same_bits(a, b):
@@ -231,6 +295,83 @@ def test_save_dataset_matches_reference_writer(tmp_path, layout):
     assert np.array_equal(back.ids, ds.ids)
     assert np.array_equal(back.observed_labels, ds.observed_labels)
     assert np.array_equal(back.gt_labels, ds.gt_labels)
+
+
+def _late_texts_dataset():
+    """120 rows over 16 columns: the first 40 take the values {0, 1/2, 1},
+    rows 40-79 are continuous, and rows 80-119 return to the first rows'
+    values with one continuous column from row 100 on."""
+    rng = np.random.default_rng(9)
+    samples = rng.integers(0, 3, size=(120, 16)) / 2.0
+    samples[40:80] = rng.random((40, 16))
+    samples[100:, 7] = rng.random(20)
+    labels = np.arange(120, dtype=np.int64) % 3
+    return LabeledDataset(samples=samples, observed_labels=labels, gt_labels=labels.copy(),
+                          num_classes=3, ids=np.arange(120, dtype=np.int64))
+
+
+@pytest.mark.parametrize("build,lf", [
+    (lambda: _mixed_dataset("C"), False),
+    (lambda: _mixed_dataset("F"), False),
+    (_late_texts_dataset, False),
+    (_late_texts_dataset, True),
+], ids=["mixed-C", "mixed-F", "late-texts", "late-texts-LF"])
+def test_load_dataset_matches_reference_reader(tmp_path, build, lf):
+    ds = build()
+    save_dataset(ds, tmp_path / "ds")
+    if lf:
+        for name in ("samples.csv", "labels.csv"):
+            text = (tmp_path / "ds" / name).read_bytes()
+            (tmp_path / "ds" / name).write_bytes(text.replace(b"\r\n", b"\n"))
+    back, ref = load_dataset(tmp_path / "ds"), reference_load_dataset(tmp_path / "ds")
+    assert _same_bits(back.samples, ref.samples) and _same_bits(back.samples, ds.samples)
+    for got, want in ((back.ids, ref.ids), (back.observed_labels, ref.observed_labels),
+                      (back.gt_labels, ref.gt_labels)):
+        assert np.array_equal(got, want)
+    assert back.num_classes == ref.num_classes == ds.num_classes
+
+
+def _float_calls(monkeypatch, path):
+    """load_dataset(path) and the number of float() calls it made."""
+    calls = []
+
+    def counting_float(text):
+        calls.append(text)
+        return float(text)
+
+    monkeypatch.setattr(dataio, "float", counting_float, raising=False)
+    try:
+        return load_dataset(path), len(calls)
+    finally:
+        monkeypatch.delattr(dataio, "float")
+
+
+def test_load_dataset_parses_each_pixel_text_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 256, size=(400, 64)) / 255.0
+    labels = np.zeros(400, dtype=np.int64)
+    save_dataset(LabeledDataset(samples=pixels, observed_labels=labels, gt_labels=None,
+                                num_classes=1, ids=np.arange(400, dtype=np.int64)),
+                 tmp_path / "pixels")
+    back, calls = _float_calls(monkeypatch, tmp_path / "pixels")
+    assert _same_bits(back.samples, pixels)
+    assert calls < pixels.size / 10
+    # with no room in the table, every field is parsed, once
+    monkeypatch.setattr(dataio, "_TEXT_TABLE_LIMIT", 0)
+    back, calls = _float_calls(monkeypatch, tmp_path / "pixels")
+    assert _same_bits(back.samples, pixels)
+    assert calls == pixels.size
+
+
+def test_load_dataset_parses_each_continuous_field_once(tmp_path, monkeypatch):
+    # 120 rows of 100 distinct texts fill the table in the first 41 rows, so
+    # both a growing and a full table are crossed
+    ds = gen_synthetic(SyntheticSpec(num_classes=3, dim=100, per_class=40,
+                                     cluster_spread=0.05, seed=2))
+    save_dataset(ds, tmp_path / "continuous")
+    back, calls = _float_calls(monkeypatch, tmp_path / "continuous")
+    assert _same_bits(back.samples, ds.samples)
+    assert calls == ds.samples.size
 
 
 def test_load_dataset_accepts_lf_line_ends(tmp_path):

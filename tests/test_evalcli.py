@@ -282,6 +282,18 @@ def test_cli_runtime_errors_exit_2(tmp_path, capsys):
     assert cli(["report", "--run", str(tmp_path / "missing")]) == 2
 
 
+def test_cli_train_malformed_meta_exits_2(tmp_path, capsys):
+    data = _make_dataset_dir(tmp_path, "data", per_class=4)
+    meta = json.loads((data / "meta.json").read_text())
+    del meta["count"]
+    (data / "meta.json").write_text(json.dumps(meta))
+    code = cli(["train", "--data", str(data), "--test", str(data), "--method", "oat",
+                "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "meta.json has no 'count'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_corrupt_then_report_provenance(tmp_path, capsys):
     data = _make_dataset_dir(tmp_path, "clean", per_class=40)
     out = tmp_path / "noisy"
