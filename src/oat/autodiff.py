@@ -18,13 +18,17 @@ adjoints are *added* into the leaves' ``.grad``, so gradients accumulate
 across calls and must be zeroed explicitly (``SgdOptimizer.step`` does this
 after applying the update).
 
-Five composites are single nodes that compute their own backward: ``mlp`` (a
-whole ReLU MLP, one node per encoder, head, projector or predictor call),
-``batch_cosine`` (the row cosine of the contrastive and feature-alignment
-losses) and the three classification losses, ``cross_entropy``,
-``soft_cross_entropy`` and ``cw_margin_loss``. Each is bitwise equal to the
-plain numpy arithmetic its docstring spells out, so a model's logits and
-their loss are three graph nodes.
+The engine is ``add``, ``detach``, ``mlp`` and five losses, each a single
+node that computes its own backward: ``mlp`` is a whole ReLU MLP (one node
+per encoder, head, projector or predictor call), and the losses are
+``cross_entropy``, ``soft_cross_entropy``, ``cw_margin_loss``,
+``cosine_loss`` (the negated mean row cosine of the contrastive and
+feature-alignment terms) and ``neg_softmax_mse`` (the oracle's divergence
+from the robust model). Each is bitwise equal to the plain numpy arithmetic
+its docstring spells out. A model's logits and their loss are three graph
+nodes; backward walks 12 op nodes for an oracle batch with clean rows and 9
+for an ``oat`` robust-model batch with interaction and adjustment on.
+``softmax`` is plain numpy and records no node.
 
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
@@ -103,13 +107,6 @@ def add(a: Value, b: Value) -> Value:
     return _make(data, (a, b), backward_fn)
 
 
-def neg(a: Value) -> Value:
-    def backward_fn(adj):
-        return (-adj,)
-
-    return _make(-a.data, (a,), backward_fn)
-
-
 def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
     """ReLU MLP as one node: each ``(w, b)`` layer computes ``h = h @ w + b``,
     and every layer but the last is followed by ``np.fmax(h, 0.0) + 0.0``.
@@ -145,42 +142,6 @@ def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
         return grads
 
     return _make(acts[-1], parents, backward_fn)
-
-
-def softmax(a: Value) -> Value:
-    """Row-wise softmax (stable); rows sum to 1."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward_fn(adj):
-        return (data * (adj - (adj * data).sum(axis=-1, keepdims=True)),)
-
-    return _make(data, (a,), backward_fn)
-
-
-def mse(a: Value, b: Value) -> Value:
-    if a.shape != b.shape:
-        raise ValueError(f"mse: shapes differ {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    n = diff.size
-    data = np.asarray((diff * diff).sum() / n)
-
-    def backward_fn(adj):
-        g = (2.0 / n) * diff * adj
-        return g if a.requires_grad else None, -g if b.requires_grad else None
-
-    return _make(data, (a, b), backward_fn)
-
-
-def vmean(a: Value) -> Value:
-    """Mean of all elements -> scalar."""
-    n = a.data.size
-
-    def backward_fn(adj):
-        return (np.full_like(a.data, float(adj) / n),)
-
-    return _make(np.asarray(a.data.mean()), (a,), backward_fn)
 
 
 def detach(a: Value) -> Value:
@@ -239,7 +200,7 @@ def backward(root: Value) -> None:
 
 
 # ---------------------------------------------------------------------------
-# composite losses shared across modules
+# losses
 # ---------------------------------------------------------------------------
 
 def _row_labels(kind: str, logits: Value, labels) -> np.ndarray:
@@ -327,31 +288,60 @@ def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
                  (logits,), backward_fn)
 
 
-def batch_cosine(a: Value, b: Value) -> Value:
-    """Row-wise cosine ``d / (na * nb)`` of two (B, D) batches -> (B,), from
-    the row dot ``d`` and row norms ``na``, ``nb``; rejects zero-norm rows
-    (collapse signal). With ``den = na * nb``, ``g_d = adj / den`` and
-    ``g_den = -adj * d / (den * den)``, backward gives ``a`` the dot term
-    ``g_d * b`` plus the norm term ``a * (g_den * nb / na)``, and ``b`` the
-    mirror.
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax (stable) of a plain array; rows sum to 1. Records no
+    graph node."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def neg_softmax_mse(logits: Value, target: np.ndarray) -> Value:
+    """``-mean((softmax(z) - t) ** 2)`` for (B, C) logits and a constant
+    target ``t`` of their shape. With ``p = softmax(z)`` and ``n`` elements,
+    backward forms ``g = (2.0 / n) * (p - t) * -adj`` and passes it through
+    the softmax as ``p * (g - (g * p).sum(-1))``."""
+    target = np.asarray(target, dtype=np.float64)
+    if logits.data.ndim != 2 or target.shape != logits.shape:
+        raise ValueError(f"neg_softmax_mse: expected (B, C) logits and a target of "
+                         f"their shape, got {logits.shape} and {target.shape}")
+    p = softmax(logits.data)
+    diff = p - target
+    n = diff.size
+
+    def backward_fn(adj):
+        g = (2.0 / n) * diff * -adj
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+    return _make(np.asarray(-((diff * diff).sum() / n)), (logits,), backward_fn)
+
+
+def cosine_loss(a: Value, b: Value) -> Value:
+    """``-mean(d / (na * nb))`` over the rows of two (B, D) batches, from the
+    row dot ``d`` and row norms ``na``, ``nb``; rejects zero-norm rows
+    (collapse signal). Backward seeds each row with ``u = -adj / B``; with
+    ``den = na * nb``, ``g_d = u / den`` and ``g_den = -u * d / (den * den)``,
+    it gives ``a`` the dot term ``g_d * b`` plus the norm term
+    ``a * (g_den * nb / na)``, and ``b`` the mirror.
     """
     if a.data.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"batch_cosine: expected two 2-D inputs of one shape, "
+        raise ValueError(f"cosine_loss: expected two 2-D inputs of one shape, "
                          f"got {a.shape} and {b.shape}")
     na = np.sqrt((a.data * a.data).sum(axis=-1))
     nb = np.sqrt((b.data * b.data).sum(axis=-1))
     if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("batch_cosine: zero-norm embedding")
+        raise ValueError("cosine_loss: zero-norm embedding")
     d = (a.data * b.data).sum(axis=-1)
     den = na * nb
 
     def backward_fn(adj):
-        g_d = (adj / den)[:, None]
-        g_den = -adj * d / (den * den)
+        u = float(-adj) / len(d)
+        g_d = (u / den)[:, None]
+        g_den = -u * d / (den * den)
         return (g_d * b.data + a.data * (g_den * nb / na)[:, None] if a.requires_grad else None,
                 g_d * a.data + b.data * (g_den * na / nb)[:, None] if b.requires_grad else None)
 
-    return _make(d / den, (a, b), backward_fn)
+    return _make(np.asarray(-(d / den).mean()), (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -171,8 +171,12 @@ def _cmd_report(args) -> int:
     epochs = []
     last = None  # the last record that is not an error
     if metrics_file.exists():
-        for line in metrics_file.read_text().splitlines():
-            rec = json.loads(line)
+        for number, line in enumerate(metrics_file.read_text().splitlines(), 1):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{metrics_file} line {number}, column {err.colno}: "
+                                 f"{err.msg}") from None
             if "error" in rec:
                 epochs.append({"epoch": rec.get("epoch"), "error": rec["error"]})
                 continue

@@ -172,25 +172,90 @@ def save_model(params: ModelParams, path: str | Path) -> None:
         temps["checkpoint.json"].write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+_ARCH_KEYS = tuple(f.name for f in dataclasses.fields(ArchSpec))
+
+
+def _is_int(x, least: int) -> bool:
+    return type(x) is int and x >= least
+
+
+def _read_manifest(manifest_file: Path) -> tuple[ArchSpec, str, list[dict]]:
+    """checkpoint.json's arch, role and buffer entries, every key load_model
+    reads checked: ValueError names the first key that is missing or holds
+    the wrong kind of value."""
+    manifest = json.loads(manifest_file.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint.json must hold a JSON object, "
+                         f"not a {type(manifest).__name__}")
+    for key in ("version", "role", "arch", "buffers"):
+        if key not in manifest:
+            raise ValueError(f"checkpoint.json has no {key!r}")
+    version = manifest["version"]
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    role = manifest["role"]
+    if role not in (ORACLE, AT_MODEL):
+        raise ValueError(f"checkpoint.json 'role' must be {ORACLE!r} or {AT_MODEL!r}, "
+                         f"got {role!r}")
+    arch = manifest["arch"]
+    if not isinstance(arch, dict):
+        raise ValueError(f"checkpoint.json 'arch' must be a JSON object, got {arch!r}")
+    for key in _ARCH_KEYS:
+        if key not in arch:
+            raise ValueError(f"checkpoint.json 'arch' has no {key!r}")
+    unknown = sorted(arch.keys() - set(_ARCH_KEYS))
+    if unknown:
+        raise ValueError(f"checkpoint.json 'arch' has unknown key {unknown[0]!r}")
+    widths = arch["encoder_widths"]
+    if not isinstance(widths, list) or not all(_is_int(w, 1) for w in widths):
+        raise ValueError(f"checkpoint.json arch 'encoder_widths' must be a list of "
+                         f"integers >= 1, got {widths!r}")
+    for key in _ARCH_KEYS:
+        if key != "encoder_widths" and not _is_int(arch[key], 1):
+            raise ValueError(f"checkpoint.json arch {key!r} must be an integer >= 1, "
+                             f"got {arch[key]!r}")
+    buffers = manifest["buffers"]
+    if not isinstance(buffers, list):
+        raise ValueError(f"checkpoint.json 'buffers' must be a list, got {buffers!r}")
+    for i, entry in enumerate(buffers):
+        where = f"checkpoint.json buffer {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a JSON object, got {entry!r}")
+        for key in ("name", "shape", "offset", "nbytes"):
+            if key not in entry:
+                raise ValueError(f"{where} has no {key!r}")
+        if not isinstance(entry["name"], str):
+            raise ValueError(f"{where} 'name' must be a string, got {entry['name']!r}")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(_is_int(n, 0) for n in shape):
+            raise ValueError(f"{where} 'shape' must be a list of integers >= 0, got {shape!r}")
+        for key in ("offset", "nbytes"):
+            if not _is_int(entry[key], 0):
+                raise ValueError(f"{where} {key!r} must be an integer >= 0, "
+                                 f"got {entry[key]!r}")
+    return ArchSpec(**{**arch, "encoder_widths": tuple(widths)}), role, buffers
+
+
 def load_model(path: str | Path) -> ModelParams:
     """Read a checkpoint written by ``save_model``.
 
-    The model is built by ``init_model`` from the manifest's arch and role,
-    then each buffer is filled by name; raises ValueError naming a buffer
-    that is missing, unexpected or of the wrong shape for that arch, and one
-    whose bytes do not tile ``params.bin``: in offset order, each buffer must
-    start where the one before it ended and span 8 bytes per element, and the
-    last must end where ``params.bin`` does.
+    checkpoint.json is checked before anything is built (``_read_manifest``).
+    The model is then built by ``init_model`` from the manifest's arch and
+    role, and each buffer is filled by name; raises ValueError naming a
+    buffer that is listed twice, missing, unexpected or of the wrong shape for
+    that arch, and one whose bytes do not tile ``params.bin``: in offset
+    order, each buffer must start where the one before it ended and span 8
+    bytes per element, and the last must end where ``params.bin`` does.
     """
     path = Path(path)
-    manifest = json.loads((path / "checkpoint.json").read_text())
-    if manifest["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {manifest['version']}")
-    arch = ArchSpec(**{**manifest["arch"],
-                       "encoder_widths": tuple(manifest["arch"]["encoder_widths"])})
-    params = init_model(arch, manifest["role"], seed=0)
+    arch, role, buffers = _read_manifest(path / "checkpoint.json")
+    params = init_model(arch, role, seed=0)
     expected = dict(params.named_buffers())
-    entries = {entry["name"]: entry for entry in manifest["buffers"]}
+    entries = {}
+    for entry in buffers:
+        if entry["name"] in entries:
+            raise ValueError(f"checkpoint.json lists buffer {entry['name']!r} twice")
+        entries[entry["name"]] = entry
     extra = sorted(entries.keys() - expected.keys())
     if extra:
         raise ValueError(f"checkpoint buffer {extra[0]!r} is not part of its arch")

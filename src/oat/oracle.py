@@ -103,20 +103,20 @@ class AugmentationPolicy:
 
 def _batched(fn, x: np.ndarray, batch: int = 512) -> np.ndarray:
     # zero rows still make one chunk, so the result keeps its column count
-    return np.concatenate([fn(x[start:start + batch]).data
+    return np.concatenate([fn(x[start:start + batch])
                            for start in range(0, max(len(x), 1), batch)])
 
 
 def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Softmax class probabilities of a detached view: no gradient graph."""
     frozen = detached(params)
-    return _batched(lambda b: ad.softmax(forward_logits(frozen, b)), x)
+    return _batched(lambda b: ad.softmax(forward_logits(frozen, b).data), x)
 
 
 def embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Encoder features of a detached view: no gradient graph."""
     frozen = detached(params)
-    return _batched(lambda b: forward_features(frozen, b), x)
+    return _batched(lambda b: forward_features(frozen, b).data, x)
 
 
 def refurbish(oracle: ModelParams, ds: LabeledDataset, theta_r: float) -> RefurbishedLabels:
@@ -258,7 +258,7 @@ def oracle_contrastive_loss(oracle: ModelParams, batch: np.ndarray,
     frozen = detached(oracle)
     target = project_predict(frozen, forward_features(frozen, view1), False)
     online = project_predict(oracle, forward_features(oracle, view2), True)
-    return ad.neg(ad.vmean(ad.batch_cosine(target, online)))
+    return ad.cosine_loss(target, online)
 
 
 def oracle_supervised_loss(oracle: ModelParams, clean_batch: np.ndarray,
@@ -274,9 +274,8 @@ def oracle_interaction_loss(oracle: ModelParams, at_model: ModelParams,
     """Negated MSE between the two models' softmax outputs; pushes the oracle
     away from the robust model's predictions. The robust model's branch is a
     constant here."""
-    oracle_probs = ad.softmax(forward_logits(oracle, clean_batch))
-    model_probs = ad.softmax(forward_logits(detached(at_model), clean_batch))
-    return ad.neg(ad.mse(oracle_probs, model_probs))
+    model_probs = ad.softmax(forward_logits(detached(at_model), clean_batch).data)
+    return ad.neg_softmax_mse(forward_logits(oracle, clean_batch), model_probs)
 
 
 # ---------------------------------------------------------------------------

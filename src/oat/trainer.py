@@ -240,7 +240,7 @@ def at_model_loss(at_model: ModelParams, oracle: ModelParams,
         frozen = detached(oracle)
         target = project_predict(frozen, forward_features(frozen, x), False)
         online = project_predict(frozen, forward_features(at_model, x_adv), True)
-        l_cos = ad.neg(ad.vmean(ad.batch_cosine(target, online)))
+        l_cos = ad.cosine_loss(target, online)
         parts["feature_align"] = l_cos.item()
         total = ad.add(total, l_cos)
 

@@ -1,6 +1,6 @@
-"""Shared test utilities: finite-difference gradients, brute-force k-NN,
-a reference dataset writer and reader, a model-untouched check and small
-fixture builders."""
+"""Shared test utilities: finite-difference gradients, a probe loss node,
+brute-force k-NN, a reference dataset writer and reader, a model-untouched
+check and small fixture builders."""
 
 from __future__ import annotations
 
@@ -52,6 +52,18 @@ def fd_max_rel_error(loss_fn, params, h: float = 1e-5, coords_per_tensor: int = 
     for p in params:
         p.grad[...] = 0.0
     return worst
+
+
+def probe(a: ad.Value, weights=1.0) -> ad.Value:
+    """``sum(a * weights)`` as one scalar graph node: a root for engine tests
+    whose backward sends ``adj * weights`` (weights broadcast to ``a``'s
+    shape) to ``a``."""
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), a.shape)
+
+    def backward_fn(adj):
+        return (weights * adj,)
+
+    return ad._make(np.asarray((a.data * weights).sum()), (a,), backward_fn)
 
 
 @contextmanager

@@ -71,7 +71,7 @@ def _loss_suite(seed: int):
 
     def loss_cos_oracle():
         online = project_predict(oracle, forward_features(oracle, view2), True)
-        return ad.neg(ad.vmean(ad.batch_cosine(Value(cos_target), online)))
+        return ad.cosine_loss(Value(cos_target), online)
 
     def loss_ce_oracle():
         return oracle_supervised_loss(oracle, x, y)
@@ -91,7 +91,7 @@ def _loss_suite(seed: int):
 
     def loss_cos_model():
         online = project_predict(detached(oracle), forward_features(at, x_adv), True)
-        return ad.neg(ad.vmean(ad.batch_cosine(Value(align_target), online)))
+        return ad.cosine_loss(Value(align_target), online)
 
     def loss_cw():
         return cw_margin_loss(forward_logits(at, x_adv), y)

@@ -9,7 +9,7 @@ from oat import autodiff as ad
 from oat.autodiff import SgdOptimizer, Value, backward, cw_margin_loss, detach, sgd_pass
 from oat.rng import SplitMix64
 
-from helpers import fd_max_rel_error
+from helpers import fd_max_rel_error, probe
 
 
 def _identity_layer(n: int):
@@ -29,13 +29,14 @@ def test_relu_definition():
 
 
 def test_softmax_symmetry():
-    out = ad.softmax(Value(np.array([0.0, 0.0])))
-    assert np.array_equal(out.data, [0.5, 0.5])
+    out = ad.softmax(np.array([0.0, 0.0]))
+    assert type(out) is np.ndarray   # plain numpy: no graph node
+    assert np.array_equal(out, [0.5, 0.5])
 
 
 def test_softmax_rows_sum_to_one():
-    rows = ad.softmax(Value(np.array([[5.0, -3.0, 40.0], [0.1, 0.2, 0.3]])))
-    assert np.all(np.abs(rows.data.sum(axis=1) - 1.0) < 1e-12)
+    rows = ad.softmax(np.array([[5.0, -3.0, 40.0], [0.1, 0.2, 0.3]]))
+    assert np.all(np.abs(rows.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_shape_mismatch_names_kind():
@@ -63,25 +64,25 @@ def test_only_a_constant_operand_may_broadcast(op):
 
 def test_backward_rejects_a_root_that_requires_no_grad():
     with pytest.raises(ValueError, match="requires no grad"):
-        backward(ad.vmean(Value([1.0, 2.0])))
+        backward(probe(Value([1.0, 2.0])))
     frozen = detach(Value([1.0, 2.0], requires_grad=True))
     with pytest.raises(ValueError, match="requires no grad"):
-        backward(ad.vmean(frozen))
+        backward(probe(frozen))
 
 
-def test_batch_cosine_takes_2d_rows_of_one_shape():
+def test_cosine_loss_takes_2d_rows_of_one_shape():
     for bad in (np.ones(3), np.ones((1, 2, 3))):
-        with pytest.raises(ValueError, match="batch_cosine: expected two 2-D inputs"):
-            ad.batch_cosine(Value(bad), Value(bad))
-    with pytest.raises(ValueError, match="batch_cosine: expected two 2-D inputs"):
-        ad.batch_cosine(Value(np.ones((2, 3))), Value(np.ones((2, 4))))
-    with pytest.raises(ValueError, match="batch_cosine: expected two 2-D inputs"):
-        ad.batch_cosine(Value(np.ones((2, 3))), Value(np.ones((3, 3))))
+        with pytest.raises(ValueError, match="cosine_loss: expected two 2-D inputs"):
+            ad.cosine_loss(Value(bad), Value(bad))
+    with pytest.raises(ValueError, match="cosine_loss: expected two 2-D inputs"):
+        ad.cosine_loss(Value(np.ones((2, 3))), Value(np.ones((2, 4))))
+    with pytest.raises(ValueError, match="cosine_loss: expected two 2-D inputs"):
+        ad.cosine_loss(Value(np.ones((2, 3))), Value(np.ones((3, 3))))
 
 
 def test_backward_relu_subgradient():
     x = Value([[2.0, -2.0]], requires_grad=True)
-    root = ad.vmean(ad.mlp(x, [_identity_layer(2), _identity_layer(2)]))
+    root = probe(ad.mlp(x, [_identity_layer(2), _identity_layer(2)]), 0.5)
     backward(root)
     assert np.array_equal(x.grad, [[0.5, 0.0]])
     assert root.grad is None
@@ -111,18 +112,20 @@ def test_relu_bitwise_equals_where_reference():
 def test_backward_requires_scalar_root():
     x = Value([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        backward(ad.neg(x))
+        backward(ad.add(x, x))
 
 
 def test_mse_of_value_with_itself_cancels():
-    p = Value([1.0, 3.0, -2.0], requires_grad=True)
-    backward(ad.mse(p, p))
-    assert np.array_equal(p.grad, np.zeros(3))
+    z = Value([[1.0, 3.0, -2.0], [0.5, 0.0, 4.0]], requires_grad=True)
+    loss = ad.neg_softmax_mse(z, ad.softmax(z.data))
+    assert loss.item() == 0.0
+    backward(loss)
+    assert np.array_equal(z.grad, np.zeros((2, 3)))
 
 
 def test_grad_accumulates_and_doubles():
     x = Value([1.0, 2.0], requires_grad=True)
-    root = ad.mse(x, Value([0.5, -1.0]))
+    root = probe(x, [0.5, -1.0])
     backward(root)
     first = x.grad.copy()
     backward(root)
@@ -131,53 +134,84 @@ def test_grad_accumulates_and_doubles():
 
 def test_value_reused_twice_accumulates_both_paths():
     x = Value([1.5], requires_grad=True)
-    root = ad.add(ad.mse(x, Value([0.0])), ad.vmean(x))  # x^2 + x -> grad 2x + 1
+    root = ad.add(probe(x, 2.0), probe(x))  # 2x + x -> grad 3
     backward(root)
-    assert np.allclose(x.grad, [4.0])
+    assert np.array_equal(x.grad, [3.0])
 
 
 def test_detach_shares_data_and_blocks_gradient():
     x = Value([1.0, -2.0], requires_grad=True)
-    y = ad.softmax(x)
+    y = ad.add(x, x)
     d = detach(y)
     assert d.data is y.data
     assert not d.requires_grad and d.parents == ()
-    backward(ad.mse(x, d))
-    # only the direct x path contributes: d mse(x, d)/dx = (2 / n) * (x - d)
-    assert np.array_equal(x.grad, (2.0 / 2) * (x.data - y.data))
+    backward(ad.add(probe(x, [0.25, 4.0]), probe(d)))
+    # only the direct x path contributes
+    assert np.array_equal(x.grad, [0.25, 4.0])
 
 
 def test_detach_byol_style_one_sided_gradient():
     a = Value([[1.0, 2.0]], requires_grad=True)
     b = Value([[3.0, 1.0]], requires_grad=True)
-    backward(ad.neg(ad.vmean(ad.batch_cosine(detach(a), b))))
+    backward(ad.cosine_loss(detach(a), b))
     assert np.array_equal(a.grad, np.zeros((1, 2)))
     assert np.any(b.grad != 0)
     # without the detach, both sides receive gradient
     a2 = Value([[1.0, 2.0]], requires_grad=True)
     b2 = Value([[3.0, 1.0]], requires_grad=True)
-    backward(ad.neg(ad.vmean(ad.batch_cosine(a2, b2))))
+    backward(ad.cosine_loss(a2, b2))
     assert np.any(a2.grad != 0) and np.any(b2.grad != 0)
 
 
-def test_batch_cosine_rejects_zero_norm():
+def test_cosine_loss_rejects_zero_norm():
     with pytest.raises(ValueError, match="zero-norm"):
-        ad.batch_cosine(Value([[0.0, 0.0]]), Value([[1.0, 0.0]]))
+        ad.cosine_loss(Value([[0.0, 0.0]]), Value([[1.0, 0.0]]))
 
 
-def test_batch_cosine_gradients_match_finite_differences():
-    # both operands require grad; the mse against a random target weights
-    # each row's cosine differently
+def _cosine_cases():
+    """Pairs of (B, D) batches: a 1-row batch, random rows and rows scaled
+    far apart in norm."""
+    rng = SplitMix64(5).fork("cosine")
+    for batch, dim in [(1, 1), (1, 4), (4, 6), (33, 5), (128, 32)]:
+        a = rng.uniform_range(batch * dim, -1.0, 1.0).reshape(batch, dim)
+        b = rng.uniform_range(batch * dim, -1.0, 1.0).reshape(batch, dim)
+        yield a, b
+        yield a * 1e3, b * 1e-3
+
+
+def _chain_cosine(a, b):
+    """neg(vmean(batch_cosine(a, b))) with both operands requiring grad"""
+    na = np.sqrt((a * a).sum(axis=-1))
+    nb = np.sqrt((b * b).sum(axis=-1))
+    d = (a * b).sum(axis=-1)
+    den = na * nb
+    value = -np.asarray((d / den).mean())
+    adj = np.full_like(d, float(-np.ones(())) / d.size)             # neg, vmean
+    g_d = (adj / den)[:, None]                                       # batch_cosine
+    g_den = -adj * d / (den * den)
+    return (value, g_d * b + a * (g_den * nb / na)[:, None],
+            g_d * a + b * (g_den * na / nb)[:, None])
+
+
+def test_cosine_loss_bitwise_equals_its_op_chain():
+    for a_data, b_data in _cosine_cases():
+        a = Value(a_data, requires_grad=True)
+        b = Value(b_data, requires_grad=True)
+        loss = ad.cosine_loss(a, b)
+        backward(loss)
+        value, grad_a, grad_b = _chain_cosine(a_data, b_data)
+        assert loss.data.tobytes() == value.tobytes()
+        assert a.grad.tobytes() == (0.0 + grad_a).tobytes()
+        assert b.grad.tobytes() == (0.0 + grad_b).tobytes()
+
+
+def test_cosine_loss_gradients_match_finite_differences():
+    # both operands require grad
     for seed in range(5):
         rng = SplitMix64(seed).fork("cosine")
         a = Value(rng.uniform_range(4 * 6, -1.0, 1.0).reshape(4, 6), requires_grad=True)
         b = Value(rng.uniform_range(4 * 6, -1.0, 1.0).reshape(4, 6), requires_grad=True)
-        probe = Value(rng.uniform_range(4, -1.0, 1.0))
-
-        def loss():
-            return ad.mse(ad.batch_cosine(a, b), probe)
-
-        err = fd_max_rel_error(loss, [a, b], coords_per_tensor=24)
+        err = fd_max_rel_error(lambda: ad.cosine_loss(a, b), [a, b], coords_per_tensor=24)
         assert err < 1e-6, f"seed {seed}: max rel error {err}"
 
 
@@ -240,6 +274,17 @@ def _chain_cw_margin(z, y):
     return np.asarray(diff.mean()), g_other + g_true
 
 
+def _chain_neg_softmax_mse(z, t):
+    """neg(mse(softmax(z), t))"""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    diff = p - t
+    value = -np.asarray((diff * diff).sum() / diff.size)
+    g = (2.0 / diff.size) * diff * -np.ones(())                     # neg, mse
+    return value, p * (g - (g * p).sum(axis=-1, keepdims=True))      # softmax
+
+
 def _loss_cases():
     """Random (B, C) logits, labels and a target distribution per row: a
     1-row batch, CW ties at the max, and logits shifted by a log prior."""
@@ -257,7 +302,8 @@ def _loss_cases():
 
 _FUSED = [(ad.cross_entropy, _chain_cross_entropy, "labels"),
           (ad.soft_cross_entropy, _chain_soft_cross_entropy, "target"),
-          (cw_margin_loss, _chain_cw_margin, "labels")]
+          (cw_margin_loss, _chain_cw_margin, "labels"),
+          (ad.neg_softmax_mse, _chain_neg_softmax_mse, "target")]
 
 
 @pytest.mark.parametrize("op,chain,second", _FUSED)
@@ -302,12 +348,13 @@ def test_loss_nodes_reject_bad_shapes():
                 op(z, np.array([0, 1, bad, 2]))
     with pytest.raises(ValueError, match="2 classes"):
         cw_margin_loss(Value(np.zeros((2, 1))), np.array([0, 0]))
-    for logits, target in [(z, np.full(3, 1 / 3)),          # a (C,) target broadcast
-                           (z, np.full((4, 1), 1.0)),
-                           (z, np.full((3, 3), 1 / 3)),
-                           (Value(np.zeros(3)), np.full(3, 1 / 3))]:
-        with pytest.raises(ValueError, match="soft_cross_entropy: expected"):
-            ad.soft_cross_entropy(logits, target)
+    for op in (ad.soft_cross_entropy, ad.neg_softmax_mse):
+        for logits, target in [(z, np.full(3, 1 / 3)),          # a (C,) target broadcast
+                               (z, np.full((4, 1), 1.0)),
+                               (z, np.full((3, 3), 1 / 3)),
+                               (Value(np.zeros(3)), np.full(3, 1 / 3))]:
+            with pytest.raises(ValueError, match=f"{op.__name__}: expected"):
+                op(logits, target)
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -386,8 +433,7 @@ def test_sgd_pass_batches_order_and_means_parts_over_every_batch():
 
     def batch_loss(i, idx):
         seen.append((i, idx.tolist()))
-        # d/dw of (w - t)^2 is 2 * (w - t) = len(idx)
-        return ad.mse(w, Value(w.data - len(idx) / 2)), part_of[i]
+        return probe(w, len(idx)), part_of[i]   # d/dw = len(idx)
 
     means = sgd_pass(opt, np.array([4, 2, 0, 3, 1]), 2, batch_loss, "test loss")
     assert seen == [(0, [4, 2]), (1, [0, 3]), (2, [1])]
@@ -401,7 +447,7 @@ def test_sgd_pass_non_finite_loss_raises_before_its_step():
     opt = SgdOptimizer([w], learning_rate=0.2, momentum=0.0, weight_decay=0.0)
 
     def batch_loss(i, idx):
-        loss = ad.vmean(w) if i < 2 else ad.add(ad.vmean(w), Value(np.nan))
+        loss = probe(w, 0.5) if i < 2 else ad.add(probe(w, 0.5), Value(np.nan))
         return loss, {"loss": loss.item()}
 
     with pytest.raises(FloatingPointError, match="^non-finite test loss$"):
@@ -412,7 +458,7 @@ def test_sgd_pass_non_finite_loss_raises_before_its_step():
 
 def _random_mlp(seed: int, batch: int, dims: tuple[int, ...]):
     """A grad-requiring (batch, dims[0]) input, layers dims[i] -> dims[i + 1],
-    and a non-uniform probe of the output's shape."""
+    and non-uniform probe weights of the output's shape."""
     rng = SplitMix64(seed).fork("mlp")
 
     def leaf(*shape):
@@ -420,17 +466,17 @@ def _random_mlp(seed: int, batch: int, dims: tuple[int, ...]):
                      requires_grad=True)
 
     layers = [(leaf(a, b), leaf(b)) for a, b in zip(dims, dims[1:])]
-    probe = rng.uniform_range(batch * dims[-1], -1.0, 1.0).reshape(batch, dims[-1])
-    return leaf(batch, dims[0]), layers, probe
+    weights = rng.uniform_range(batch * dims[-1], -1.0, 1.0).reshape(batch, dims[-1])
+    return leaf(batch, dims[0]), layers, weights
 
 
-def _assert_matches_reference(x, layers, probe):
-    """Run mlp and backward of mse(out, probe) on zero grads; compare the
-    output and every leaf's grad bitwise with numpy per layer (matmul and
+def _assert_matches_reference(x, layers, weights):
+    """Run mlp and backward of probe(out, weights) on zero grads; compare
+    the output and every leaf's grad bitwise with numpy per layer (matmul and
     add, np.where for the ReLU, its mask from the pre-activation) and return
     the output."""
     out = ad.mlp(x, layers)
-    backward(ad.mse(out, Value(probe)))
+    backward(probe(out, weights))
     acts, pre, h = [], [], x.data
     for i, (w, b) in enumerate(layers):
         acts.append(h)
@@ -439,7 +485,7 @@ def _assert_matches_reference(x, layers, probe):
             pre.append(h)
             h = np.where(h > 0, h, 0.0)
     assert out.data.tobytes() == h.tobytes()
-    adj = (2.0 / h.size) * (h - probe)   # what mse sends back
+    adj = weights   # what probe sends back
     for i in reversed(range(len(layers))):
         w, b = layers[i]
         for leaf, want in ((w, acts[i].T @ adj), (b, adj.sum(axis=0))):
@@ -461,15 +507,15 @@ def test_mlp_bitwise_equals_per_layer_numpy_reference():
                                           (1, (1, 1, 1)), (3, (5, 4, 2)),
                                           (128, (16, 64, 10)), (256, (16, 64, 32, 10))]):
         _assert_matches_reference(*_random_mlp(seed, batch, dims))
-        x, layers, probe = _random_mlp(seed, batch, dims)
-        _assert_matches_reference(detach(x), layers, probe)
+        x, layers, weights = _random_mlp(seed, batch, dims)
+        _assert_matches_reference(detach(x), layers, weights)
 
 
 def test_grads_held_by_leaves_only():
-    x, layers, probe = _random_mlp(11, 4, (3, 5, 2))
-    const = Value(probe)
-    out = ad.mlp(x, layers)
-    root = ad.mse(out, const)
+    x, layers, weights = _random_mlp(11, 4, (3, 5, 2))
+    const = Value(weights)
+    out = ad.add(ad.mlp(x, layers), const)
+    root = probe(out, weights)
     backward(root)
     assert out.grad is None and const.grad is None
     assert root.grad is None
@@ -478,8 +524,8 @@ def test_grads_held_by_leaves_only():
 
 
 def test_backward_twice_doubles_leaf_grads_exactly():
-    x, layers, probe = _random_mlp(12, 5, (4, 6, 3))
-    root = ad.mse(ad.mlp(x, layers), Value(probe))
+    x, layers, weights = _random_mlp(12, 5, (4, 6, 3))
+    root = probe(ad.mlp(x, layers), weights)
     leaves = [x, *(p for layer in layers for p in layer)]
     backward(root)
     first = [p.grad.copy() for p in leaves]
@@ -490,16 +536,16 @@ def test_backward_twice_doubles_leaf_grads_exactly():
 
 def test_mlp_detached_weight_gets_no_grad():
     # one detached weight: every other operand's grad is as without it
-    x, layers, probe = _random_mlp(13, 6, (4, 5, 3))
+    x, layers, weights = _random_mlp(13, 6, (4, 5, 3))
     w0 = layers[0][0]
     frozen = detach(w0)
-    _assert_matches_reference(x, [(frozen, layers[0][1]), layers[1]], probe)
+    _assert_matches_reference(x, [(frozen, layers[0][1]), layers[1]], weights)
     assert frozen.grad is None
     assert np.array_equal(w0.grad, np.zeros((4, 5)))
     # a constant input and first layer: only the top layer takes a gradient
-    x, layers, probe = _random_mlp(14, 6, (4, 5, 3))
+    x, layers, weights = _random_mlp(14, 6, (4, 5, 3))
     below = [detach(x), detach(layers[0][0]), detach(layers[0][1])]
-    _assert_matches_reference(below[0], [tuple(below[1:]), layers[1]], probe)
+    _assert_matches_reference(below[0], [tuple(below[1:]), layers[1]], weights)
     assert all(v.grad is None for v in below)
     assert np.any(layers[1][0].grad != 0) and np.any(layers[1][1].grad != 0)
 

@@ -387,6 +387,18 @@ def test_cli_report_distribution_comes_from_the_last_non_error_record(tmp_path, 
     }
 
 
+def test_cli_report_names_the_line_it_cannot_parse_exits_2(tmp_path, capsys):
+    # a run killed mid-write leaves a partial last line
+    run = tmp_path / "run"
+    run.mkdir()
+    record = json.dumps({"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {}})
+    (run / "metrics.jsonl").write_text(record + "\n" + record[:20])
+    assert cli(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"oat: error: {run / 'metrics.jsonl'} line 2, column 14: ")
+
+
 def test_cli_report_pgd_at_run_has_no_distribution(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
@@ -433,6 +445,20 @@ def test_cli_eval_rejects_a_test_set_the_checkpoint_does_not_fit_exits_2(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"oat: error: {named}\n"
+
+
+def test_cli_eval_rejects_a_malformed_checkpoint_manifest_exits_2(tmp_path, capsys):
+    save_model(init_model(TINY_ARCH, AT_MODEL, seed=0), tmp_path / "ckpt")
+    save_dataset(tiny_dataset(dim=5), tmp_path / "test")
+    manifest = json.loads((tmp_path / "ckpt" / "checkpoint.json").read_text())
+    manifest["arch"]["input_dim"] = 5.0
+    (tmp_path / "ckpt" / "checkpoint.json").write_text(json.dumps(manifest))
+    assert cli(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data",
+                str(tmp_path / "test"), "--attack", "none"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("oat: error: checkpoint.json arch 'input_dim' must be an "
+                            "integer >= 1, got 5.0\n")
 
 
 def test_cli_train_refuses_a_directory_holding_another_file_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from oat.models import (AT_MODEL, ORACLE, ArchSpec, detached, forward_features,
                         save_model)
 from oat.rng import SplitMix64
 
-from helpers import TINY_ARCH
+from helpers import TINY_ARCH, probe
 
 
 def test_init_deterministic():
@@ -117,7 +117,7 @@ def test_detached_passes_no_gradient():
     out = project_predict(heads, ad.detach(feats), use_predictor=True)
     assert not out.requires_grad and out.parents == ()  # no edge back to the oracle
     with pytest.raises(ValueError, match="requires no grad"):
-        ad.backward(ad.vmean(out))
+        ad.backward(probe(out))
     assert all(np.all(p.grad == 0) for p in oracle.parameters())
     # buffers are shared, not copied
     assert heads.projector[0][0].data is oracle.projector[0][0].data
@@ -133,7 +133,7 @@ def test_detached_view_is_constant_and_shares_every_buffer(role):
     x = ad.Value(np.full((2, 5), 0.2), requires_grad=True)
     logits = forward_logits(view, x)
     assert np.array_equal(logits.data, forward_logits(params, x.data).data)
-    ad.backward(ad.vmean(logits))
+    ad.backward(probe(logits))
     assert np.any(x.grad != 0)
     assert all(np.all(p.grad == 0) for p in params.parameters())
 
@@ -164,6 +164,81 @@ def test_load_model_rejects_manifest_that_disagrees_with_arch(tmp_path, edit, na
     manifest = json.loads((tmp_path / "checkpoint.json").read_text())
     edit(manifest)
     (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path)
+    assert str(err.value) == named
+
+
+_DROP = object()
+
+
+def _set(path, value=_DROP):
+    """An edit that sets (or, given no value, deletes) the manifest entry at
+    ``path``, a list of keys and indices."""
+    def edit(manifest):
+        for key in path[:-1]:
+            manifest = manifest[key]
+        if value is _DROP:
+            del manifest[path[-1]]
+        else:
+            manifest[path[-1]] = value
+    return edit
+
+
+_MALFORMED_MANIFEST = {
+    "list": (lambda m: [m], "checkpoint.json must hold a JSON object, not a list"),
+    "version-missing": (_set(["version"]), "checkpoint.json has no 'version'"),
+    "version-true": (_set(["version"], True), "unsupported checkpoint version True"),
+    "version-2": (_set(["version"], 2), "unsupported checkpoint version 2"),
+    "role-missing": (_set(["role"]), "checkpoint.json has no 'role'"),
+    "role-unknown": (_set(["role"], "critic"),
+                     "checkpoint.json 'role' must be 'oracle' or 'at_model', got 'critic'"),
+    "arch-list": (_set(["arch"], []), "checkpoint.json 'arch' must be a JSON object, got []"),
+    "arch-key-missing": (_set(["arch", "feature_dim"]),
+                         "checkpoint.json 'arch' has no 'feature_dim'"),
+    "arch-key-unknown": (_set(["arch", "depth"], 2),
+                         "checkpoint.json 'arch' has unknown key 'depth'"),
+    "input_dim-float": (_set(["arch", "input_dim"], 5.0),
+                        "checkpoint.json arch 'input_dim' must be an integer >= 1, got 5.0"),
+    "num_classes-true": (_set(["arch", "num_classes"], True),
+                         "checkpoint.json arch 'num_classes' must be an integer >= 1, got True"),
+    "feature_dim-zero": (_set(["arch", "feature_dim"], 0),
+                         "checkpoint.json arch 'feature_dim' must be an integer >= 1, got 0"),
+    "encoder_widths-int": (_set(["arch", "encoder_widths"], 7),
+                           "checkpoint.json arch 'encoder_widths' must be a list of "
+                           "integers >= 1, got 7"),
+    "encoder_widths-float": (_set(["arch", "encoder_widths"], [7.0]),
+                             "checkpoint.json arch 'encoder_widths' must be a list of "
+                             "integers >= 1, got [7.0]"),
+    "buffers-object": (_set(["buffers"], {}),
+                       "checkpoint.json 'buffers' must be a list, got {}"),
+    "buffer-list": (_set(["buffers", 0], []),
+                    "checkpoint.json buffer 0 must be a JSON object, got []"),
+    "offset-missing": (_set(["buffers", 2, "offset"]), "checkpoint.json buffer 2 has no 'offset'"),
+    "name-int": (_set(["buffers", 2, "name"], 3),
+                 "checkpoint.json buffer 2 'name' must be a string, got 3"),
+    "shape-string": (_set(["buffers", 2, "shape"], "7x6"),
+                     "checkpoint.json buffer 2 'shape' must be a list of integers >= 0, "
+                     "got '7x6'"),
+    "shape-float": (_set(["buffers", 2, "shape"], [7.0, 6]),
+                    "checkpoint.json buffer 2 'shape' must be a list of integers >= 0, "
+                    "got [7.0, 6]"),
+    "offset-true": (_set(["buffers", 2, "offset"], True),
+                    "checkpoint.json buffer 2 'offset' must be an integer >= 0, got True"),
+    "nbytes-negative": (_set(["buffers", 2, "nbytes"], -8),
+                        "checkpoint.json buffer 2 'nbytes' must be an integer >= 0, got -8"),
+    "buffer-twice": (lambda m: m["buffers"].append(m["buffers"][-1]),
+                     "checkpoint.json lists buffer 'head.b' twice"),
+}
+
+
+@pytest.mark.parametrize("edit,named", _MALFORMED_MANIFEST.values(), ids=_MALFORMED_MANIFEST)
+def test_load_model_rejects_malformed_manifest(tmp_path, edit, named):
+    save_model(init_model(TINY_ARCH, AT_MODEL, seed=9), tmp_path)
+    manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+    manifest = edit(manifest) or manifest
+    (tmp_path / "checkpoint.json").write_text(json.dumps(manifest))
+    (tmp_path / "params.bin").unlink()  # checkpoint.json is checked before params.bin is read
     with pytest.raises(ValueError) as err:
         load_model(tmp_path)
     assert str(err.value) == named

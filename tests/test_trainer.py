@@ -259,6 +259,58 @@ def test_at_model_loss_composition_and_detach():
     assert any(np.any(p.grad != 0) for p in at.parameters())
 
 
+def _op_nodes(root) -> int:
+    """How many op nodes (not leaves) backward walks from ``root``."""
+    seen, stack, ops = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        ops += bool(node.parents)
+        for parent in node.parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return ops
+
+
+def _first_epoch_graphs(monkeypatch):
+    """Run epoch 0 of a small ``oat`` run with interaction and adjustment on;
+    return its record and the op-node count of each batch's loss, keyed
+    "oracle" and "model" by SGD pass."""
+    graphs, sgd_pass = {"oracle": [], "model": []}, ad.sgd_pass
+
+    def spy(opt, order, batch_size, batch_loss, what):
+        def counted(i, idx):
+            loss, parts = batch_loss(i, idx)
+            graphs[what.split()[0]].append(_op_nodes(loss))
+            return loss, parts
+        return sgd_pass(opt, order, batch_size, counted, what)
+
+    monkeypatch.setattr(ad, "sgd_pass", spy)
+    train_ds, test_ds = _small_data(seed=3)
+    config = _fast_config(epochs=1, lr_decay_epochs=(), interaction_enabled=True,
+                          adjustment_enabled=True)
+    state = trainer.RunState.start(config, train_ds)
+    return trainer.run_epoch(state, train_ds, test_ds), graphs
+
+
+def test_oracle_batch_graph_is_seven_mlps_three_losses_and_two_adds(monkeypatch):
+    # contrastive: encoder, projector, predictor and cosine_loss; supervised:
+    # encoder, head and cross_entropy; divergence: encoder, head and
+    # neg_softmax_mse; two adds sum the terms. A batch without clean rows has
+    # the contrastive term alone.
+    record, graphs = _first_epoch_graphs(monkeypatch)
+    assert graphs["oracle"].count(4) == record["empty_clean_batches"]
+    assert 12 in graphs["oracle"] and set(graphs["oracle"]) <= {4, 12}
+
+
+def test_oat_model_batch_graph_is_five_mlps_two_losses_and_two_adds(monkeypatch):
+    # soft cross-entropy: encoder, head, the prior's add and
+    # soft_cross_entropy; feature alignment: encoder, the frozen projector and
+    # predictor and cosine_loss; one add sums the terms
+    _, graphs = _first_epoch_graphs(monkeypatch)
+    assert graphs["model"] and set(graphs["model"]) == {9}
+
+
 # ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
@@ -511,7 +563,7 @@ def test_train_aborts_on_non_finite_loss(tmp_path, method):
 
 
 @pytest.mark.parametrize("method, module, name, err", [
-    ("oat", ad, "batch_cosine", ValueError("batch_cosine: zero-norm embedding")),
+    ("oat", ad, "cosine_loss", ValueError("cosine_loss: zero-norm embedding")),
     ("pgd_at", trainer, "robust_accuracy", IndexError("evaluation failed")),
 ], ids=["oat-zero-norm", "pgd_at-evaluation"])
 def test_any_exception_in_an_epoch_leaves_one_error_record(tmp_path, monkeypatch, capsys,
