@@ -95,9 +95,11 @@ def gen_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     rng = SplitMix64(spec.seed).fork("gen_synthetic")
     means = class_means(spec.num_classes, spec.dim)
     n = spec.num_classes * spec.per_class
-    noise = rng.normal(n * spec.dim).reshape(n, spec.dim) * spec.cluster_spread
+    samples = rng.normal(n * spec.dim).reshape(n, spec.dim)
     labels = np.repeat(np.arange(spec.num_classes), spec.per_class)
-    samples = np.clip(means[labels] + noise, 0.0, 1.0)
+    samples *= spec.cluster_spread
+    samples += means[labels]
+    np.clip(samples, 0.0, 1.0, out=samples)
     return LabeledDataset(
         samples=samples,
         observed_labels=labels.astype(np.int64),

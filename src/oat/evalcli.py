@@ -159,27 +159,44 @@ def _round2(x):
     return None if x is None else round(x, 2)
 
 
+def _parse_json(path: Path, text: str, line: int = 1):
+    """``json.loads(text)`` for text that starts at ``line`` of ``path``; a
+    decode error names the file, line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path} line {line + err.lineno - 1}, column {err.colno}: "
+                         f"{err.msg}") from None
+
+
+def _require(rec: dict, keys: tuple[str, ...], path: Path, line: int) -> None:
+    for key in keys:
+        if key not in rec:
+            raise ValueError(f"{path} line {line}: record has no {key!r}")
+
+
 def _cmd_report(args) -> int:
     run = Path(args.run)
     report: dict = {}
 
     provenance_file = run / "corruption.json"
     if provenance_file.exists():
-        report["provenance"] = json.loads(provenance_file.read_text())
+        report["provenance"] = _parse_json(provenance_file, provenance_file.read_text())
 
     metrics_file = run / "metrics.jsonl"
     epochs = []
     last = None  # the last record that is not an error
     if metrics_file.exists():
         for number, line in enumerate(metrics_file.read_text().splitlines(), 1):
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{metrics_file} line {number}, column {err.colno}: "
-                                 f"{err.msg}") from None
+            rec = _parse_json(metrics_file, line, number)
+            if not isinstance(rec, dict):
+                raise ValueError(f"{metrics_file} line {number}: record is not a JSON object")
             if "error" in rec:
                 epochs.append({"epoch": rec.get("epoch"), "error": rec["error"]})
                 continue
+            _require(rec, ("epoch", "clean_accuracy", "robust_accuracy")
+                     + (("prior_counts", "gt_counts") if "estimated_counts" in rec else ()),
+                     metrics_file, number)
             last = rec
             row = {
                 "epoch": rec["epoch"],
@@ -195,7 +212,7 @@ def _cmd_report(args) -> int:
 
     summary_file = run / "summary.json"
     if summary_file.exists():
-        report["summary"] = json.loads(summary_file.read_text())
+        report["summary"] = _parse_json(summary_file, summary_file.read_text())
 
     if last is not None and "estimated_counts" in last:
         estimated, gt = last["estimated_counts"], last["gt_counts"]

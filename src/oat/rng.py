@@ -44,14 +44,20 @@ class SplitMix64:
 
     def _next_u64_array(self, n: int) -> np.ndarray:
         # splitmix outputs are a pure function of the counter, so a block of
-        # draws can be produced vectorized and bit-identical to n next_u64 calls
-        steps = np.arange(1, n + 1, dtype=np.uint64)
+        # draws can be produced vectorized and bit-identical to n next_u64
+        # calls; wrapping uint64 arithmetic is exact, so working in place in
+        # two buffers gives the same bits
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        shifted = np.empty_like(z)
         with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + np.uint64(_GAMMA) * steps
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(self._state)
             self._state = int(z[-1]) if n else self._state
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
+            for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+                z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+                z *= np.uint64(mult)
+            z ^= np.right_shift(z, np.uint64(31), out=shifted)
+            return z
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1), using the top 53 bits of each draw."""
@@ -63,12 +69,19 @@ class SplitMix64:
     def normal(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller."""
         m = (n + 1) // 2
-        u1 = self.uniform(m)
-        u2 = self.uniform(m)
-        # u1 == 0 would send log to -inf; the 53-bit grid spacing is the floor
-        u1 = np.maximum(u1, 2.0**-53)
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+        r = self.uniform(m)
+        angle = self.uniform(m)
+        # a zero draw would send log to -inf; the 53-bit grid spacing is the floor
+        np.maximum(r, 2.0**-53, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle *= 2.0 * np.pi
+        out = np.empty(2 * m)
+        np.cos(angle, out=out[:m])
+        np.sin(angle, out=out[m:])
+        out[:m] *= r
+        out[m:] *= r
         return out[:n]
 
     def randint(self, bound: int) -> int:

@@ -95,9 +95,11 @@ def brute_force_knn_majority(points: np.ndarray, labels: np.ndarray, k: int,
 
 def stable_sort_knn_majority(points: np.ndarray, labels: np.ndarray, k: int,
                              num_classes: int) -> np.ndarray:
-    """Per-query reference on knn_split's own distances: the expansion-form d2
-    in 256-row chunks, self excluded, a full stable sort (lower index wins a
-    distance tie) and majority with lowest-class tie break."""
+    """Per-query reference on knn_split's distance formula: the expansion-form
+    d2 of each row against every row (computed here 256 rows at a time, which
+    moves no value of a row), self excluded, a full stable sort (lower index
+    wins a distance tie) and majority with lowest-class tie break. It shares
+    none of knn_split's grouping or blocking."""
     sq = (points * points).sum(axis=1)
     majority = np.zeros(len(points), dtype=np.int64)
     for start in range(0, len(points), 256):

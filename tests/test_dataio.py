@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -61,6 +62,22 @@ def test_gen_synthetic_deterministic():
     a, b = gen_synthetic(spec), gen_synthetic(spec)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.observed_labels, b.observed_labels)
+
+
+@pytest.mark.parametrize("spec,digest", [
+    (SyntheticSpec(10, 16, 200, 0.10, 1),
+     "999395517c17d4793a005199121897137ab988c9befd2937328eefb1b7d5030e"),
+    (SyntheticSpec(3, 5, 7, 0.5, 11),
+     "66722e9593e555e69b6b3dba1e0ba1f6384b27cecc4c36c6e54aff414cdc6ea7"),
+    (SyntheticSpec(10, 128, 100, 0.10, 2),
+     "46b0fe2d52b1ecc1b9bb0680eba38f053e0157207d86b48831e75018df3e345b"),
+])
+def test_gen_synthetic_keeps_its_golden_bits(spec, digest):
+    # sha256 of the float64 sample bytes; the spread-0.5 case clips many
+    # values, the other two are the benchmark's and acceptance-sized shapes
+    samples = gen_synthetic(spec).samples
+    assert samples.dtype == np.float64 and samples.flags.c_contiguous
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
 
 def test_gen_synthetic_counts_and_nr():

@@ -399,6 +399,37 @@ def test_cli_report_names_the_line_it_cannot_parse_exits_2(tmp_path, capsys):
     assert captured.err.startswith(f"oat: error: {run / 'metrics.jsonl'} line 2, column 14: ")
 
 
+@pytest.mark.parametrize("name", ["summary.json", "corruption.json"])
+def test_cli_report_names_the_truncated_json_file_exits_2(tmp_path, capsys, name):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / name).write_text('{\n  "realized_nr": 0.4,\n  "seed": "se')
+    assert cli(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"oat: error: {run / name} line 3, column 11: ")
+
+
+@pytest.mark.parametrize("record,complaint", [
+    ({"epoch": 0, "clean_accuracy": 0.5}, "record has no 'robust_accuracy'"),
+    ({"clean_accuracy": 0.5, "robust_accuracy": {}}, "record has no 'epoch'"),
+    ({k: v for k, v in _oat_record(0, [5, 4, 1], None).items() if k != "prior_counts"},
+     "record has no 'prior_counts'"),
+    ([0, 0.5], "record is not a JSON object"),
+    ("an error", "record is not a JSON object"),
+])
+def test_cli_report_names_the_record_it_cannot_read_exits_2(tmp_path, capsys, record,
+                                                           complaint):
+    run = tmp_path / "run"
+    run.mkdir()
+    good = {"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {}}
+    (run / "metrics.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    assert cli(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oat: error: {run / 'metrics.jsonl'} line 2: {complaint}\n"
+
+
 def test_cli_report_pgd_at_run_has_no_distribution(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()

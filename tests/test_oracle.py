@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oat import autodiff as ad
+from oat import oracle
 from oat.autodiff import Value
 from oat.corruption import (apply_exponential_imbalance, apply_symmetric_noise,
                             balanced_oversample)
@@ -191,18 +192,23 @@ def test_knn_split_oversampled_copies_vote_for_their_source():
     assert set(copies) <= set(split.clean_idx.tolist())
 
 
-@pytest.mark.parametrize("k", [30, 60, 120])
-def test_knn_split_oversampled_ties_match_stable_sort(k):
-    # the path real oracle epochs take: copies of an oversampled row all sit
-    # at one distance, so many rows have more than k columns at or below
-    # their k-th distance and the tie fill decides how many of them vote.
-    # 648 rows make chunks of 256, 256 and 136; heavy noise keeps the votes
-    # close enough that one extra copy's vote changes the split.
+def _oversampled_tie_set():
+    """648 oversampled rows, heavily noisy and imbalanced: the path real
+    oracle epochs take, where copies of a row all sit at one distance."""
     ds = gen_synthetic(SyntheticSpec(num_classes=4, dim=4, per_class=260,
                                      cluster_spread=0.1, seed=2))
     ds = apply_symmetric_noise(apply_exponential_imbalance(ds, ir=0.1, seed=2), nr=0.6, seed=2)
     over = balanced_oversample(ds, seed=2)
-    pts, labels = over.samples, over.observed_labels
+    return over.samples, over.observed_labels
+
+
+@pytest.mark.parametrize("k", [30, 60, 120])
+def test_knn_split_oversampled_ties_match_stable_sort(k):
+    # copies of an oversampled row all sit at one distance, so many rows have
+    # more than k columns at or below their k-th distance and the tie fill
+    # decides how many of them vote. Heavy noise keeps the votes close enough
+    # that one extra copy's vote changes the split.
+    pts, labels = _oversampled_tie_set()
     assert len(pts) == 648
     sq = (pts * pts).sum(axis=1)
     crowded = 0
@@ -261,6 +267,35 @@ def test_knn_split_copies_tie_exactly_off_the_grid(seed):
         split = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
         majority = brute_force_knn_majority(pts, labels, k, 3)
         assert np.array_equal(split.clean_idx, np.flatnonzero(majority == labels)), k
+
+
+def _block_cases():
+    """(points, labels, ks): grid rows with copies, whose d2 are exact, the
+    648-row oversampled tie set, and continuous rows with and without copies."""
+    for seed in range(6):
+        pts, labels = _rows_with_copies(seed)
+        yield pts, labels, (1, 2, (len(pts) - 1) // 2)
+    yield (*_oversampled_tie_set(), (1, 30, 120))
+    for seed in range(3):
+        yield (*_rows_with_copies(seed, grid=False), (1, 2))
+    ds = gen_synthetic(SyntheticSpec(num_classes=4, dim=16, per_class=90,
+                                     cluster_spread=0.3, seed=4))
+    noisy = apply_symmetric_noise(ds, nr=0.4, seed=4)
+    yield noisy.samples, noisy.observed_labels, (1, 7, 36)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 256, "G"])
+def test_knn_split_block_size_moves_no_result(monkeypatch, block):
+    # each query's answer depends only on its own row of distances, so any
+    # block size gives the split one block of all G groups gives
+    for pts, labels, ks in _block_cases():
+        num_groups = len(oracle._row_groups(pts, labels)[0])
+        for k in ks:
+            monkeypatch.setattr(oracle, "KNN_BLOCK", num_groups)
+            whole = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
+            monkeypatch.setattr(oracle, "KNN_BLOCK", num_groups if block == "G" else block)
+            split = knn_split(KnnIndex(points=pts, k=k), pts, labels, k)
+            assert np.array_equal(split.clean_idx, whole.clean_idx), (len(pts), k)
 
 
 def test_knn_split_own_copies_tied_with_another_label():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,32 @@ def test_randints_rejects_non_positive_bounds(bad):
 def test_sample_rejects_bad_counts():
     with pytest.raises(ValueError, match="cannot sample"):
         SplitMix64(0).sample(3, 4)
+
+
+# sha256 of the float64 bytes each draw gives on SplitMix64(7).fork("golden");
+# the bits every seeded dataset, init and augmentation is built from
+UNIFORM_DIGESTS = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "8cf8e224881a47f529b6efdb2194ab26daf115cc4ffa84a12310526797efb2ca",
+    7: "8b3e543d635e103862515c790b9b4215857492ae1e9a2375077c33a310a3263f",
+    32000: "6e361e6235f07d0e1e53ea6713c1d093afd7da612d81595b8cec9a0f1de5a369",
+}
+NORMAL_DIGESTS = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "c29524e90a2f936590e8ca989afb6c9d90bb93d480ac5c2cdd834330f70bc4d1",
+    7: "a4abb61084046d18cd087498402707aee1a90520e62758008b65410df8029648",
+    32000: "b56a8abecebca550b313727ff2e9ab9e959c40b08020c20ab141b684c2bfaf75",
+}
+
+
+@pytest.mark.parametrize("draw,digests", [("uniform", UNIFORM_DIGESTS),
+                                          ("normal", NORMAL_DIGESTS)])
+@pytest.mark.parametrize("n", [0, 1, 7, 32000])
+def test_draws_keep_their_golden_bits(draw, digests, n):
+    rng = SplitMix64(7).fork("golden")
+    out = getattr(rng, draw)(n)
+    assert out.dtype == np.float64 and out.shape == (n,)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digests[n]
+    # uniform takes n draws, normal two per pair of outputs
+    used = n if draw == "uniform" else 2 * ((n + 1) // 2)
+    assert rng._state == (SplitMix64(7).fork("golden")._state + used * _GAMMA) & _MASK
