@@ -9,9 +9,13 @@ and diffable.
 
 from __future__ import annotations
 
+import builtins
+import dataclasses
 import json
+import math
 import os
 import struct
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -148,8 +152,101 @@ def load_idx(image_path: str | Path, label_path: str | Path) -> LabeledDataset:
 
 
 # ---------------------------------------------------------------------------
+# checked JSON: the config, meta.json and checkpoint.json
+# ---------------------------------------------------------------------------
+
+def parse_json(path: Path, text: str, line: int = 1):
+    """``json.loads(text)`` for text that starts at ``line`` of ``path``; a
+    decode error names the file, line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path} line {line + err.lineno - 1}, column {err.colno}: "
+                         f"{err.msg}") from None
+
+
+def from_json(cls, d, where: str, defaults: bool = True):
+    """Dataclass ``cls`` built from a JSON object: nested dataclass fields are
+    built from objects, and lists become tuples where the field is a tuple.
+    Raises ValueError naming ``where`` and the key of any unknown or missing
+    key, or of a value of the wrong type or a NaN or infinite number. A key
+    may be left out only where its field has a default and ``defaults`` is
+    set."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must hold a JSON object, not a {type(d).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [name for name, f in fields.items() if name not in d and not (defaults and (
+        f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING))]
+    if missing:
+        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in d.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+            value = from_json(hint, value, key, defaults)
+        if not _matches(value, hint):
+            # f.type is the annotation as written
+            raise ValueError(f"{where} key {key!r} must be {fields[key].type}, got {value!r}")
+        kwargs[key] = tuple(value) if typing.get_origin(hint) is tuple else value
+    return cls(**kwargs)
+
+
+def _matches(value, hint) -> bool:
+    # builtins.float, not float: a test counts load_dataset's calls by
+    # shadowing this module's float with a function
+    number = builtins.float
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint in (int, number, str):
+        # a bool is an int in Python but not a number in JSON; an int passes
+        # as a float, and json.loads parses NaN and Infinity, which no key takes
+        if isinstance(value, number) and not math.isfinite(value):
+            return False
+        return not isinstance(value, bool) and isinstance(
+            value, (int, number) if hint is number else hint)
+    if typing.get_origin(hint) is tuple:         # tuple[X, ...]
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
+    return isinstance(value, hint)
+
+
+def read_json(path: Path, cls, where: str):
+    """Dataclass ``cls`` from the JSON file ``path``, every key present
+    (``from_json``). A ValueError names the file first, then the line and
+    column of a decode error or the key of a rejected value."""
+    d = parse_json(path, path.read_text())
+    try:
+        return from_json(cls, d, where, defaults=False)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+# ---------------------------------------------------------------------------
 # directory persistence
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Meta:
+    """meta.json, read before either CSV: ``version`` 1, ``count`` >= 0,
+    ``dim`` and ``num_classes`` >= 1, and whether labels.csv has gt labels."""
+    version: int
+    num_classes: int
+    dim: int
+    count: int
+    has_gt: bool
+
+    def __post_init__(self):
+        if self.version != 1:
+            raise ValueError(f"unsupported dataset version {self.version!r}")
+        for key, least in (("count", 0), ("dim", 1), ("num_classes", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"dataset key {key!r} must be at least {least}, "
+                                 f"got {getattr(self, key)!r}")
+
 
 _BLOCK_ROWS = 256
 
@@ -193,13 +290,7 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "version": 1,
-        "num_classes": ds.num_classes,
-        "dim": ds.dim,
-        "count": len(ds),
-        "has_gt": ds.gt_labels is not None,
-    }
+    meta = _Meta(1, ds.num_classes, ds.dim, len(ds), ds.gt_labels is not None)
     ids = np.asarray(ds.ids, dtype=np.int64)
     labels = {"id": ids, "observed_label": ds.observed_labels}
     if ds.gt_labels is not None:
@@ -214,7 +305,7 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
             f.write(",".join(labels) + "\r\n")
             rows = zip(*(np.asarray(c, dtype=np.int64).tolist() for c in labels.values()))
             f.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
-        temps["meta.json"].write_text(json.dumps(meta, indent=2) + "\n")
+        temps["meta.json"].write_text(json.dumps(dataclasses.asdict(meta), indent=2) + "\n")
 
 
 def _csv_rows(file: Path, count: int, width: int):
@@ -242,26 +333,6 @@ def _csv_rows(file: Path, count: int, width: int):
 _TEXT_TABLE_LIMIT = 4096
 
 
-def _read_meta(meta_file: Path) -> dict:
-    """meta.json as a dict, with the keys load_dataset relies on checked."""
-    meta = json.loads(meta_file.read_text())
-    if not isinstance(meta, dict):
-        raise ValueError(f"meta.json must hold a JSON object, not a {type(meta).__name__}")
-    version = meta.get("version")
-    if type(version) is not int or version != 1:
-        raise ValueError(f"unsupported dataset version {version!r}")
-    for key in ("count", "dim", "num_classes", "has_gt"):
-        if key not in meta:
-            raise ValueError(f"meta.json has no {key!r}")
-    for key, least in (("count", 0), ("dim", 1), ("num_classes", 1)):
-        if type(meta[key]) is not int or meta[key] < least:
-            raise ValueError(f"meta.json {key!r} must be an integer >= {least}, "
-                             f"got {meta[key]!r}")
-    if type(meta["has_gt"]) is not bool:
-        raise ValueError(f"meta.json 'has_gt' must be true or false, got {meta['has_gt']!r}")
-    return meta
-
-
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a directory written by save_dataset.
 
@@ -272,51 +343,57 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     ``_TEXT_TABLE_LIMIT`` entries. So 8-bit pixel data (at most 256 texts)
     is mostly looked up, and continuous data costs one parse per field.
 
-    Raises ValueError when meta.json is not an object with ``version`` 1,
-    integer ``count`` >= 0, ``dim`` >= 1 and ``num_classes`` >= 1 and a
-    boolean ``has_gt``; when either CSV's row count differs from meta.json's,
-    a row has the wrong number of fields, a field is not a number, or the
-    ids of labels.csv differ from those of samples.csv.
+    Raises ValueError naming the file when meta.json is not the object
+    save_dataset writes (``_Meta``), a CSV's row count differs from
+    meta.json's, or a row has the wrong number of fields; and naming the row
+    as well when a field is not a number, a label lies outside
+    [0, num_classes), or an id of labels.csv differs from that of samples.csv.
     """
     path = Path(path)
-    meta_file = path / "meta.json"
-    if not meta_file.exists():
-        raise FileNotFoundError(f"no meta.json under {path}")
-    meta = _read_meta(meta_file)
-    count, dim = meta["count"], meta["dim"]
+    meta = read_json(path / "meta.json", _Meta, "dataset")
+    count, dim = meta.count, meta.dim
 
     samples = np.zeros((count, dim))
     ids = np.zeros(count, dtype=np.int64)
     table: dict[str, float] = {}
     lookup = table.__getitem__
     for i, row in _csv_rows(path / "samples.csv", count, dim + 1):
-        ids[i] = int(row[0])
-        fields = row[1:]
         try:
-            samples[i] = np.fromiter(map(lookup, fields), np.float64, dim)
-        except KeyError:
-            samples[i] = np.fromiter(map(float, fields), np.float64, dim)
-            room = _TEXT_TABLE_LIMIT - len(table)
-            if room > 0:
-                table.update(islice(zip(fields, samples[i].tolist()), room))
+            ids[i] = int(row[0])
+            fields = row[1:]
+            try:
+                samples[i] = np.fromiter(map(lookup, fields), np.float64, dim)
+            except KeyError:
+                samples[i] = np.fromiter(map(float, fields), np.float64, dim)
+                room = _TEXT_TABLE_LIMIT - len(table)
+                if room > 0:
+                    table.update(islice(zip(fields, samples[i].tolist()), room))
+        except ValueError as err:
+            raise ValueError(f"samples.csv row {i + 1}: {err}") from None
 
-    labels_file = path / "labels.csv"
-    if not labels_file.exists():
-        raise FileNotFoundError(f"no labels.csv under {path}")
     observed = np.zeros(count, dtype=np.int64)
-    gt = np.zeros(count, dtype=np.int64) if meta["has_gt"] else None
-    for i, row in _csv_rows(labels_file, count, 2 if gt is None else 3):
-        if int(row[0]) != ids[i]:
+    gt = np.zeros(count, dtype=np.int64) if meta.has_gt else None
+    for i, row in _csv_rows(path / "labels.csv", count, 2 if gt is None else 3):
+        try:
+            row_id, observed[i] = int(row[0]), int(row[1])
+            if gt is not None:
+                gt[i] = int(row[2])
+        except ValueError as err:
+            raise ValueError(f"labels.csv row {i + 1}: {err}") from None
+        if row_id != ids[i]:
             raise ValueError(f"labels.csv row {i + 1} has id {row[0]}, "
                              f"samples.csv row {i + 1} has id {ids[i]}")
-        observed[i] = int(row[1])
-        if gt is not None:
-            gt[i] = int(row[2])
+    for column, labels in (("observed_label", observed), ("gt_label", gt)):
+        outside = [] if labels is None else np.flatnonzero(
+            (labels < 0) | (labels >= meta.num_classes))
+        if len(outside):
+            raise ValueError(f"labels.csv row {outside[0] + 1}: {column} {labels[outside[0]]} "
+                             f"lies outside [0, {meta.num_classes})")
 
     return LabeledDataset(
         samples=samples,
         observed_labels=observed,
         gt_labels=gt,
-        num_classes=meta["num_classes"],
+        num_classes=meta.num_classes,
         ids=ids,
     )

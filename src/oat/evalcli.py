@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .adversary import AttackSpec
 from .corruption import CorruptionSpec, corrupt
-from .dataio import load_dataset, replaced_together, save_dataset
+from .dataio import load_dataset, parse_json, replaced_together, save_dataset
 from .evaluation import evaluate
 from .models import load_model
 from .trainer import TrainConfig, train
@@ -109,9 +109,8 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config_text = Path(args.config).read_text() if args.config else "{}"
     try:  # a bad config is a usage problem
-        overrides = json.loads(config_text)
+        overrides = parse_json(args.config, Path(args.config).read_text()) if args.config else {}
         if not isinstance(overrides, dict):
             raise ValueError("--config must hold a JSON object")
         if args.method:
@@ -159,16 +158,6 @@ def _round2(x):
     return None if x is None else round(x, 2)
 
 
-def _parse_json(path: Path, text: str, line: int = 1):
-    """``json.loads(text)`` for text that starts at ``line`` of ``path``; a
-    decode error names the file, line and column."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path} line {line + err.lineno - 1}, column {err.colno}: "
-                         f"{err.msg}") from None
-
-
 def _require(rec: dict, keys: tuple[str, ...], path: Path, line: int) -> None:
     for key in keys:
         if key not in rec:
@@ -181,14 +170,14 @@ def _cmd_report(args) -> int:
 
     provenance_file = run / "corruption.json"
     if provenance_file.exists():
-        report["provenance"] = _parse_json(provenance_file, provenance_file.read_text())
+        report["provenance"] = parse_json(provenance_file, provenance_file.read_text())
 
     metrics_file = run / "metrics.jsonl"
     epochs = []
     last = None  # the last record that is not an error
     if metrics_file.exists():
         for number, line in enumerate(metrics_file.read_text().splitlines(), 1):
-            rec = _parse_json(metrics_file, line, number)
+            rec = parse_json(metrics_file, line, number)
             if not isinstance(rec, dict):
                 raise ValueError(f"{metrics_file} line {number}: record is not a JSON object")
             if "error" in rec:
@@ -212,7 +201,7 @@ def _cmd_report(args) -> int:
 
     summary_file = run / "summary.json"
     if summary_file.exists():
-        report["summary"] = _parse_json(summary_file, summary_file.read_text())
+        report["summary"] = parse_json(summary_file, summary_file.read_text())
 
     if last is not None and "estimated_counts" in last:
         estimated, gt = last["estimated_counts"], last["gt_counts"]

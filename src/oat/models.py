@@ -12,13 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .dataio import replaced_together
+from .dataio import read_json, replaced_together
 from .rng import SplitMix64
 
 ORACLE = "oracle"
@@ -37,6 +38,14 @@ class ArchSpec:
     predictor_out: int = 128
 
     def __post_init__(self):
+        for key in ("input_dim", "feature_dim", "num_classes", "projector_hidden",
+                    "projector_out", "predictor_hidden", "predictor_out"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"arch key {key!r} must be at least 1, got {value!r}")
+        if any(width < 1 for width in self.encoder_widths):
+            raise ValueError(f"arch key 'encoder_widths' must all be at least 1, "
+                             f"got {list(self.encoder_widths)}")
         if self.projector_out != self.predictor_out:
             raise ValueError("projector_out and predictor_out must match (cosine compares them)")
 
@@ -143,6 +152,34 @@ def detached(params: ModelParams) -> ModelParams:
 CHECKPOINT_VERSION = 1
 
 
+@dataclass(frozen=True)
+class _Manifest:
+    """checkpoint.json: the model to build, and where its buffers lie in params.bin."""
+    version: int
+    role: str
+    arch: ArchSpec
+    buffers: list
+
+    def __post_init__(self):
+        if self.version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {self.version!r}")
+        if self.role not in (ORACLE, AT_MODEL):
+            raise ValueError(f"checkpoint key 'role' must be {ORACLE!r} or {AT_MODEL!r}, "
+                             f"got {self.role!r}")
+
+
+def _layout(params: ModelParams) -> list[dict]:
+    """The buffer entries save_model writes: each named buffer's shape, and
+    its bytes in params.bin, one after the other in ``named_buffers`` order."""
+    layout, offset = [], 0
+    for name, value in params.named_buffers():
+        nbytes = 8 * value.data.size
+        layout.append({"name": name, "shape": list(value.data.shape),
+                       "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return layout
+
+
 def save_model(params: ModelParams, path: str | Path) -> None:
     """Write checkpoint.json (manifest) + params.bin (little-endian float64).
 
@@ -151,134 +188,39 @@ def save_model(params: ModelParams, path: str | Path) -> None:
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "version": CHECKPOINT_VERSION,
-        "role": params.role,
-        "arch": dataclasses.asdict(params.arch),
-        "buffers": [],
-    }
-    blob = bytearray()
-    for name, value in params.named_buffers():
-        raw = np.ascontiguousarray(value.data, dtype="<f8").tobytes()
-        manifest["buffers"].append({
-            "name": name,
-            "shape": list(value.data.shape),
-            "offset": len(blob),
-            "nbytes": len(raw),
-        })
-        blob += raw
+    manifest = _Manifest(CHECKPOINT_VERSION, params.role, params.arch, _layout(params))
+    blob = b"".join(np.ascontiguousarray(value.data, dtype="<f8").tobytes()
+                    for value in params.parameters())
     with replaced_together(path, ("params.bin", "checkpoint.json")) as temps:
-        temps["params.bin"].write_bytes(bytes(blob))
-        temps["checkpoint.json"].write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-_ARCH_KEYS = tuple(f.name for f in dataclasses.fields(ArchSpec))
-
-
-def _is_int(x, least: int) -> bool:
-    return type(x) is int and x >= least
-
-
-def _read_manifest(manifest_file: Path) -> tuple[ArchSpec, str, list[dict]]:
-    """checkpoint.json's arch, role and buffer entries, every key load_model
-    reads checked: ValueError names the first key that is missing or holds
-    the wrong kind of value."""
-    manifest = json.loads(manifest_file.read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"checkpoint.json must hold a JSON object, "
-                         f"not a {type(manifest).__name__}")
-    for key in ("version", "role", "arch", "buffers"):
-        if key not in manifest:
-            raise ValueError(f"checkpoint.json has no {key!r}")
-    version = manifest["version"]
-    if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
-    role = manifest["role"]
-    if role not in (ORACLE, AT_MODEL):
-        raise ValueError(f"checkpoint.json 'role' must be {ORACLE!r} or {AT_MODEL!r}, "
-                         f"got {role!r}")
-    arch = manifest["arch"]
-    if not isinstance(arch, dict):
-        raise ValueError(f"checkpoint.json 'arch' must be a JSON object, got {arch!r}")
-    for key in _ARCH_KEYS:
-        if key not in arch:
-            raise ValueError(f"checkpoint.json 'arch' has no {key!r}")
-    unknown = sorted(arch.keys() - set(_ARCH_KEYS))
-    if unknown:
-        raise ValueError(f"checkpoint.json 'arch' has unknown key {unknown[0]!r}")
-    widths = arch["encoder_widths"]
-    if not isinstance(widths, list) or not all(_is_int(w, 1) for w in widths):
-        raise ValueError(f"checkpoint.json arch 'encoder_widths' must be a list of "
-                         f"integers >= 1, got {widths!r}")
-    for key in _ARCH_KEYS:
-        if key != "encoder_widths" and not _is_int(arch[key], 1):
-            raise ValueError(f"checkpoint.json arch {key!r} must be an integer >= 1, "
-                             f"got {arch[key]!r}")
-    buffers = manifest["buffers"]
-    if not isinstance(buffers, list):
-        raise ValueError(f"checkpoint.json 'buffers' must be a list, got {buffers!r}")
-    for i, entry in enumerate(buffers):
-        where = f"checkpoint.json buffer {i}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} must be a JSON object, got {entry!r}")
-        for key in ("name", "shape", "offset", "nbytes"):
-            if key not in entry:
-                raise ValueError(f"{where} has no {key!r}")
-        if not isinstance(entry["name"], str):
-            raise ValueError(f"{where} 'name' must be a string, got {entry['name']!r}")
-        shape = entry["shape"]
-        if not isinstance(shape, list) or not all(_is_int(n, 0) for n in shape):
-            raise ValueError(f"{where} 'shape' must be a list of integers >= 0, got {shape!r}")
-        for key in ("offset", "nbytes"):
-            if not _is_int(entry[key], 0):
-                raise ValueError(f"{where} {key!r} must be an integer >= 0, "
-                                 f"got {entry[key]!r}")
-    return ArchSpec(**{**arch, "encoder_widths": tuple(widths)}), role, buffers
+        temps["params.bin"].write_bytes(blob)
+        temps["checkpoint.json"].write_text(
+            json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> ModelParams:
     """Read a checkpoint written by ``save_model``.
 
-    checkpoint.json is checked before anything is built (``_read_manifest``).
-    The model is then built by ``init_model`` from the manifest's arch and
-    role, and each buffer is filled by name; raises ValueError naming a
-    buffer that is listed twice, missing, unexpected or of the wrong shape for
-    that arch, and one whose bytes do not tile ``params.bin``: in offset
-    order, each buffer must start where the one before it ended and span 8
-    bytes per element, and the last must end where ``params.bin`` does.
+    checkpoint.json must hold every key save_model writes and no other: a
+    ``version`` 1, a known ``role`` and an ``arch`` that ``ArchSpec``
+    accepts. Its ``buffers`` must be the list save_model writes for that
+    arch and role (``_layout``), entry by entry as JSON text, so ``true`` is
+    not ``1``; params.bin must be exactly as long as those buffers.
+    ValueError names the file, then the key, the buffer index or the length.
     """
     path = Path(path)
-    arch, role, buffers = _read_manifest(path / "checkpoint.json")
-    params = init_model(arch, role, seed=0)
-    expected = dict(params.named_buffers())
-    entries = {}
-    for entry in buffers:
-        if entry["name"] in entries:
-            raise ValueError(f"checkpoint.json lists buffer {entry['name']!r} twice")
-        entries[entry["name"]] = entry
-    extra = sorted(entries.keys() - expected.keys())
-    if extra:
-        raise ValueError(f"checkpoint buffer {extra[0]!r} is not part of its arch")
-    missing = [name for name in expected if name not in entries]
-    if missing:
-        raise ValueError(f"checkpoint is missing buffer {missing[0]!r}")
-    blob = (path / "params.bin").read_bytes()
-    end = 0
-    for entry in sorted(entries.values(), key=lambda e: e["offset"]):
-        name, value = entry["name"], expected[entry["name"]]
-        if tuple(entry["shape"]) != value.shape:
-            raise ValueError(f"checkpoint buffer {name!r} has shape {tuple(entry['shape'])}, "
-                             f"its arch needs {value.shape}")
-        start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
-        if (start, stop) != (end, end + value.data.nbytes):
-            raise ValueError(f"params.bin: buffer {name!r} is listed at bytes {start}..{stop}, "
-                             f"its place is bytes {end}..{end + value.data.nbytes}")
-        if stop > len(blob):
-            raise ValueError(f"params.bin ends at byte {len(blob)}, inside buffer {name!r} "
-                             f"(bytes {start}..{stop})")
-        value.data[...] = np.frombuffer(blob[start:stop], dtype="<f8").reshape(value.shape)
-        end = stop
-    if end != len(blob):
-        raise ValueError(f"params.bin holds {len(blob) - end} bytes after its last buffer "
-                         f"{name!r}")
+    manifest_file, blob_file = path / "checkpoint.json", path / "params.bin"
+    manifest = read_json(manifest_file, _Manifest, "checkpoint")
+    params = init_model(manifest.arch, manifest.role, seed=0)
+    layout = _layout(params)
+    for i, entries in enumerate(zip_longest(manifest.buffers, layout)):
+        got, want = (json.dumps(entry, sort_keys=True) for entry in entries)
+        if got != want:
+            raise ValueError(f"{manifest_file}: buffer {i} is {got}, save_model writes {want}")
+    blob = blob_file.read_bytes()
+    size = layout[-1]["offset"] + layout[-1]["nbytes"]
+    if len(blob) != size:
+        raise ValueError(f"{blob_file} holds {len(blob)} bytes, its buffers span {size}")
+    for value, entry in zip(params.parameters(), layout):
+        value.data[...] = np.frombuffer(blob, "<f8", value.data.size,
+                                        entry["offset"]).reshape(value.shape)
     return params

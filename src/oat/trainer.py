@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import shutil
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +31,7 @@ from . import autodiff as ad
 from .adversary import AttackSpec, pgd_attack
 from .autodiff import SgdOptimizer, Value
 from .corruption import ClassCounts, balanced_oversample, class_counts
-from .dataio import LabeledDataset, replaced_together
+from .dataio import LabeledDataset, from_json, replaced_together
 from .evaluation import (MetricsRecord, accuracy, check_test_set,
                          distribution_error, robust_accuracy)
 from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, detached, forward_features,
@@ -100,47 +98,7 @@ class TrainConfig:
         """Build a config from its to_dict form; raises ValueError naming any
         unknown or missing key, or any value of the wrong type or any NaN or
         infinite number, at the top level or under "attack" or "augment"."""
-        return TrainConfig(**_fields_from_dict(TrainConfig, d, "config"))
-
-
-def _fields_from_dict(cls, d: dict, where: str) -> dict:
-    """Keyword arguments for dataclass ``cls`` from a JSON-style dict: nested
-    dataclass fields are built from dicts and lists become tuples."""
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(d) - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-    missing = [f.name for f in fields if f.name not in d and
-               f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
-    hints = typing.get_type_hints(cls)
-    written = {f.name: f.type for f in fields}   # the annotation as written, for messages
-    kwargs = {}
-    for key, value in d.items():
-        hint = hints[key]
-        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
-            value = hint(**_fields_from_dict(hint, value, key))
-        if not _matches(value, hint):
-            raise ValueError(f"{where} key {key!r} must be {written[key]}, got {value!r}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return kwargs
-
-
-def _matches(value, hint) -> bool:
-    if hint is bool:
-        return isinstance(value, bool)
-    if hint in (int, float, str):
-        # a bool is an int in Python but not a number in a config; an int passes
-        # as a float, and json.loads parses NaN and Infinity, which no key takes
-        if isinstance(value, float) and not math.isfinite(value):
-            return False
-        return not isinstance(value, bool) and isinstance(
-            value, (int, float) if hint is float else hint)
-    if typing.get_origin(hint) is tuple:         # tuple[X, ...]
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
-    return isinstance(value, hint)
+        return from_json(TrainConfig, d, "config")
 
 
 @dataclass

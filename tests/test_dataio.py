@@ -203,7 +203,7 @@ def _repeating(tmp_path):
     table of field texts, and every later row is converted by lookups."""
     samples = np.tile([0.0, 128 / 255, 1.0], (6, 1))
     labels = np.arange(6, dtype=np.int64) % 2
-    save_dataset(LabeledDataset(samples=samples, observed_labels=labels, gt_labels=None,
+    save_dataset(LabeledDataset(samples=samples, observed_labels=labels, gt_labels=labels,
                                 num_classes=2, ids=np.arange(6, dtype=np.int64)),
                  tmp_path / "repeating")
     return tmp_path / "repeating"
@@ -232,23 +232,23 @@ _DROP = object()
 
 
 _MALFORMED_META = {
-    "list": (None, [1, 2], "meta.json must hold a JSON object, not a list"),
+    "list": (None, [1, 2], "dataset must hold a JSON object, not a list"),
+    "key-unknown": ("classes", ["a", "b"], "unknown dataset key(s): classes"),
     "version-2": ("version", 2, "unsupported dataset version 2"),
-    "version-true": ("version", True, "unsupported dataset version True"),
-    "count-missing": ("count", _DROP, "meta.json has no 'count'"),
-    "count-negative": ("count", -1, "meta.json 'count' must be an integer >= 0, got -1"),
-    "count-float": ("count", 6.0, "meta.json 'count' must be an integer >= 0, got 6.0"),
-    "dim-missing": ("dim", _DROP, "meta.json has no 'dim'"),
-    "dim-zero": ("dim", 0, "meta.json 'dim' must be an integer >= 1, got 0"),
-    "dim-true": ("dim", True, "meta.json 'dim' must be an integer >= 1, got True"),
-    "num_classes-float": ("num_classes", 2.5,
-                          "meta.json 'num_classes' must be an integer >= 1, got 2.5"),
+    "version-true": ("version", True, "dataset key 'version' must be int, got True"),
+    "count-missing": ("count", _DROP, "missing dataset key(s): count"),
+    "count-negative": ("count", -1, "dataset key 'count' must be at least 0, got -1"),
+    "count-float": ("count", 6.0, "dataset key 'count' must be int, got 6.0"),
+    "dim-missing": ("dim", _DROP, "missing dataset key(s): dim"),
+    "dim-zero": ("dim", 0, "dataset key 'dim' must be at least 1, got 0"),
+    "dim-true": ("dim", True, "dataset key 'dim' must be int, got True"),
+    "num_classes-float": ("num_classes", 2.5, "dataset key 'num_classes' must be int, got 2.5"),
     "num_classes-string": ("num_classes", "2",
-                           "meta.json 'num_classes' must be an integer >= 1, got '2'"),
+                           "dataset key 'num_classes' must be int, got '2'"),
     "num_classes-zero": ("num_classes", 0,
-                         "meta.json 'num_classes' must be an integer >= 1, got 0"),
-    "has_gt-missing": ("has_gt", _DROP, "meta.json has no 'has_gt'"),
-    "has_gt-int": ("has_gt", 1, "meta.json 'has_gt' must be true or false, got 1"),
+                         "dataset key 'num_classes' must be at least 1, got 0"),
+    "has_gt-missing": ("has_gt", _DROP, "missing dataset key(s): has_gt"),
+    "has_gt-int": ("has_gt", 1, "dataset key 'has_gt' must be bool, got 1"),
 }
 
 
@@ -266,7 +266,31 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, key, value, named):
     (path / "samples.csv").unlink()  # meta.json is checked before any CSV is read
     with pytest.raises(ValueError) as info:
         load_dataset(path)
-    assert str(info.value) == named
+    assert str(info.value) == f"{path / 'meta.json'}: {named}"
+
+
+@pytest.mark.parametrize("name,row,field,text,named", [
+    ("samples.csv", 3, 0, "x", "invalid literal for int() with base 10: 'x'"),
+    ("samples.csv", 1, 2, "abc", "could not convert string to float: 'abc'"),
+    # row 5 comes after rows that hit load_dataset's table of field texts
+    ("samples.csv", 5, 3, "abc", "could not convert string to float: 'abc'"),
+    ("labels.csv", 2, 0, "x", "invalid literal for int() with base 10: 'x'"),
+    ("labels.csv", 4, 1, "1.0", "invalid literal for int() with base 10: '1.0'"),
+    ("labels.csv", 6, 1, "2", "observed_label 2 lies outside [0, 2)"),
+    ("labels.csv", 3, 2, "-1", "gt_label -1 lies outside [0, 2)"),
+], ids=["sample-id", "sample", "sample-after-lookups", "label-id", "label-float",
+        "label-outside", "gt-label-outside"])
+def test_load_dataset_names_the_file_and_row_of_a_bad_field(tmp_path, name, row, field, text,
+                                                            named):
+    path = _repeating(tmp_path)
+    lines = (path / name).read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[field] = text
+    lines[row] = ",".join(cells)
+    (path / name).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{name} row {row}: {named}"
 
 
 def _same_bits(a, b):

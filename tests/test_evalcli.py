@@ -290,7 +290,32 @@ def test_cli_train_malformed_meta_exits_2(tmp_path, capsys):
     code = cli(["train", "--data", str(data), "--test", str(data), "--method", "oat",
                 "--out", str(tmp_path / "run")])
     assert code == 2
-    assert "meta.json has no 'count'" in capsys.readouterr().err
+    assert f"{data / 'meta.json'}: missing dataset key(s): count" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "corrupt"])
+def test_cli_names_a_truncated_meta_json_exits_2(tmp_path, capsys, command):
+    data = _make_dataset_dir(tmp_path, "data", per_class=4)
+    meta = data / "meta.json"
+    meta.write_text(meta.read_text()[:24])
+    args = {"train": ["--data", str(data), "--test", str(data), "--out", str(tmp_path / "out")],
+            "corrupt": ["--input", str(data), "--output", str(tmp_path / "out")]}[command]
+    assert cli([command, *args]) == 2
+    assert capsys.readouterr().err == (f"oat: error: {meta} line 3, column 3: "
+                                       "Unterminated string starting at\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_train_names_a_truncated_config_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{\n  "epochs": 2,\n  "lr_decay')
+    data = _make_dataset_dir(tmp_path, "data", per_class=4)
+    code = cli(["train", "--config", str(config), "--data", str(data),
+                "--test", str(data), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"oat: error: {config} line 3, column 3: "
+                                       "Unterminated string starting at\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -488,8 +513,21 @@ def test_cli_eval_rejects_a_malformed_checkpoint_manifest_exits_2(tmp_path, caps
                 str(tmp_path / "test"), "--attack", "none"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("oat: error: checkpoint.json arch 'input_dim' must be an "
-                            "integer >= 1, got 5.0\n")
+    assert captured.err == (f"oat: error: {tmp_path / 'ckpt' / 'checkpoint.json'}: "
+                            "arch key 'input_dim' must be int, got 5.0\n")
+
+
+def test_cli_eval_names_a_truncated_checkpoint_manifest_exits_2(tmp_path, capsys):
+    save_model(init_model(TINY_ARCH, AT_MODEL, seed=0), tmp_path / "ckpt")
+    save_dataset(tiny_dataset(dim=5), tmp_path / "test")
+    manifest = tmp_path / "ckpt" / "checkpoint.json"
+    manifest.write_text(manifest.read_text()[:40])
+    assert cli(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data",
+                str(tmp_path / "test"), "--attack", "none"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"oat: error: {manifest} line 4, column 1: "
+                            "Expecting property name enclosed in double quotes\n")
 
 
 def test_cli_train_refuses_a_directory_holding_another_file_exits_2(tmp_path, capsys):
