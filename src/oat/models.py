@@ -219,7 +219,8 @@ def load_model(path: str | Path) -> ModelParams:
     blob = blob_file.read_bytes()
     size = layout[-1]["offset"] + layout[-1]["nbytes"]
     if len(blob) != size:
-        raise ValueError(f"{blob_file} holds {len(blob)} bytes, its buffers span {size}")
+        state = f"holds {len(blob)} bytes" if len(blob) > size else f"ends at byte {len(blob)}"
+        raise ValueError(f"{blob_file} {state}, its buffers span {size}")
     for value, entry in zip(params.parameters(), layout):
         value.data[...] = np.frombuffer(blob, "<f8", value.data.size,
                                         entry["offset"]).reshape(value.shape)

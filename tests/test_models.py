@@ -269,8 +269,8 @@ def test_load_model_rejects_malformed_manifest(tmp_path, edit, named):
 
 @pytest.mark.parametrize("edit,named", [
     (lambda blob: blob + bytes(8), "params.bin holds 896 bytes, its buffers span 888"),
-    (lambda blob: blob[:-8], "params.bin holds 880 bytes, its buffers span 888"),
-    (lambda blob: blob[:-3], "params.bin holds 885 bytes, its buffers span 888"),
+    (lambda blob: blob[:-8], "params.bin ends at byte 880, its buffers span 888"),
+    (lambda blob: blob[:-3], "params.bin ends at byte 885, its buffers span 888"),
 ])
 def test_load_model_rejects_params_bin_of_the_wrong_length(tmp_path, edit, named):
     save_model(init_model(TINY_ARCH, AT_MODEL, seed=9), tmp_path)
