@@ -2,9 +2,14 @@
 
 The attack maximizes either cross-entropy or a CW margin over an epsilon ball
 intersected with the [0,1] input box. It differentiates with respect to its
-input only: every step runs through a ``detached`` view of the model, so no
-weight gradient is computed and the model's ``grad`` buffers are never
-touched.
+input only, and builds no graph through the model: each step runs the
+engine's own kernels on the model's arrays (``mlp_activations`` forward,
+``cross_entropy_adjoint`` or the ``cw_margin_loss`` node on a logits leaf for
+the loss, ``mlp_input_adjoint`` back), so no weight gradient is computed and
+the model's ``grad`` buffers are never touched. Each step's input gradient is,
+up to the sign of a zero, bitwise the one ``backward`` gives through
+``forward_logits`` and the loss node, so the attack's output is bitwise the
+same.
 
 When a class-count prior is passed, the loss is computed on logits shifted by
 its log; the shift vector is normalized by its maximum so a uniform prior is
@@ -22,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value, cw_margin_loss
 from .corruption import ClassCounts
-from .models import ModelParams, detached, forward_logits
+from .models import ModelParams
 from .rng import SplitMix64
 
 
@@ -50,16 +55,6 @@ class AttackSpec:
         return ("pgd" if self.loss_kind == "cross_entropy" else "cw") + str(self.steps)
 
 
-def _attack_objective(model: ModelParams, xv: Value, y: np.ndarray,
-                      spec: AttackSpec, shift: Value | None) -> Value:
-    logits = forward_logits(model, xv)
-    if shift is not None:
-        logits = ad.add(logits, shift)
-    if spec.loss_kind == "cw_margin":
-        return cw_margin_loss(logits, y)
-    return ad.cross_entropy(logits, y)
-
-
 def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
                spec: AttackSpec, rng: SplitMix64 | None = None,
                prior: ClassCounts | None = None,
@@ -76,11 +71,20 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     bits. The sign step absorbs such rounding-level differences, and the
     tests pin ``pgd_attack(...)[rows]`` bit for bit on sampled data; that is
     a measured property, not a guarantee for every input.
-    The label-range check covers all of ``y``."""
+    ``x`` must be (B, input_dim), ``y`` must hold B labels in
+    [0, num_classes), all of them checked whatever ``rows`` picks, and a
+    ``prior`` must count num_classes classes."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
+        raise ValueError(f"expected batch of shape (B, {model.arch.input_dim}), got {x.shape}")
+    if y.shape != x.shape[:1]:
+        raise ValueError(f"expected {len(x)} labels, got shape {y.shape}")
     if len(y) and (y.min() < 0 or y.max() >= model.arch.num_classes):
         raise ValueError("labels outside [0, num_classes)")
+    if prior is not None and len(prior.counts) != model.arch.num_classes:
+        raise ValueError(f"prior has {len(prior.counts)} class counts, "
+                         f"the model {model.arch.num_classes} classes")
     if rng is None:
         rng = SplitMix64(0).fork("pgd_attack")
 
@@ -94,17 +98,32 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     if not len(x):  # a batch-mean loss over no rows has no gradient to follow
         return adv
 
-    model, shift = detached(model), None
+    encoder = [(w.data, b.data) for w, b in model.encoder]
+    head = [(model.head[0].data, model.head[1].data)]
+    shift = None
     if prior is not None:
         log_prior = np.log(prior.smoothed)
         # max-normalize: constant shifts cancel in both losses, and a uniform
         # prior becomes the exact zero vector (bitwise no-op)
-        shift = Value(log_prior - log_prior.max())
+        shift = log_prior - log_prior.max()
     for _ in range(spec.steps):
-        xv = Value(adv, requires_grad=True)
-        loss = _attack_objective(model, xv, y, spec, shift)
-        ad.backward(loss)
-        adv = adv + spec.alpha * np.sign(xv.grad)  # sign(0) == 0
+        acts = ad.mlp_activations(adv, encoder)
+        logits = ad.mlp_activations(acts[-1], head)[-1]
+        if shift is not None:
+            logits = logits + shift
+        if spec.loss_kind == "cw_margin":
+            leaf = Value(logits, requires_grad=True)
+            ad.backward(cw_margin_loss(leaf, y))
+            adj = leaf.grad
+        else:
+            adj = ad.cross_entropy_adjoint(ad.log_softmax(logits), y)
+        # the head's input is the encoder's linear output: no ReLU mask
+        adj = ad.mlp_input_adjoint(adj, head[0][0], None)
+        for i in reversed(range(len(encoder))):
+            adj = ad.mlp_input_adjoint(adj, encoder[i][0], acts[i] if i else None)
+        # sign(0) == 0; a -0.0 component moves adv by -0.0, which the
+        # projection below maps to the bits a +0.0 gives
+        adv = adv + spec.alpha * np.sign(adj)
         adv = x + np.clip(adv - x, -spec.epsilon, spec.epsilon)
         adv = np.clip(adv, 0.0, 1.0)
     return adv

@@ -28,7 +28,13 @@ from the robust model). Each is bitwise equal to the plain numpy arithmetic
 its docstring spells out. A model's logits and their loss are three graph
 nodes; backward walks 12 op nodes for an oracle batch with clean rows and 9
 for an ``oat`` robust-model batch with interaction and adjustment on.
-``softmax`` is plain numpy and records no node.
+``softmax`` and ``log_softmax`` are plain numpy and record no node.
+
+Three rules are kernels on plain arrays, which their nodes call and which
+the PGD attack calls directly to take an input gradient without building a
+graph: ``mlp_activations`` (``mlp``'s forward), ``mlp_input_adjoint`` (one
+layer of ``mlp``'s input adjoint) and ``cross_entropy_adjoint``
+(``cross_entropy``'s logits adjoint).
 
 Everything runs in double precision: the whole test story leans on central
 finite differences, which need the headroom.
@@ -107,26 +113,45 @@ def add(a: Value, b: Value) -> Value:
     return _make(data, (a, b), backward_fn)
 
 
-def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
-    """ReLU MLP as one node: each ``(w, b)`` layer computes ``h = h @ w + b``,
-    and every layer but the last is followed by ``np.fmax(h, 0.0) + 0.0``.
-    Backward walks the layers in reverse: layer i with input ``acts[i]`` gives
-    ``adj.sum(axis=0)``, ``acts[i].T @ adj`` and ``(adj @ w.T) * (acts[i] > 0)``
-    (``adj @ w0.T`` at i = 0), skipping constant operands. No adjoint is summed
-    inside, so it is bitwise one matmul-add node and one ReLU node per layer.
-    """
-    parents = (x, *(p for layer in layers for p in layer))
-    acts = [x.data]   # each layer's input, then the output
+def mlp_activations(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]]
+                    ) -> list[np.ndarray]:
+    """The forward kernel of ``mlp`` on plain arrays: each ``(w, b)`` layer
+    computes ``h = h @ w + b``, and every layer but the last is followed by
+    ``np.fmax(h, 0.0) + 0.0``. Returns each layer's input, then the output."""
+    acts = [x]
     for i, (w, b) in enumerate(layers):
         h = acts[-1]
-        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
             raise ValueError(f"mlp: layer {i} has incompatible shapes {h.shape}, "
                              f"{w.shape} and {b.shape}")
-        h = h @ w.data + b.data
+        h = h @ w + b
         if i < len(layers) - 1:
             np.fmax(h, 0.0, out=h)
             h += 0.0  # fmax may keep a -0.0 input; np.where(h > 0, h, 0.0) gives +0.0
         acts.append(h)
+    return acts
+
+
+def mlp_input_adjoint(adj: np.ndarray, w: np.ndarray, relu_out: np.ndarray | None
+                      ) -> np.ndarray:
+    """The backward kernel of one ``mlp`` layer ``h = a @ w + b``: the
+    adjoint of its input ``a`` given the adjoint ``adj`` of ``h``. That is
+    ``adj @ w.T``, masked by ``relu_out > 0`` when ``a`` is the ReLU output
+    ``relu_out`` of the layer below (it is > 0 exactly where the ReLU's input
+    is); pass ``None`` for the first layer."""
+    back = adj @ w.T
+    return back if relu_out is None else back * (relu_out > 0)
+
+
+def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
+    """ReLU MLP as one node, its forward ``mlp_activations``. Backward walks
+    the layers in reverse: layer i with input ``acts[i]`` gives
+    ``adj.sum(axis=0)``, ``acts[i].T @ adj`` and ``mlp_input_adjoint``,
+    skipping constant operands. No adjoint is summed inside, so it is bitwise
+    one matmul-add node and one ReLU node per layer.
+    """
+    parents = (x, *(p for layer in layers for p in layer))
+    acts = mlp_activations(x.data, [(w.data, b.data) for w, b in layers])
 
     def backward_fn(adj):
         grads = [None] * len(parents)
@@ -136,8 +161,7 @@ def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
             grads[2 * i + 2] = adj.sum(axis=0) if b.requires_grad else None
             if not any(p.requires_grad for p in parents[:2 * i + 1]):
                 break  # nothing below this layer takes a gradient
-            # the stored ReLU output is > 0 exactly where its input is
-            adj = (adj @ w.data.T) * (acts[i] > 0) if i else adj @ w.data.T
+            adj = mlp_input_adjoint(adj, w.data, acts[i] if i else None)
         grads[0] = adj if x.requires_grad else None
         return grads
 
@@ -216,8 +240,9 @@ def _row_labels(kind: str, logits: Value, labels) -> np.ndarray:
     return labels
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max subtraction for stability."""
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a plain array, with max subtraction for
+    stability. Records no graph node."""
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -227,20 +252,27 @@ def _log_softmax_grad(g: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     return g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
-    """Mean over the B rows of ``-log_softmax(z)[i, y_i]``. Backward puts
-    ``-adj / B`` at each row's label and passes that through the
+def cross_entropy_adjoint(log_probs: np.ndarray, y: np.ndarray, adj: float = 1.0
+                          ) -> np.ndarray:
+    """The backward kernel of ``cross_entropy``: the logits' adjoint given
+    their ``log_probs``, the labels ``y`` and the loss's adjoint ``adj``. It
+    puts ``-adj / B`` at each row's label and passes that through the
     log-softmax."""
+    g = np.zeros_like(log_probs)
+    g[np.arange(len(y)), y] += -adj / len(y)
+    return _log_softmax_grad(g, log_probs)
+
+
+def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
+    """Mean over the B rows of ``-log_softmax(z)[i, y_i]``; backward is
+    ``cross_entropy_adjoint``."""
     y = _row_labels("cross_entropy", logits, labels)
-    rows = np.arange(len(y))
-    log_probs = _log_softmax(logits.data)
+    log_probs = log_softmax(logits.data)
 
     def backward_fn(adj):
-        g = np.zeros_like(log_probs)
-        g[rows, y] += float(-adj) / len(y)
-        return (_log_softmax_grad(g, log_probs),)
+        return (cross_entropy_adjoint(log_probs, y, float(adj)),)
 
-    return _make(np.asarray(-log_probs[rows, y].mean()), (logits,), backward_fn)
+    return _make(np.asarray(-log_probs[np.arange(len(y)), y].mean()), (logits,), backward_fn)
 
 
 def soft_cross_entropy(logits: Value, target: np.ndarray) -> Value:
@@ -251,7 +283,7 @@ def soft_cross_entropy(logits: Value, target: np.ndarray) -> Value:
     if logits.data.ndim != 2 or target.shape != logits.shape:
         raise ValueError(f"soft_cross_entropy: expected (B, C) logits and a target of "
                          f"their shape, got {logits.shape} and {target.shape}")
-    log_probs = _log_softmax(logits.data)
+    log_probs = log_softmax(logits.data)
     factor = 1.0 / len(target)
 
     def backward_fn(adj):

@@ -111,11 +111,14 @@ def _cmd_corrupt(args) -> int:
 def _cmd_train(args) -> int:
     try:  # a bad config is a usage problem
         overrides = parse_json(args.config, Path(args.config).read_text()) if args.config else {}
-        if not isinstance(overrides, dict):
-            raise ValueError("--config must hold a JSON object")
-        if args.method:
-            overrides["method"] = args.method.replace("-", "_")
-        config = TrainConfig.from_dict(overrides)
+        try:
+            if not isinstance(overrides, dict):
+                raise ValueError("--config must hold a JSON object")
+            if args.method:
+                overrides["method"] = args.method.replace("-", "_")
+            config = TrainConfig.from_dict(overrides)
+        except ValueError as err:  # the defaults pass, so a --config was given and is at fault
+            raise ValueError(f"{args.config}: {err}") from None
     except ValueError as err:
         print(f"oat: error: {err}", file=sys.stderr)
         return 1

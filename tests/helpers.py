@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradients, a probe loss node,
-brute-force k-NN, a reference dataset writer and reader, a model-untouched
-check and small fixture builders."""
+a graph-built PGD reference, brute-force k-NN, a reference dataset writer and
+reader, a model-untouched check and small fixture builders."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from oat import autodiff as ad
 from oat.dataio import LabeledDataset
-from oat.models import ArchSpec, ModelParams
+from oat.models import ArchSpec, ModelParams, detached, forward_logits
 from oat.rng import SplitMix64
 
 TINY_ARCH = ArchSpec(input_dim=5, encoder_widths=(7,), feature_dim=6, num_classes=3,
@@ -77,6 +77,39 @@ def leaves_model_untouched(model: ModelParams):
     yield
     assert all(not np.any(p.grad) for p in params), "a grad buffer was written"
     assert [p.data.tobytes() for p in params] == before, "a parameter changed"
+
+
+def reference_pgd_attack(model: ModelParams, x, y, spec, rng: SplitMix64 | None = None,
+                         prior=None, rows=None) -> np.ndarray:
+    """PGD whose every step builds a graph and walks it with ``ad.backward``:
+    ``forward_logits`` of a ``detached`` model on an input leaf, the prior's
+    log shift as an ``add`` node, and the loss node. ``pgd_attack`` must give
+    these bits; it draws the same random start and projects the same way."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    rng = rng or SplitMix64(0).fork("pgd_attack")
+    if spec.random_start:
+        start = rng.uniform_range(x.size, -spec.epsilon, spec.epsilon).reshape(x.shape)
+        adv = np.clip(x + start, 0.0, 1.0)
+    else:
+        adv = x.copy()
+    if rows is not None:
+        x, y, adv = x[rows], y[rows], adv[rows]
+    frozen, shift = detached(model), None
+    if prior is not None:
+        log_prior = np.log(prior.smoothed)
+        shift = ad.Value(log_prior - log_prior.max())
+    loss_fn = ad.cw_margin_loss if spec.loss_kind == "cw_margin" else ad.cross_entropy
+    for _ in range(spec.steps):
+        xv = ad.Value(adv, requires_grad=True)
+        logits = forward_logits(frozen, xv)
+        if shift is not None:
+            logits = ad.add(logits, shift)
+        ad.backward(loss_fn(logits, y))
+        adv = adv + spec.alpha * np.sign(xv.grad)
+        adv = x + np.clip(adv - x, -spec.epsilon, spec.epsilon)
+        adv = np.clip(adv, 0.0, 1.0)
+    return adv
 
 
 def brute_force_knn_majority(points: np.ndarray, labels: np.ndarray, k: int,

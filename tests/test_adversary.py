@@ -10,7 +10,7 @@ from oat.corruption import ClassCounts
 from oat.models import AT_MODEL, ArchSpec, init_model
 from oat.rng import SplitMix64
 
-from helpers import TINY_ARCH, leaves_model_untouched
+from helpers import TINY_ARCH, leaves_model_untouched, reference_pgd_attack
 
 
 def _rand_batch(rng, n, d):
@@ -172,29 +172,55 @@ def test_cw_margin_closed_forms():
 
 
 @pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
-def test_pgd_step_graph_is_input_two_mlps_and_loss(loss_kind, monkeypatch):
-    # the graph each step differentiates: the attacked input, the encoder and
-    # head nodes of forward_logits, and the loss node
-    model = init_model(TINY_ARCH, AT_MODEL, seed=4)
-    x = _rand_batch(SplitMix64(1).fork("x"), 4, 5)
-    spec = AttackSpec(epsilon=0.08, alpha=0.02, steps=2, loss_kind=loss_kind)
-    graphs, backward = [], ad.backward
+@pytest.mark.parametrize("prior", [None, (40, 3, 0, 9), (6, 6, 6, 6)],
+                         ids=["no-prior", "skewed-prior", "uniform-prior"])
+@pytest.mark.parametrize("random_start", [True, False])
+def test_pgd_attack_is_bitwise_the_graph_built_reference(loss_kind, prior, random_start):
+    # pgd_attack runs the engine's kernels on plain arrays; the reference
+    # differentiates forward_logits and the loss node with ad.backward
+    spec = AttackSpec(epsilon=0.1, alpha=0.025, steps=6, loss_kind=loss_kind,
+                      random_start=random_start)
+    prior = None if prior is None else ClassCounts(prior)
+    rng = SplitMix64(13).fork("ref." + loss_kind, int(random_start))
+    for trial, widths in enumerate(((), (64,), (8, 6))):
+        arch = ArchSpec(input_dim=9, encoder_widths=widths, feature_dim=5, num_classes=4)
+        model = init_model(arch, AT_MODEL, seed=trial)
+        for n in (1, 23):
+            x = _rand_batch(rng, n, 9)
+            y = np.array([rng.randint(4) for _ in range(n)])
+            some = np.flatnonzero(rng.uniform(n) < 0.5)
+            for rows in (None, np.array([rng.randint(n)]), some if len(some) else None):
+                got = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"), prior, rows)
+                want = reference_pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"),
+                                            prior, rows)
+                assert got.tobytes() == want.tobytes()
 
-    def spy(root):
-        nodes, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(p for p in node.parents if p.requires_grad)
-        graphs.append(nodes)
-        backward(root)
 
-    monkeypatch.setattr(ad, "backward", spy)
-    pgd_attack(model, x, np.array([0, 1, 2, 0]), spec)
-    assert [len(nodes) for nodes in graphs] == [4, 4]
-    for loss, head, encoder, xv in graphs:
-        assert loss.parents == (head,) and head.parents[0] is encoder
-        assert encoder.parents[0] is xv and xv.parents == () and xv.grad is not None
+def test_pgd_attack_checks_the_batch_shape_at_entry():
+    model = init_model(TINY_ARCH, AT_MODEL, seed=2)
+    spec = AttackSpec(epsilon=0.1, alpha=0.05, steps=1)
+    for x in (np.zeros((3, 4)), np.zeros(5), np.zeros((3, 5, 1))):
+        with pytest.raises(ValueError, match=r"expected batch of shape \(B, 5\), got"):
+            pgd_attack(model, x, np.zeros(len(x), dtype=np.int64), spec,
+                       rows=np.array([], dtype=np.int64))
+
+
+def test_pgd_attack_checks_the_prior_class_count_at_entry():
+    model = init_model(TINY_ARCH, AT_MODEL, seed=2)
+    spec = AttackSpec(epsilon=0.1, alpha=0.05, steps=1)
+    for counts in ((9,), (9, 1), (9, 1, 1, 1)):
+        with pytest.raises(ValueError, match=f"prior has {len(counts)} class counts, "
+                                             "the model 3 classes"):
+            pgd_attack(model, np.full((2, 5), 0.5), np.array([0, 1]), spec,
+                       prior=ClassCounts(counts))
+
+
+def test_pgd_attack_checks_the_label_count_at_entry():
+    model = init_model(TINY_ARCH, AT_MODEL, seed=2)
+    spec = AttackSpec(epsilon=0.1, alpha=0.05, steps=1)
+    for y in (np.array([0, 1]), np.array([0, 1, 2, 0]), np.zeros((3, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="expected 3 labels, got shape"):
+            pgd_attack(model, np.full((3, 5), 0.5), y, spec, rows=np.array([0]))
 
 
 def test_cw_gradient_direction_matches_ce_on_2class_linear():

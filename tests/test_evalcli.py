@@ -307,6 +307,21 @@ def test_cli_names_a_truncated_meta_json_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,named", [
+    ('{"epochs": "ten"}', "config key 'epochs' must be int, got 'ten'"),
+    ("[1, 2]", "--config must hold a JSON object"),
+], ids=["bad-value", "not-an-object"])
+def test_cli_train_names_a_config_it_rejects_exits_1(tmp_path, capsys, text, named):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    data = _make_dataset_dir(tmp_path, "data", per_class=4)
+    code = cli(["train", "--config", str(config), "--data", str(data),
+                "--test", str(data), "--method", "pgd-at", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == f"oat: error: {config}: {named}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_train_names_a_truncated_config_exits_1(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{\n  "epochs": 2,\n  "lr_decay')
