@@ -2,14 +2,15 @@
 
 The attack maximizes either cross-entropy or a CW margin over an epsilon ball
 intersected with the [0,1] input box. It differentiates with respect to its
-input only, and builds no graph through the model: each step runs the
-engine's own kernels on the model's arrays (``mlp_activations`` forward,
-``cross_entropy_adjoint`` or the ``cw_margin_loss`` node on a logits leaf for
-the loss, ``mlp_input_adjoint`` back), so no weight gradient is computed and
-the model's ``grad`` buffers are never touched. Each step's input gradient is,
-up to the sign of a zero, bitwise the one ``backward`` gives through
-``forward_logits`` and the loss node, so the attack's output is bitwise the
-same.
+input only, in the model's dtype, and keeps the attacked input in float64 so
+that the projection onto the ball and the box is exact. It builds no graph
+through the model: each step runs the engine's own kernels on the model's
+arrays (``mlp_activations`` forward, ``cross_entropy_adjoint`` or the
+``cw_margin_loss`` node on a logits leaf for the loss, ``mlp_input_adjoint``
+back), so no weight gradient is computed and the model's ``grad`` buffers are
+never touched. Each step's input gradient is, up to the sign of a zero,
+bitwise the one ``backward`` gives through ``forward_logits`` and the loss
+node, so the attack's output is bitwise the same.
 
 When a class-count prior is passed, the loss is computed on logits shifted by
 its log; the shift vector is normalized by its maximum so a uniform prior is
@@ -105,7 +106,7 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
         log_prior = np.log(prior.smoothed)
         # max-normalize: constant shifts cancel in both losses, and a uniform
         # prior becomes the exact zero vector (bitwise no-op)
-        shift = log_prior - log_prior.max()
+        shift = (log_prior - log_prior.max()).astype(head[0][0].dtype)
     for _ in range(spec.steps):
         acts = ad.mlp_activations(adv, encoder)
         logits = ad.mlp_activations(acts[-1], head)[-1]

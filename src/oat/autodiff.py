@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float32 or float64 tensors.
 
 A ``Value`` wraps a numpy buffer and remembers the operation that produced it.
 Only leaves made with ``requires_grad=True`` (parameters, attacked inputs)
@@ -36,8 +36,13 @@ graph: ``mlp_activations`` (``mlp``'s forward), ``mlp_input_adjoint`` (one
 layer of ``mlp``'s input adjoint) and ``cross_entropy_adjoint``
 (``cross_entropy``'s logits adjoint).
 
-Everything runs in double precision: the whole test story leans on central
-finite differences, which need the headroom.
+Each array keeps its floating dtype: a ``Value`` holds a float32 or float64
+buffer as given (anything else becomes float64), an ``mlp`` computes in its
+weights' dtype, narrowing or widening its input and incoming adjoint to it,
+and a loss computes in its logits' dtype, casting a constant target to it.
+The trainer runs its models in float32 and evaluates float64 copies; the
+gradient tests build float64 models, because central finite differences need
+the headroom.
 
 The two kernels on every training step stay off numpy's slow paths without
 changing a bit. ``mlp``'s ReLU is ``np.fmax(h, 0.0) + 0.0``, because
@@ -53,14 +58,19 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Value:
     """Node in the differentiation graph: data, grad (or None), parents and
-    the backward function of the op that produced it."""
+    the backward function of the op that produced it. A float32 or float64
+    input keeps its dtype; any other becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = np.zeros_like(self.data) if requires_grad else None
         self.parents: tuple[Value, ...] = ()
@@ -115,10 +125,11 @@ def add(a: Value, b: Value) -> Value:
 
 def mlp_activations(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray]]
                     ) -> list[np.ndarray]:
-    """The forward kernel of ``mlp`` on plain arrays: each ``(w, b)`` layer
-    computes ``h = h @ w + b``, and every layer but the last is followed by
+    """The forward kernel of ``mlp`` on plain arrays, in the first weight's
+    dtype, to which ``x`` is cast: each ``(w, b)`` layer computes
+    ``h = h @ w + b``, and every layer but the last is followed by
     ``np.fmax(h, 0.0) + 0.0``. Returns each layer's input, then the output."""
-    acts = [x]
+    acts = [np.asarray(x, dtype=layers[0][0].dtype)]
     for i, (w, b) in enumerate(layers):
         h = acts[-1]
         if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -138,14 +149,15 @@ def mlp_input_adjoint(adj: np.ndarray, w: np.ndarray, relu_out: np.ndarray | Non
     adjoint of its input ``a`` given the adjoint ``adj`` of ``h``. That is
     ``adj @ w.T``, masked by ``relu_out > 0`` when ``a`` is the ReLU output
     ``relu_out`` of the layer below (it is > 0 exactly where the ReLU's input
-    is); pass ``None`` for the first layer."""
-    back = adj @ w.T
+    is); pass ``None`` for the first layer. ``adj`` is cast to ``w``'s dtype."""
+    back = np.asarray(adj, dtype=w.dtype) @ w.T
     return back if relu_out is None else back * (relu_out > 0)
 
 
 def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
-    """ReLU MLP as one node, its forward ``mlp_activations``. Backward walks
-    the layers in reverse: layer i with input ``acts[i]`` gives
+    """ReLU MLP as one node in its weights' dtype, its forward
+    ``mlp_activations``. Backward casts the incoming adjoint to that dtype
+    and walks the layers in reverse: layer i with input ``acts[i]`` gives
     ``adj.sum(axis=0)``, ``acts[i].T @ adj`` and ``mlp_input_adjoint``,
     skipping constant operands. No adjoint is summed inside, so it is bitwise
     one matmul-add node and one ReLU node per layer.
@@ -154,6 +166,7 @@ def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
     acts = mlp_activations(x.data, [(w.data, b.data) for w, b in layers])
 
     def backward_fn(adj):
+        adj = np.asarray(adj, dtype=acts[-1].dtype)
         grads = [None] * len(parents)
         for i in reversed(range(len(layers))):
             w, b = layers[i]
@@ -279,7 +292,7 @@ def soft_cross_entropy(logits: Value, target: np.ndarray) -> Value:
     """``-sum(log_softmax(z) * t) * (1 / B)`` for (B, C) logits and a constant
     target ``t`` of their shape (one distribution per row). Backward passes
     ``t * (-adj / B)`` through the log-softmax."""
-    target = np.asarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=logits.data.dtype)
     if logits.data.ndim != 2 or target.shape != logits.shape:
         raise ValueError(f"soft_cross_entropy: expected (B, C) logits and a target of "
                          f"their shape, got {logits.shape} and {target.shape}")
@@ -292,7 +305,7 @@ def soft_cross_entropy(logits: Value, target: np.ndarray) -> Value:
     return _make(np.asarray(-((log_probs * target).sum() * factor)), (logits,), backward_fn)
 
 
-_MASK_NEG = -1e18  # dominates any finite logit without leaving double range
+_MASK_NEG = -1e18  # dominates any finite logit without leaving float32 range
 
 
 def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
@@ -304,7 +317,7 @@ def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
     if logits.shape[1] < 2:
         raise ValueError("cw_margin_loss needs at least 2 classes")
     rows = np.arange(len(y))
-    mask = np.zeros(logits.shape)
+    mask = np.zeros(logits.shape, dtype=logits.data.dtype)
     mask[rows, y] = _MASK_NEG
     masked = logits.data + mask
     other = np.argmax(masked, axis=1)
@@ -333,7 +346,7 @@ def neg_softmax_mse(logits: Value, target: np.ndarray) -> Value:
     target ``t`` of their shape. With ``p = softmax(z)`` and ``n`` elements,
     backward forms ``g = (2.0 / n) * (p - t) * -adj`` and passes it through
     the softmax as ``p * (g - (g * p).sum(-1))``."""
-    target = np.asarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=logits.data.dtype)
     if logits.data.ndim != 2 or target.shape != logits.shape:
         raise ValueError(f"neg_softmax_mse: expected (B, C) logits and a target of "
                          f"their shape, got {logits.shape} and {target.shape}")
@@ -383,7 +396,8 @@ def cosine_loss(a: Value, b: Value) -> Value:
 class SgdOptimizer:
     """SGD with momentum and weight decay; zeroes grads after each step.
 
-    Update: v <- momentum*v + (grad + weight_decay*w); w <- w - lr*v.
+    Update: v <- momentum*v + (grad + weight_decay*w); w <- w - lr*v. The
+    velocity buffers and the whole update stay in each parameter's dtype.
     """
 
     def __init__(self, params: Iterable[Value], learning_rate: float,

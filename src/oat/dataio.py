@@ -218,7 +218,11 @@ def read_json(path: Path, cls, where: str):
     """Dataclass ``cls`` from the JSON file ``path``, every key present
     (``from_json``). A ValueError names the file first, then the line and
     column of a decode error or the key of a rejected value."""
-    d = parse_json(path, path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path} is not UTF-8 text: {err.reason}") from None
+    d = parse_json(path, text)
     try:
         return from_json(cls, d, where, defaults=False)
     except ValueError as err:
@@ -311,19 +315,24 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
 def _csv_rows(file: Path, count: int, width: int):
     """Yield (i, row) for the data rows of a CSV file under a header line.
 
-    Lines may end in CRLF or LF. Raises ValueError unless there are exactly
-    ``count`` rows of ``width`` fields each.
+    Lines may end in CRLF or LF. Raises ValueError unless the file is UTF-8
+    text of exactly ``count`` rows of ``width`` fields each.
     """
     n = 0
-    with open(file) as f:
-        next(f, None)
-        for n, line in enumerate(f, 1):
-            if n > count:
-                raise ValueError(f"{file.name} has more than the {count} rows meta.json declares")
-            row = line.rstrip("\n").split(",")
-            if len(row) != width:
-                raise ValueError(f"{file.name} row {n} has {len(row)} fields, expected {width}")
-            yield n - 1, row
+    with open(file, encoding="utf-8") as f:
+        try:
+            next(f, None)
+            for n, line in enumerate(f, 1):
+                if n > count:
+                    raise ValueError(f"{file.name} has more than the {count} rows "
+                                     f"meta.json declares")
+                row = line.rstrip("\n").split(",")
+                if len(row) != width:
+                    raise ValueError(f"{file.name} row {n} has {len(row)} fields, "
+                                     f"expected {width}")
+                yield n - 1, row
+        except UnicodeDecodeError as err:  # text is decoded ahead of the rows read
+            raise ValueError(f"{file.name} is not UTF-8 text: {err.reason}") from None
     if n != count:
         raise ValueError(f"{file.name} has {n} rows, meta.json declares {count}")
 
@@ -345,9 +354,10 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
     Raises ValueError naming the file when meta.json is not the object
     save_dataset writes (``_Meta``), a CSV's row count differs from
-    meta.json's, or a row has the wrong number of fields; and naming the row
-    as well when a field is not a number, a label lies outside
-    [0, num_classes), or an id of labels.csv differs from that of samples.csv.
+    meta.json's, a row has the wrong number of fields, or a CSV is not UTF-8
+    text; and naming the row as well when a field is not a number, a sample
+    value lies outside [0, 1], a label lies outside [0, num_classes), or an
+    id of labels.csv differs from that of samples.csv.
     """
     path = Path(path)
     meta = read_json(path / "meta.json", _Meta, "dataset")
@@ -390,10 +400,13 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             raise ValueError(f"labels.csv row {outside[0] + 1}: {column} {labels[outside[0]]} "
                              f"lies outside [0, {meta.num_classes})")
 
-    return LabeledDataset(
-        samples=samples,
-        observed_labels=observed,
-        gt_labels=gt,
-        num_classes=meta.num_classes,
-        ids=ids,
-    )
+    try:
+        return LabeledDataset(samples=samples, observed_labels=observed, gt_labels=gt,
+                              num_classes=meta.num_classes, ids=ids)
+    except ValueError as err:
+        # the lengths and labels passed above, so a sample lies outside [0, 1];
+        # negated, so that a NaN is found too
+        outside = np.flatnonzero(~((samples >= 0.0) & (samples <= 1.0)).all(axis=1))
+        if not len(outside):
+            raise
+        raise ValueError(f"samples.csv row {outside[0] + 1}: {err}") from None

@@ -161,10 +161,48 @@ def _round2(x):
     return None if x is None else round(x, 2)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no number
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_counts(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+# each metrics.jsonl field oat report reads: the test its value must pass and
+# what that test asks for
+_FIELDS = {
+    "epoch": (_is_int, "an integer"),
+    "clean_accuracy": (_is_number, "a number"),
+    "robust_accuracy": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+                        "an object of numbers"),
+    "refurbished_nr": (lambda v: v is None or _is_number(v), "a number or null"),
+    "dist_l1_prior": (_is_number, "a number"),
+    "dist_l1_estimated": (_is_number, "a number"),
+    "prior_counts": (_is_counts, "a list of integers"),
+    "estimated_counts": (_is_counts, "a list of integers"),
+    "gt_counts": (lambda v: v is None or _is_counts(v), "a list of integers or null"),
+}
+
+
 def _require(rec: dict, keys: tuple[str, ...], path: Path, line: int) -> None:
+    """Raise ValueError naming the file, line and key unless ``rec`` holds
+    each of ``keys``, every ``_FIELDS`` key it holds has the right type, and
+    its class-count lists agree in length."""
     for key in keys:
         if key not in rec:
             raise ValueError(f"{path} line {line}: record has no {key!r}")
+    for key, (ok, what) in _FIELDS.items():
+        if key in rec and not ok(rec[key]):
+            raise ValueError(f"{path} line {line}: {key!r} must be {what}, "
+                             f"got {json.dumps(rec[key])}")
+    counts = ("prior_counts", "estimated_counts", "gt_counts")
+    if len({len(rec[key]) for key in counts if rec.get(key) is not None}) > 1:
+        raise ValueError(f"{path} line {line}: {', '.join(counts)} differ in length")
 
 
 def _cmd_report(args) -> int:

@@ -5,6 +5,11 @@ predictor head (two one-hidden-layer MLPs) on top of its feature encoder for
 contrastive training; the robust model carries only encoder + classifier.
 Both encoders must share feature_dim so the oracle's projector can score the
 robust model's features.
+
+``init_model`` draws float64 parameters, and ``cast`` copies a model into
+another dtype: the trainer trains float32 copies and evaluates float64 ones.
+Checkpoints hold float64 on disk, which widens float32 exactly, and
+``load_model`` returns a float64 model.
 """
 
 from __future__ import annotations
@@ -132,17 +137,28 @@ def project_predict(params: ModelParams, feats: Value, use_predictor: bool) -> V
     return out
 
 
+def _map_layers(params: ModelParams, fn) -> ModelParams:
+    """The model with each ``(w, b)`` layer replaced by ``fn(w, b)``."""
+    block = lambda layers: None if layers is None else [fn(*layer) for layer in layers]
+    return dataclasses.replace(params, encoder=block(params.encoder), head=fn(*params.head),
+                               projector=block(params.projector),
+                               predictor=block(params.predictor))
+
+
+def cast(params: ModelParams, dtype) -> ModelParams:
+    """A copy of the model with every buffer in ``dtype``; each copy requires
+    grad as its source does and shares no buffer with it."""
+    copy = lambda v: Value(v.data.astype(dtype), requires_grad=v.requires_grad)
+    return _map_layers(params, lambda w, b: (copy(w), copy(b)))
+
+
 def detached(params: ModelParams) -> ModelParams:
     """View of a model whose every layer is a constant.
 
     Shares the underlying buffers, so later optimizer updates to the model
     are visible, but no gradient ever reaches the model through this view.
     """
-    const = lambda layer: (ad.detach(layer[0]), ad.detach(layer[1]))
-    block = lambda layers: None if layers is None else [const(layer) for layer in layers]
-    return dataclasses.replace(params, encoder=block(params.encoder), head=const(params.head),
-                               projector=block(params.projector),
-                               predictor=block(params.predictor))
+    return _map_layers(params, lambda w, b: (ad.detach(w), ad.detach(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +196,23 @@ def _layout(params: ModelParams) -> list[dict]:
     return layout
 
 
+def _require_finite(params: ModelParams, blob_file: Path) -> None:
+    for name, value in params.named_buffers():
+        if not np.isfinite(value.data).all():
+            raise ValueError(f"{blob_file}: buffer {name!r} holds a non-finite value")
+
+
 def save_model(params: ModelParams, path: str | Path) -> None:
     """Write checkpoint.json (manifest) + params.bin (little-endian float64).
 
-    Both are renamed into place only after both are written, so a failed
-    save leaves a previous checkpoint in ``path`` untouched.
+    A float32 model is widened, which is exact, so ``load_model`` gives its
+    values back bit for bit in float64. A non-finite parameter raises
+    ValueError naming params.bin and the buffer, before anything is written.
+    Both files are renamed into place only after both are written, so a
+    failed save leaves a previous checkpoint in ``path`` untouched.
     """
     path = Path(path)
+    _require_finite(params, path / "params.bin")
     path.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(CHECKPOINT_VERSION, params.role, params.arch, _layout(params))
     blob = b"".join(np.ascontiguousarray(value.data, dtype="<f8").tobytes()
@@ -198,14 +224,15 @@ def save_model(params: ModelParams, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelParams:
-    """Read a checkpoint written by ``save_model``.
+    """Read a checkpoint written by ``save_model`` as a float64 model.
 
     checkpoint.json must hold every key save_model writes and no other: a
     ``version`` 1, a known ``role`` and an ``arch`` that ``ArchSpec``
     accepts. Its ``buffers`` must be the list save_model writes for that
     arch and role (``_layout``), entry by entry as JSON text, so ``true`` is
-    not ``1``; params.bin must be exactly as long as those buffers.
-    ValueError names the file, then the key, the buffer index or the length.
+    not ``1``; params.bin must be exactly as long as those buffers and hold
+    only finite values. ValueError names the file, then the key, the buffer
+    or the length.
     """
     path = Path(path)
     manifest_file, blob_file = path / "checkpoint.json", path / "params.bin"
@@ -224,4 +251,5 @@ def load_model(path: str | Path) -> ModelParams:
     for value, entry in zip(params.parameters(), layout):
         value.data[...] = np.frombuffer(blob, "<f8", value.data.size,
                                         entry["offset"]).reshape(value.shape)
+    _require_finite(params, blob_file)
     return params

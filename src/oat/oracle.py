@@ -115,15 +115,18 @@ def _batched(fn, x: np.ndarray, batch: int = 512) -> np.ndarray:
 
 
 def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities of a detached view: no gradient graph."""
+    """Softmax class probabilities of a detached view, in the model's dtype:
+    no gradient graph."""
     frozen = detached(params)
     return _batched(lambda b: ad.softmax(forward_logits(frozen, b).data), x)
 
 
 def embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Encoder features of a detached view: no gradient graph."""
+    """Encoder features of a detached view, computed in the model's dtype and
+    returned in float64, so ``knn_split`` judges distances and ties in float64
+    whatever the model's dtype: no gradient graph."""
     frozen = detached(params)
-    return _batched(lambda b: forward_features(frozen, b).data, x)
+    return _batched(lambda b: forward_features(frozen, b).data, x).astype(np.float64, copy=False)
 
 
 def refurbish(oracle: ModelParams, ds: LabeledDataset, theta_r: float) -> RefurbishedLabels:

@@ -8,13 +8,19 @@ last/ checkpoints. An ``oat`` record carries the class counts of the observed
 labels (``prior_counts``), of the oracle's predictions (``estimated_counts``)
 and of the ground truth (``gt_counts``, null when the data has none). "Best"
 is the epoch with the highest PGD robust accuracy on the test set; best/ is
-rewritten as soon as an epoch improves on it. Any exception inside an epoch,
-evaluation included, appends one ``{"epoch", "error"}`` record and is raised
-again as ``RuntimeError("run aborted: ...")`` chained to it, with no last/ or
+rewritten, before the epoch's record, as soon as an epoch improves on it.
+Any exception inside an epoch, evaluation and the best/ save included (a
+non-finite parameter refuses the save), appends one ``{"epoch", "error"}``
+record in place of the epoch's record and is raised again as
+``RuntimeError("run aborted: ...")`` chained to it, with no last/ or
 summary.json written. A run into a directory that holds an earlier run
 deletes that run's summary.json, best/ and last/ before its first epoch, so
 the directory never mixes two runs; a directory that holds anything else is
 refused before anything is written.
+
+Training runs in float32 (``TRAIN_DTYPE``). Every figure in a record is
+scored on a float64 copy of the robust model, which is what best/ and last/
+hold, so ``oat eval`` of a checkpoint sees the model its record scored.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from .corruption import ClassCounts, balanced_oversample, class_counts
 from .dataio import LabeledDataset, from_json, replaced_together
 from .evaluation import (MetricsRecord, accuracy, check_test_set,
                          distribution_error, robust_accuracy)
-from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, detached, forward_features,
-                     forward_logits, init_model, project_predict, save_model)
+from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, cast, detached,
+                     forward_features, forward_logits, init_model, project_predict,
+                     save_model)
 from .oracle import AugmentationPolicy, OracleEpochRecord, oracle_epoch, predict_probs
 from .rng import SplitMix64
 
@@ -101,12 +108,17 @@ class TrainConfig:
         return from_json(TrainConfig, d, "config")
 
 
+TRAIN_DTYPE = np.float32  # the models' and optimizers' dtype during training
+
+
 @dataclass
 class RunState:
     """Everything an epoch reads or updates: models, optimizers, working labels,
     distribution, epoch and best epoch, then the run's constants. Oracle fields
     are None under ``pgd_at``; ``records`` repeats metrics.jsonl in memory. An
-    epoch that raises aborts the run and leaves the state half-updated."""
+    epoch that raises aborts the run and leaves the state half-updated. Both
+    models and their optimizers' buffers are ``TRAIN_DTYPE``: each model is
+    drawn in float64 by ``init_model`` and narrowed once, here."""
     config: TrainConfig
     rng: SplitMix64
     model: ModelParams
@@ -132,14 +144,14 @@ class RunState:
                         feature_dim=config.feature_dim, num_classes=ds.num_classes)
         sgd = (config.lr, config.momentum, config.weight_decay)
         # each model and the oversampling are seeded alone: their order moves no bit
-        model = init_model(arch, AT_MODEL, seed=config.seed + 1)
+        model = cast(init_model(arch, AT_MODEL, seed=config.seed + 1), TRAIN_DTYPE)
         oracle = oracle_opt = oversampled = labels = None
         if config.method == "oat":
             oversampled = balanced_oversample(ds, seed=config.seed + 3)
             if len(oversampled) < 2:
                 raise ValueError(f"oat's k-NN split needs at least 2 oversampled rows, "
                                  f"got {len(oversampled)}")
-            oracle = init_model(arch, ORACLE, seed=config.seed + 2)
+            oracle = cast(init_model(arch, ORACLE, seed=config.seed + 2), TRAIN_DTYPE)
             oracle_opt = SgdOptimizer(oracle.parameters(), *sgd)
             labels = oversampled.observed_labels.copy()
         return RunState(
@@ -162,8 +174,9 @@ def estimate_label_distribution(oracle: ModelParams, ds: LabeledDataset) -> Clas
 
 
 def adjust_logits(logits: Value, dist: ClassCounts) -> Value:
-    """Add the log class-count prior to every row of the logits."""
-    return ad.add(logits, Value(np.log(dist.smoothed)))
+    """Add the log class-count prior, in the logits' dtype, to every row of
+    the logits."""
+    return ad.add(logits, Value(np.log(dist.smoothed).astype(logits.data.dtype)))
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -254,16 +267,15 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
             state.epoch = epoch
             try:
                 record = run_epoch(state, ds, test)
+                robust = record["robust_accuracy"][state.eval_attack.name()]
+                if robust > state.best_robust:
+                    save_model(state.model, out_dir / "best")
+                    state.best_robust, state.best_epoch = robust, epoch
             except Exception as err:
                 metrics.write(json.dumps({"epoch": epoch, "error": str(err)}) + "\n")
                 raise RuntimeError(f"run aborted: {err}") from err
             state.records.append(record)
             metrics.write(json.dumps(record) + "\n")
-
-            robust = record["robust_accuracy"][state.eval_attack.name()]
-            if robust > state.best_robust:
-                state.best_robust, state.best_epoch = robust, epoch
-                save_model(state.model, out_dir / "best")
 
     save_model(state.model, out_dir / "last")
     with replaced_together(out_dir, ("summary.json",)) as temps:
@@ -310,8 +322,9 @@ def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
 def _evaluate_epoch(state: RunState, test: LabeledDataset, at_losses: dict[str, float],
                     oracle_stats: OracleEpochRecord | None) -> dict:
     config, attack, gt = state.config, state.eval_attack, state.gt
-    ca = accuracy(state.model, test.samples, test.gt_labels)
-    ra = robust_accuracy(state.model, test, attack, state.rng.fork("eval", state.epoch))
+    model = cast(state.model, np.float64)  # the model a checkpoint of this epoch holds
+    ca = accuracy(model, test.samples, test.gt_labels)
+    ra = robust_accuracy(model, test, attack, state.rng.fork("eval", state.epoch))
 
     losses = dict(at_losses)
     record: dict = {

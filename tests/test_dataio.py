@@ -278,8 +278,10 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, key, value, named):
     ("labels.csv", 4, 1, "1.0", "invalid literal for int() with base 10: '1.0'"),
     ("labels.csv", 6, 1, "2", "observed_label 2 lies outside [0, 2)"),
     ("labels.csv", 3, 2, "-1", "gt_label -1 lies outside [0, 2)"),
+    ("samples.csv", 2, 1, "1.5", "sample values must lie in [0, 1]"),
+    ("samples.csv", 4, 3, "nan", "sample values must lie in [0, 1]"),
 ], ids=["sample-id", "sample", "sample-after-lookups", "label-id", "label-float",
-        "label-outside", "gt-label-outside"])
+        "label-outside", "gt-label-outside", "sample-above-1", "sample-nan"])
 def test_load_dataset_names_the_file_and_row_of_a_bad_field(tmp_path, name, row, field, text,
                                                             named):
     path = _repeating(tmp_path)
@@ -291,6 +293,17 @@ def test_load_dataset_names_the_file_and_row_of_a_bad_field(tmp_path, name, row,
     with pytest.raises(ValueError) as info:
         load_dataset(path)
     assert str(info.value) == f"{name} row {row}: {named}"
+
+
+@pytest.mark.parametrize("name", ["samples.csv", "labels.csv", "meta.json"])
+def test_load_dataset_names_a_file_that_is_not_utf8(tmp_path, name):
+    path = _saved(tmp_path)
+    blob = bytearray((path / name).read_bytes())
+    blob[len(blob) // 2] = 0xFF  # never valid in UTF-8
+    (path / name).write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value).endswith(f"{name} is not UTF-8 text: invalid start byte")
 
 
 def _same_bits(a, b):

@@ -457,6 +457,8 @@ def test_cli_report_names_the_truncated_json_file_exits_2(tmp_path, capsys, name
      "record has no 'prior_counts'"),
     ([0, 0.5], "record is not a JSON object"),
     ("an error", "record is not a JSON object"),
+    (_oat_record(0, [5, 4], None),
+     "prior_counts, estimated_counts, gt_counts differ in length"),
 ])
 def test_cli_report_names_the_record_it_cannot_read_exits_2(tmp_path, capsys, record,
                                                            complaint):
@@ -468,6 +470,33 @@ def test_cli_report_names_the_record_it_cannot_read_exits_2(tmp_path, capsys, re
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"oat: error: {run / 'metrics.jsonl'} line 2: {complaint}\n"
+
+
+_WRONG_TYPES = {
+    "clean_accuracy": ("0.5", 'must be a number, got "0.5"'),
+    "robust_accuracy": ([0.25], "must be an object of numbers, got [0.25]"),
+    "refurbished_nr": ("0.1", 'must be a number or null, got "0.1"'),
+    "prior_counts": (6, "must be a list of integers, got 6"),
+    "estimated_counts": ([5, "4", 1], 'must be a list of integers, got [5, "4", 1]'),
+    "gt_counts": ({"0": 5}, 'must be a list of integers or null, got {"0": 5}'),
+    "dist_l1_prior": (None, "must be a number, got null"),
+    "dist_l1_estimated": (True, "must be a number, got true"),
+}
+
+
+@pytest.mark.parametrize("key", _WRONG_TYPES)
+def test_cli_report_names_the_key_of_a_value_of_the_wrong_type_exits_2(tmp_path, capsys, key):
+    run = tmp_path / "run"
+    run.mkdir()
+    good = {**_oat_record(0, [5, 4, 1], [5, 4, 1]), "dist_l1_prior": 0.1,
+            "dist_l1_estimated": 0.05}
+    value, complaint = _WRONG_TYPES[key]
+    lines = [json.dumps(good), json.dumps({**good, "epoch": 1, key: value})]
+    (run / "metrics.jsonl").write_text("\n".join(lines) + "\n")
+    assert cli(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oat: error: {run / 'metrics.jsonl'} line 2: {key!r} {complaint}\n"
 
 
 def test_cli_report_pgd_at_run_has_no_distribution(tmp_path, capsys):

@@ -281,6 +281,31 @@ def test_load_model_rejects_params_bin_of_the_wrong_length(tmp_path, edit, named
     assert str(err.value) == f"{tmp_path}/{named}"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_model_refuses_a_non_finite_parameter(tmp_path, value):
+    params = init_model(TINY_ARCH, AT_MODEL, seed=9)
+    params.head[1].data[1] = value
+    with pytest.raises(ValueError) as err:
+        save_model(params, tmp_path / "ckpt")
+    assert str(err.value) == \
+        f"{tmp_path / 'ckpt' / 'params.bin'}: buffer 'head.b' holds a non-finite value"
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("name", ["encoder.0.b", "encoder.1.w", "head.b"])
+def test_load_model_rejects_a_non_finite_params_bin(tmp_path, name):
+    save_model(init_model(TINY_ARCH, AT_MODEL, seed=9), tmp_path)
+    entry = next(e for e in json.loads((tmp_path / "checkpoint.json").read_text())["buffers"]
+                 if e["name"] == name)
+    blob = bytearray((tmp_path / "params.bin").read_bytes())
+    at = entry["offset"] + entry["nbytes"] - 8  # the buffer's last value
+    blob[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    (tmp_path / "params.bin").write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'params.bin'}: buffer {name!r} holds a non-finite value"
+
+
 def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ckpt"
     old = init_model(TINY_ARCH, ORACLE, seed=9)

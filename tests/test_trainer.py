@@ -354,7 +354,7 @@ def test_rerun_into_a_run_directory_keeps_nothing_of_the_earlier_run(tmp_path):
     run = tmp_path / "run"
     train(_fast_config(method="pgd_at", epochs=2, lr_decay_epochs=()), train_ds, test_ds, run)
     first_best = (run / "best" / "params.bin").read_bytes()
-    config = _fast_config(method="pgd_at", epochs=2, lr_decay_epochs=(), lr=1e300,
+    config = _fast_config(method="pgd_at", epochs=2, lr_decay_epochs=(), lr=1e30,
                           batch_size=len(train_ds))
     with pytest.raises(RuntimeError, match="aborted"), \
             np.errstate(over="ignore", invalid="ignore"):
@@ -362,9 +362,23 @@ def test_rerun_into_a_run_directory_keeps_nothing_of_the_earlier_run(tmp_path):
     # epoch 0 finished and wrote best/; epoch 1 aborted before last/ and summary.json
     assert sorted(p.name for p in run.iterdir()) == ["best", "config.json", "metrics.jsonl"]
     assert (run / "best" / "params.bin").read_bytes() != first_best
-    assert json.loads((run / "config.json").read_text())["lr"] == 1e300
+    assert json.loads((run / "config.json").read_text())["lr"] == 1e30
     records = _records(run)
     assert [r["epoch"] for r in records] == [0, 1] and "error" in records[1]
+
+
+def test_a_run_whose_weights_turn_non_finite_aborts_at_the_best_save(tmp_path):
+    # lr 1e300 is infinite in float32, so the first step leaves no weight finite
+    train_ds, test_ds = _small_data(seed=1)
+    run = tmp_path / "run"
+    config = _fast_config(method="pgd_at", epochs=2, lr_decay_epochs=(), lr=1e300,
+                          batch_size=len(train_ds))
+    with pytest.raises(RuntimeError, match="aborted"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(config, train_ds, test_ds, run)
+    assert sorted(p.name for p in run.iterdir()) == ["config.json", "metrics.jsonl"]
+    assert _records(run) == [{"epoch": 0, "error": f"{run / 'best' / 'params.bin'}: buffer "
+                                                    f"'encoder.0.w' holds a non-finite value"}]
 
 
 def test_train_refuses_a_directory_holding_another_commands_file(tmp_path):
@@ -550,8 +564,10 @@ def test_train_rejects_unevaluable_test_set_before_training(tmp_path, drop, name
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("method", ["pgd_at", "oat"])
-def test_train_aborts_on_non_finite_loss(tmp_path, method):
+# in float32 the oracle's first pass is what overflows first under oat
+@pytest.mark.parametrize("method, loss", [("pgd_at", "model"), ("oat", "oracle")],
+                         ids=["pgd_at", "oat"])
+def test_train_aborts_on_non_finite_loss(tmp_path, method, loss):
     train_ds, test_ds = _small_data(seed=8)
     config = _fast_config(method=method, lr=1e9, epochs=4, lr_decay_epochs=())
     with pytest.raises(RuntimeError, match="aborted"), \
@@ -559,7 +575,7 @@ def test_train_aborts_on_non_finite_loss(tmp_path, method):
         train(config, train_ds, test_ds, tmp_path / "blowup")
     lines = (tmp_path / "blowup" / "metrics.jsonl").read_text().splitlines()
     # diagnostic record persisted
-    assert json.loads(lines[-1])["error"].startswith("non-finite model loss at epoch ")
+    assert json.loads(lines[-1])["error"].startswith(f"non-finite {loss} loss at epoch ")
 
 
 @pytest.mark.parametrize("method, module, name, err", [
