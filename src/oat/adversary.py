@@ -8,9 +8,17 @@ through the model: each step runs the engine's own kernels on the model's
 arrays (``mlp_activations`` forward, ``cross_entropy_adjoint`` or the
 ``cw_margin_loss`` node on a logits leaf for the loss, ``mlp_input_adjoint``
 back), so no weight gradient is computed and the model's ``grad`` buffers are
-never touched. Each step's input gradient is, up to the sign of a zero,
-bitwise the one ``backward`` gives through ``forward_logits`` and the loss
-node, so the attack's output is bitwise the same.
+never touched; the cross-entropy attack never calls ``backward``. Each
+step's input gradient is, up to the sign of a zero, bitwise the one
+``backward`` gives through ``forward_logits`` and the loss node on an input
+in the model's dtype, so the attack's output is bitwise the same.
+
+Each call builds its layer list once, a buffer for the step and, for a
+float32 model, one input buffer that every step narrows the attacked input
+into. The attacked input is the attack's own float64 copy of the batch,
+stepped and projected in place; the caller's batch is never written. The step ``alpha * sign(adj)``
+is taken in the adjoint's dtype, so a float32 model steps by
+``float32(alpha)``.
 
 When a class-count prior is passed, the loss is computed on logits shifted by
 its log; the shift vector is normalized by its maximum so a uniform prior is
@@ -101,17 +109,24 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
 
     encoder = [(w.data, b.data) for w, b in model.encoder]
     head = [(model.head[0].data, model.head[1].data)]
+    dtype = head[0][0].dtype
     shift = None
     if prior is not None:
         log_prior = np.log(prior.smoothed)
         # max-normalize: constant shifts cancel in both losses, and a uniform
         # prior becomes the exact zero vector (bitwise no-op)
-        shift = (log_prior - log_prior.max()).astype(head[0][0].dtype)
+        shift = (log_prior - log_prior.max()).astype(dtype)
+    # the model's input: adv itself in float64, else one buffer narrowed into
+    # each step; adv is a fresh array, so the steps below update it in place
+    model_in = adv if adv.dtype == dtype else np.empty(adv.shape, dtype)
+    step = np.empty(adv.shape, dtype)  # np.sign into its own input is slow
     for _ in range(spec.steps):
-        acts = ad.mlp_activations(adv, encoder)
+        if model_in is not adv:
+            np.copyto(model_in, adv)
+        acts = ad.mlp_activations(model_in, encoder)
         logits = ad.mlp_activations(acts[-1], head)[-1]
         if shift is not None:
-            logits = logits + shift
+            logits += shift
         if spec.loss_kind == "cw_margin":
             leaf = Value(logits, requires_grad=True)
             ad.backward(cw_margin_loss(leaf, y))
@@ -122,9 +137,15 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
         adj = ad.mlp_input_adjoint(adj, head[0][0], None)
         for i in reversed(range(len(encoder))):
             adj = ad.mlp_input_adjoint(adj, encoder[i][0], acts[i] if i else None)
-        # sign(0) == 0; a -0.0 component moves adv by -0.0, which the
-        # projection below maps to the bits a +0.0 gives
-        adv = adv + spec.alpha * np.sign(adj)
-        adv = x + np.clip(adv - x, -spec.epsilon, spec.epsilon)
-        adv = np.clip(adv, 0.0, 1.0)
+        # the step alpha * sign(adj), in adj's dtype; sign(0) == 0, and a
+        # -0.0 component moves adv by -0.0, which the projection below maps
+        # to the bits a +0.0 gives
+        np.sign(adj, out=step)
+        step *= spec.alpha
+        # adv = clip(x + clip(adv + step - x, -eps, eps), 0, 1), in place
+        adv += step
+        adv -= x
+        adv.clip(-spec.epsilon, spec.epsilon, out=adv)
+        adv += x
+        adv.clip(0.0, 1.0, out=adv)
     return adv

@@ -34,7 +34,9 @@ Three rules are kernels on plain arrays, which their nodes call and which
 the PGD attack calls directly to take an input gradient without building a
 graph: ``mlp_activations`` (``mlp``'s forward), ``mlp_input_adjoint`` (one
 layer of ``mlp``'s input adjoint) and ``cross_entropy_adjoint``
-(``cross_entropy``'s logits adjoint).
+(``cross_entropy``'s logits adjoint, in closed form: ``exp(log_probs)``
+scaled by ``adj / B``, less ``adj / B`` at each label, which is bitwise the
+log-softmax chain rule it replaces).
 
 Each array keeps its floating dtype: a ``Value`` holds a float32 or float64
 buffer as given (anything else becomes float64), an ``mlp`` computes in its
@@ -49,7 +51,11 @@ changing a bit. ``mlp``'s ReLU is ``np.fmax(h, 0.0) + 0.0``, because
 ``np.where`` slows sharply above 8192 elements and the ``+ 0.0`` turns the
 ``-0.0`` that ``fmax`` may keep into the ``+0.0`` that ``where`` gives; its
 mask is built in backward only, from the stored output. ``SgdOptimizer.step``
-updates in place, with each ``.grad`` as scratch.
+updates in place, with each ``.grad`` as scratch. The kernels and
+``log_softmax`` likewise update the arrays they allocate in place (the bias
+add, the ReLU mask, the log-sum-exp subtraction), which runs the same IEEE
+operations in the same order as the out-of-place forms, and ``log_softmax``
+reads each row's maximum off its ``argmax`` (``_row_max``).
 """
 
 from __future__ import annotations
@@ -135,7 +141,8 @@ def mlp_activations(x: np.ndarray, layers: Sequence[tuple[np.ndarray, np.ndarray
         if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
             raise ValueError(f"mlp: layer {i} has incompatible shapes {h.shape}, "
                              f"{w.shape} and {b.shape}")
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i < len(layers) - 1:
             np.fmax(h, 0.0, out=h)
             h += 0.0  # fmax may keep a -0.0 input; np.where(h > 0, h, 0.0) gives +0.0
@@ -151,7 +158,9 @@ def mlp_input_adjoint(adj: np.ndarray, w: np.ndarray, relu_out: np.ndarray | Non
     ``relu_out`` of the layer below (it is > 0 exactly where the ReLU's input
     is); pass ``None`` for the first layer. ``adj`` is cast to ``w``'s dtype."""
     back = np.asarray(adj, dtype=w.dtype) @ w.T
-    return back if relu_out is None else back * (relu_out > 0)
+    if relu_out is not None:
+        back *= relu_out > 0
+    return back
 
 
 def mlp(x: Value, layers: Sequence[tuple[Value, Value]]) -> Value:
@@ -253,11 +262,26 @@ def _row_labels(kind: str, logits: Value, labels) -> np.ndarray:
     return labels
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1, keepdims=True)`` of a (B, C) array, bit for bit.
+
+    numpy reduces a short last axis one row at a time, which at (128, 10)
+    takes about twice as long as picking each row's ``argmax`` entry. The
+    two agree bitwise unless a row's maximum is NaN or a zero (``+0.0 ==
+    -0.0``, and which one a reduction keeps depends on its order), and then
+    numpy's own reduction answers."""
+    top = z[np.arange(len(z)), z.argmax(axis=-1)]
+    if len(z) and np.abs(top).min() > 0:
+        return top[:, None]
+    return z.max(axis=-1, keepdims=True)
+
+
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a plain array, with max subtraction for
+    """Row-wise log-softmax of a (B, C) array, with max subtraction for
     stability. Records no graph node."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = z - _row_max(z)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _log_softmax_grad(g: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
@@ -268,12 +292,18 @@ def _log_softmax_grad(g: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
 def cross_entropy_adjoint(log_probs: np.ndarray, y: np.ndarray, adj: float = 1.0
                           ) -> np.ndarray:
     """The backward kernel of ``cross_entropy``: the logits' adjoint given
-    their ``log_probs``, the labels ``y`` and the loss's adjoint ``adj``. It
-    puts ``-adj / B`` at each row's label and passes that through the
-    log-softmax."""
-    g = np.zeros_like(log_probs)
-    g[np.arange(len(y)), y] += -adj / len(y)
-    return _log_softmax_grad(g, log_probs)
+    their ``log_probs``, the labels ``y`` and the loss's adjoint ``adj``.
+
+    Passing ``g``, which holds ``-adj / B`` at each row's label and 0
+    elsewhere, through the log-softmax gives ``g - exp(log_probs) * s`` with
+    ``s = g.sum(-1)``. The row sum is exactly the one nonzero entry, so this
+    is, bit for bit, ``exp(log_probs) * (adj / B)`` with ``adj / B``
+    subtracted at each label: negation is exact, and ``0 - v`` is ``-v``."""
+    scale = adj / len(y)
+    g = np.exp(log_probs)
+    g *= scale
+    g[np.arange(len(y)), y] -= scale
+    return g
 
 
 def cross_entropy(logits: Value, labels: np.ndarray) -> Value:

@@ -85,6 +85,8 @@ class TrainConfig:
                              f"got {list(self.encoder_widths)}")
         require("lr", lambda v: v > 0.0, "be positive")
         require("weight_decay", lambda v: v >= 0.0, "be nonnegative")
+        for key in ("lr", "weight_decay"):  # the optimizer steps in TRAIN_DTYPE
+            require(key, _finite_in_train_dtype, "be finite in float32")
         require("momentum", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
         for key in ("theta_r", "lr_decay_factor"):
             require(key, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
@@ -109,6 +111,11 @@ class TrainConfig:
 
 
 TRAIN_DTYPE = np.float32  # the models' and optimizers' dtype during training
+
+
+def _finite_in_train_dtype(value: float) -> bool:
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(TRAIN_DTYPE(value)))
 
 
 @dataclass

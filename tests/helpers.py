@@ -82,9 +82,11 @@ def leaves_model_untouched(model: ModelParams):
 def reference_pgd_attack(model: ModelParams, x, y, spec, rng: SplitMix64 | None = None,
                          prior=None, rows=None) -> np.ndarray:
     """PGD whose every step builds a graph and walks it with ``ad.backward``:
-    ``forward_logits`` of a ``detached`` model on an input leaf, the prior's
-    log shift as an ``add`` node, and the loss node. ``pgd_attack`` must give
-    these bits; it draws the same random start and projects the same way."""
+    ``forward_logits`` of a ``detached`` model on an input leaf in the
+    model's dtype, the prior's log shift as an ``add`` node, and the loss
+    node. The step ``alpha * sign(grad)`` is taken in the leaf's dtype and
+    added to the float64 input. ``pgd_attack`` must give these bits; it draws
+    the same random start and projects the same way."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     rng = rng or SplitMix64(0).fork("pgd_attack")
@@ -96,12 +98,13 @@ def reference_pgd_attack(model: ModelParams, x, y, spec, rng: SplitMix64 | None 
     if rows is not None:
         x, y, adv = x[rows], y[rows], adv[rows]
     frozen, shift = detached(model), None
+    dtype = model.head[0].data.dtype
     if prior is not None:
         log_prior = np.log(prior.smoothed)
-        shift = ad.Value(log_prior - log_prior.max())
+        shift = ad.Value((log_prior - log_prior.max()).astype(dtype))
     loss_fn = ad.cw_margin_loss if spec.loss_kind == "cw_margin" else ad.cross_entropy
     for _ in range(spec.steps):
-        xv = ad.Value(adv, requires_grad=True)
+        xv = ad.Value(adv.astype(dtype), requires_grad=True)
         logits = forward_logits(frozen, xv)
         if shift is not None:
             logits = ad.add(logits, shift)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from oat import autodiff as ad
 from oat.adversary import AttackSpec, cw_margin_loss, pgd_attack
 from oat.autodiff import Value
 from oat.corruption import ClassCounts
-from oat.models import AT_MODEL, ArchSpec, init_model
+from oat.models import AT_MODEL, ArchSpec, cast, init_model
 from oat.rng import SplitMix64
 
 from helpers import TINY_ARCH, leaves_model_untouched, reference_pgd_attack
@@ -177,15 +178,17 @@ def test_cw_margin_closed_forms():
 @pytest.mark.parametrize("random_start", [True, False])
 def test_pgd_attack_is_bitwise_the_graph_built_reference(loss_kind, prior, random_start):
     # pgd_attack runs the engine's kernels on plain arrays; the reference
-    # differentiates forward_logits and the loss node with ad.backward
+    # differentiates forward_logits and the loss node with ad.backward. The
+    # trainer attacks float32 models, evaluation float64 ones.
     spec = AttackSpec(epsilon=0.1, alpha=0.025, steps=6, loss_kind=loss_kind,
                       random_start=random_start)
     prior = None if prior is None else ClassCounts(prior)
     rng = SplitMix64(13).fork("ref." + loss_kind, int(random_start))
-    for trial, widths in enumerate(((), (64,), (8, 6))):
+    for trial, (widths, dtype) in enumerate(itertools.product(((), (64,), (8, 6)),
+                                                              (np.float64, np.float32))):
         arch = ArchSpec(input_dim=9, encoder_widths=widths, feature_dim=5, num_classes=4)
-        model = init_model(arch, AT_MODEL, seed=trial)
-        for n in (1, 23):
+        model = cast(init_model(arch, AT_MODEL, seed=trial), dtype)
+        for n in (1, 23, 128):
             x = _rand_batch(rng, n, 9)
             y = np.array([rng.randint(4) for _ in range(n)])
             some = np.flatnonzero(rng.uniform(n) < 0.5)
@@ -257,3 +260,28 @@ def test_pgd_attack_leaves_model_untouched():
     with leaves_model_untouched(model):
         for spec, prior in [(ce, None), (cw, None), (ce, ClassCounts((100, 1, 1)))]:
             pgd_attack(model, x, y, spec, SplitMix64(11).fork("s"), prior)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
+def test_pgd_attack_leaves_the_callers_batch_unchanged(monkeypatch, dtype, loss_kind):
+    """The attack updates its own copy in place, never ``x``; a
+    cross-entropy attack builds no graph, so it never calls ``backward``."""
+    if loss_kind == "cross_entropy":
+        def no_backward(root):
+            raise AssertionError("a cross-entropy attack called autodiff.backward")
+        monkeypatch.setattr(ad, "backward", no_backward)
+    arch = ArchSpec(input_dim=9, encoder_widths=(16,), feature_dim=5, num_classes=4)
+    model = cast(init_model(arch, AT_MODEL, seed=3), dtype)
+    rng = SplitMix64(17).fork("caller." + loss_kind)
+    x = _rand_batch(rng, 12, 9)
+    y = np.array([rng.randint(4) for _ in range(12)])
+    before = x.tobytes()
+    for random_start in (True, False):
+        spec = AttackSpec(epsilon=0.1, alpha=0.025, steps=4, loss_kind=loss_kind,
+                          random_start=random_start)
+        for prior, rows in ((None, None), (ClassCounts((9, 1, 4, 2)), None),
+                            (None, np.array([0, 5, 7]))):
+            adv = pgd_attack(model, x, y, spec, SplitMix64(2).fork("a"), prior, rows)
+            assert not np.shares_memory(adv, x)
+            assert x.tobytes() == before

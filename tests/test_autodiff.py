@@ -318,6 +318,45 @@ def test_loss_node_bitwise_equals_its_op_chain(op, chain, second):
         assert logits.grad.tobytes() == (0.0 + grad).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_is_bitwise_numpys_reduction(dtype):
+    # random rows, and rows whose maximum is a signed zero, NaN or infinite,
+    # where numpy's order of comparison decides the bits
+    rng = SplitMix64(29).fork("row_max")
+    cases = [rng.normal(n * c).reshape(n, c) for n, c in ((1, 2), (128, 10), (33, 17))]
+    values = np.array([0.0, -0.0, -1.5, np.nan, np.inf, -np.inf])
+    for _ in range(200):
+        cols = 2 + rng.randint(15)
+        cases.append(values[[rng.randint(3) for _ in range(cols)]].reshape(1, cols))
+        cases.append(values[[rng.randint(6) for _ in range(3 * cols)]].reshape(3, cols))
+    cases.append(np.zeros((0, 4)))
+    for z in cases:
+        z = z.astype(dtype)
+        want = z.max(axis=-1, keepdims=True)
+        assert ad._row_max(z).tobytes() == want.tobytes(), z
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_adjoint_is_bitwise_the_log_softmax_chain_rule(dtype):
+    # the closed form against g - exp(log_probs) * g.sum(-1), with g holding
+    # -adj / B at each label, compared raw so the sign of every zero counts;
+    # at the larger scales exp(log_probs) underflows to 0 in most entries
+    rng = SplitMix64(23).fork("ce_adjoint")
+    for scale in (1e-2, 1.0, 30.0, 1e3):
+        for batch, classes in ((1, 2), (7, 3), (128, 10)):
+            z = (rng.normal(batch * classes).reshape(batch, classes) * scale).astype(dtype)
+            y = np.array([rng.randint(classes) for _ in range(batch)])
+            log_probs = ad.log_softmax(z)
+            for adj in (1.0, 2.0, 0.37):
+                g = np.zeros_like(log_probs)
+                g[np.arange(batch), y] += -adj / batch
+                want = ad._log_softmax_grad(g, log_probs)
+                got = ad.cross_entropy_adjoint(log_probs, y, adj)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+    assert not np.exp(ad.log_softmax(z)).all()  # some entries did underflow
+
+
 def test_cw_margin_tie_goes_to_the_lower_index():
     z = Value(np.array([[0.0, 7.0, 7.0], [3.0, 1.0, 3.0]]), requires_grad=True)
     backward(cw_margin_loss(z, np.array([0, 1])))

@@ -200,6 +200,9 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
     ({"lr_decay_epochs": [-3]}, "config key 'lr_decay_epochs' must all be nonnegative, got [-3]"),
     ({"lr_decay_epochs": [-1, 30]},
      "config key 'lr_decay_epochs' must all be nonnegative, got [-1, 30]"),
+    ({"lr": 1e300}, "config key 'lr' must be finite in float32, got 1e+300"),
+    ({"lr": 3.5e38}, "config key 'lr' must be finite in float32, got 3.5e+38"),
+    ({"weight_decay": 1e39}, "config key 'weight_decay' must be finite in float32, got 1e+39"),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
@@ -214,6 +217,10 @@ def test_config_accepts_range_bounds():
                          augment=AugmentationPolicy(jitter_amp=0.0, flip_prob=1.0,
                                                     scale_amp=0.0, erase_frac=0.0))
     assert config.theta_r == 1.0 and config.augment.flip_prob == 1.0
+    # float32's largest finite value, which the optimizer can hold
+    largest = float(np.finfo(np.float32).max)
+    config = TrainConfig(epochs=1, lr_decay_epochs=(), lr=largest, weight_decay=largest)
+    assert config.lr == config.weight_decay == largest
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +375,12 @@ def test_rerun_into_a_run_directory_keeps_nothing_of_the_earlier_run(tmp_path):
 
 
 def test_a_run_whose_weights_turn_non_finite_aborts_at_the_best_save(tmp_path):
-    # lr 1e300 is infinite in float32, so the first step leaves no weight finite
+    # lr and weight_decay are each finite in float32, but lr * weight_decay * w
+    # is not, so the first step leaves no nonzero weight finite
     train_ds, test_ds = _small_data(seed=1)
     run = tmp_path / "run"
-    config = _fast_config(method="pgd_at", epochs=2, lr_decay_epochs=(), lr=1e300,
-                          batch_size=len(train_ds))
+    config = _fast_config(method="pgd_at", epochs=2, lr_decay_epochs=(), lr=1e30,
+                          weight_decay=1e30, batch_size=len(train_ds))
     with pytest.raises(RuntimeError, match="aborted"), \
             np.errstate(over="ignore", invalid="ignore"):
         train(config, train_ds, test_ds, run)
