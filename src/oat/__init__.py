@@ -1,6 +1,6 @@
 """Oracle-guided adversarial training on noisy, imbalanced data (desk scale)."""
 
-from .adversary import AttackSpec, cw_margin_loss, pgd_attack
+from .adversary import AttackSpec, pgd_attack
 from .autodiff import SgdOptimizer, Value, backward, detach
 from .corruption import (ClassCounts, CorruptionSpec, apply_asymmetric_noise,
                          apply_exponential_imbalance, apply_symmetric_noise,
@@ -23,8 +23,8 @@ __all__ = [
     "SplitSets", "SyntheticSpec", "TrainConfig", "Value",
     "adjust_logits", "apply_asymmetric_noise", "apply_exponential_imbalance",
     "apply_symmetric_noise", "at_model_loss", "backward", "balanced_oversample",
-    "compute_ir", "compute_nr", "corrupt", "cw_margin_loss", "detach",
-    "distribution_error", "estimate_label_distribution", "evaluate",
+    "compute_ir", "compute_nr", "corrupt", "detach", "distribution_error",
+    "estimate_label_distribution", "evaluate",
     "forward_features", "forward_logits", "gen_synthetic",
     "init_model", "knn_split", "load_dataset", "load_idx", "load_model",
     "lr_at_epoch", "oracle_contrastive_loss", "oracle_epoch",

@@ -5,13 +5,13 @@ intersected with the [0,1] input box. It differentiates with respect to its
 input only, in the model's dtype, and keeps the attacked input in float64 so
 that the projection onto the ball and the box is exact. It builds no graph
 through the model: each step runs the engine's own kernels on the model's
-arrays (``mlp_activations`` forward, ``cross_entropy_adjoint`` or the
-``cw_margin_loss`` node on a logits leaf for the loss, ``mlp_input_adjoint``
-back), so no weight gradient is computed and the model's ``grad`` buffers are
-never touched; the cross-entropy attack never calls ``backward``. Each
-step's input gradient is, up to the sign of a zero, bitwise the one
-``backward`` gives through ``forward_logits`` and the loss node on an input
-in the model's dtype, so the attack's output is bitwise the same.
+arrays (``mlp_activations`` forward, ``cross_entropy_adjoint`` or
+``cw_margin_adjoint`` for the loss's logits adjoint, ``mlp_input_adjoint``
+back), so no weight gradient is computed, the model's ``grad`` buffers are
+never touched and no attack calls ``backward``. Each step's input gradient
+is, up to the sign of a zero, bitwise the one ``backward`` gives through
+``forward_logits`` and a graph-built loss node on an input in the model's
+dtype, so the attack's output is bitwise the same.
 
 Each call builds its layer list once, a buffer for the step and, for a
 float32 model, one input buffer that every step narrows the attacked input
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value, cw_margin_loss
 from .corruption import ClassCounts
 from .models import ModelParams
 from .rng import SplitMix64
@@ -81,8 +80,9 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     tests pin ``pgd_attack(...)[rows]`` bit for bit on sampled data; that is
     a measured property, not a guarantee for every input.
     ``x`` must be (B, input_dim), ``y`` must hold B labels in
-    [0, num_classes), all of them checked whatever ``rows`` picks, and a
-    ``prior`` must count num_classes classes."""
+    [0, num_classes), all of them checked whatever ``rows`` picks, a
+    ``prior`` must count num_classes classes, and a CW margin attack needs at
+    least 2 classes."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
@@ -94,6 +94,9 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     if prior is not None and len(prior.counts) != model.arch.num_classes:
         raise ValueError(f"prior has {len(prior.counts)} class counts, "
                          f"the model {model.arch.num_classes} classes")
+    if spec.loss_kind == "cw_margin" and model.arch.num_classes < 2:
+        raise ValueError("the cw_margin loss needs at least 2 classes, "
+                         f"the model has {model.arch.num_classes}")
     if rng is None:
         rng = SplitMix64(0).fork("pgd_attack")
 
@@ -128,9 +131,7 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
         if shift is not None:
             logits += shift
         if spec.loss_kind == "cw_margin":
-            leaf = Value(logits, requires_grad=True)
-            ad.backward(cw_margin_loss(leaf, y))
-            adj = leaf.grad
+            adj = ad.cw_margin_adjoint(logits, y)
         else:
             adj = ad.cross_entropy_adjoint(ad.log_softmax(logits), y)
         # the head's input is the encoder's linear output: no ReLU mask

@@ -18,25 +18,28 @@ adjoints are *added* into the leaves' ``.grad``, so gradients accumulate
 across calls and must be zeroed explicitly (``SgdOptimizer.step`` does this
 after applying the update).
 
-The engine is ``add``, ``detach``, ``mlp`` and five losses, each a single
+The engine is ``add``, ``detach``, ``mlp`` and four losses, each a single
 node that computes its own backward: ``mlp`` is a whole ReLU MLP (one node
 per encoder, head, projector or predictor call), and the losses are
-``cross_entropy``, ``soft_cross_entropy``, ``cw_margin_loss``,
-``cosine_loss`` (the negated mean row cosine of the contrastive and
-feature-alignment terms) and ``neg_softmax_mse`` (the oracle's divergence
-from the robust model). Each is bitwise equal to the plain numpy arithmetic
-its docstring spells out. A model's logits and their loss are three graph
-nodes; backward walks 12 op nodes for an oracle batch with clean rows and 9
-for an ``oat`` robust-model batch with interaction and adjustment on.
-``softmax`` and ``log_softmax`` are plain numpy and record no node.
+``cross_entropy``, ``soft_cross_entropy``, ``cosine_loss`` (the negated mean
+row cosine of the contrastive and feature-alignment terms) and
+``neg_softmax_mse`` (the oracle's divergence from the robust model). Each is
+bitwise equal to the plain numpy arithmetic its docstring spells out. A
+model's logits and their loss are three graph nodes; backward walks 12 op
+nodes for an oracle batch with clean rows and 9 for an ``oat`` robust-model
+batch with interaction and adjustment on. ``softmax`` and ``log_softmax``
+are plain numpy and record no node.
 
-Three rules are kernels on plain arrays, which their nodes call and which
-the PGD attack calls directly to take an input gradient without building a
-graph: ``mlp_activations`` (``mlp``'s forward), ``mlp_input_adjoint`` (one
-layer of ``mlp``'s input adjoint) and ``cross_entropy_adjoint``
-(``cross_entropy``'s logits adjoint, in closed form: ``exp(log_probs)``
-scaled by ``adj / B``, less ``adj / B`` at each label, which is bitwise the
-log-softmax chain rule it replaces).
+Four rules are kernels on plain arrays, which the PGD attack calls to take
+an input gradient without building a graph: ``mlp_activations`` (``mlp``'s
+forward), ``mlp_input_adjoint`` (one layer of ``mlp``'s input adjoint),
+``cross_entropy_adjoint`` (``cross_entropy``'s logits adjoint, in closed
+form: ``exp(log_probs)`` scaled by ``adj / B``, less ``adj / B`` at each
+label, which is bitwise the log-softmax chain rule it replaces) and
+``cw_margin_adjoint`` (the CW margin's logits adjoint: ``adj / B`` at each
+row's largest non-label logit, ``-adj / B`` at its label). The nodes call
+the first three; the CW margin has no node, since only the attack
+differentiates it.
 
 Each array keeps its floating dtype: a ``Value`` holds a float32 or float64
 buffer as given (anything else becomes float64), an ``mlp`` computes in its
@@ -249,19 +252,6 @@ def backward(root: Value) -> None:
 # losses
 # ---------------------------------------------------------------------------
 
-def _row_labels(kind: str, logits: Value, labels) -> np.ndarray:
-    """Check that ``logits`` is (B, C) and ``labels`` holds B classes in
-    [0, C); return the labels as int64."""
-    if logits.data.ndim != 2:
-        raise ValueError(f"{kind} expects (B, C) logits, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != logits.shape[:1]:
-        raise ValueError(f"{kind}: expected {logits.shape[0]} labels, got shape {labels.shape}")
-    if len(labels) and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ValueError(f"{kind}: labels outside [0, {logits.shape[1]})")
-    return labels
-
-
 def _row_max(z: np.ndarray) -> np.ndarray:
     """``z.max(axis=-1, keepdims=True)`` of a (B, C) array, bit for bit.
 
@@ -307,9 +297,15 @@ def cross_entropy_adjoint(log_probs: np.ndarray, y: np.ndarray, adj: float = 1.0
 
 
 def cross_entropy(logits: Value, labels: np.ndarray) -> Value:
-    """Mean over the B rows of ``-log_softmax(z)[i, y_i]``; backward is
-    ``cross_entropy_adjoint``."""
-    y = _row_labels("cross_entropy", logits, labels)
+    """Mean over the B rows of ``-log_softmax(z)[i, y_i]`` for (B, C) logits
+    and B labels in [0, C); backward is ``cross_entropy_adjoint``."""
+    if logits.data.ndim != 2:
+        raise ValueError(f"cross_entropy expects (B, C) logits, got {logits.shape}")
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != logits.shape[:1]:
+        raise ValueError(f"cross_entropy: expected {logits.shape[0]} labels, got shape {y.shape}")
+    if len(y) and (y.min() < 0 or y.max() >= logits.shape[1]):
+        raise ValueError(f"cross_entropy: labels outside [0, {logits.shape[1]})")
     log_probs = log_softmax(logits.data)
 
     def backward_fn(adj):
@@ -338,29 +334,21 @@ def soft_cross_entropy(logits: Value, target: np.ndarray) -> Value:
 _MASK_NEG = -1e18  # dominates any finite logit without leaving float32 range
 
 
-def cw_margin_loss(logits: Value, y: np.ndarray) -> Value:
-    """Mean over the B rows of ``max_{j != y_i} z_j - z_{y_i}``, the max taken
-    over the logits plus ``_MASK_NEG`` at the label. Backward puts ``adj / B``
-    at each row's maximizer, the lowest-index one on a tie, and ``-adj / B``
-    at its label."""
-    y = _row_labels("cw_margin_loss", logits, y)
-    if logits.shape[1] < 2:
-        raise ValueError("cw_margin_loss needs at least 2 classes")
+def cw_margin_adjoint(logits: np.ndarray, y: np.ndarray, adj: float = 1.0) -> np.ndarray:
+    """The logits' adjoint of the CW margin, the mean over the B rows of
+    ``max_{j != y_i} z_j - z_{y_i}``, given the loss's adjoint ``adj``: ``adj
+    / B`` at each row's largest non-label logit and ``-adj / B`` at its label,
+    in the logits' dtype. The largest is taken over the logits plus
+    ``_MASK_NEG`` at the label, the lowest index winning a tie, so a row needs
+    at least 2 classes."""
     rows = np.arange(len(y))
-    mask = np.zeros(logits.shape, dtype=logits.data.dtype)
-    mask[rows, y] = _MASK_NEG
-    masked = logits.data + mask
-    other = np.argmax(masked, axis=1)
-
-    def backward_fn(adj):
-        u = float(adj) / len(y)
-        g = np.zeros_like(masked)
-        g[rows, other] += u
-        g[rows, y] -= u
-        return (g,)
-
-    return _make(np.asarray((masked[rows, other] - logits.data[rows, y]).mean()),
-                 (logits,), backward_fn)
+    masked = logits.copy()
+    masked[rows, y] += _MASK_NEG
+    u = adj / len(y)
+    g = np.zeros_like(masked)
+    g[rows, masked.argmax(axis=1)] += u
+    g[rows, y] -= u
+    return g
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

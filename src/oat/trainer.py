@@ -98,6 +98,10 @@ class TrainConfig:
                              f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")
         if list(self.lr_decay_epochs) != sorted(set(self.lr_decay_epochs)):
             raise ValueError("lr_decay_epochs must be strictly increasing")
+        decays = len(self.lr_decay_epochs)  # lr_at_epoch's rate after the last decay
+        if TRAIN_DTYPE(self.lr * self.lr_decay_factor ** decays) == 0:
+            raise ValueError(f"config key 'lr' must keep lr * lr_decay_factor ** {decays} "
+                             f"nonzero in float32, got {self.lr!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

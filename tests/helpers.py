@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradients, a probe loss node,
-a graph-built PGD reference, brute-force k-NN, a reference dataset writer and
-reader, a model-untouched check and small fixture builders."""
+a graph-built CW margin node and PGD reference, brute-force k-NN, a
+reference dataset writer and reader, a model-untouched check and small
+fixture builders."""
 
 from __future__ import annotations
 
@@ -66,6 +67,29 @@ def probe(a: ad.Value, weights=1.0) -> ad.Value:
     return ad._make(np.asarray((a.data * weights).sum()), (a,), backward_fn)
 
 
+def cw_margin_loss(logits: ad.Value, y: np.ndarray) -> ad.Value:
+    """The CW margin as one graph node: the mean over the B rows of
+    ``max_{j != y_i} z_j - z_{y_i}``, the max taken over the logits plus
+    ``_MASK_NEG`` at the label. Backward puts ``adj / B`` at each row's
+    maximizer, the lowest-index one on a tie, and ``-adj / B`` at its label.
+    ``autodiff.cw_margin_adjoint`` must give these bits."""
+    rows = np.arange(len(y))
+    mask = np.zeros(logits.shape, dtype=logits.data.dtype)
+    mask[rows, y] = ad._MASK_NEG
+    masked = logits.data + mask
+    other = np.argmax(masked, axis=1)
+
+    def backward_fn(adj):
+        u = float(adj) / len(y)
+        g = np.zeros_like(masked)
+        g[rows, other] += u
+        g[rows, y] -= u
+        return (g,)
+
+    return ad._make(np.asarray((masked[rows, other] - logits.data[rows, y]).mean()),
+                    (logits,), backward_fn)
+
+
 @contextmanager
 def leaves_model_untouched(model: ModelParams):
     """Assert that the ``with`` block adds nothing into ``model``'s ``grad``
@@ -102,7 +126,7 @@ def reference_pgd_attack(model: ModelParams, x, y, spec, rng: SplitMix64 | None 
     if prior is not None:
         log_prior = np.log(prior.smoothed)
         shift = ad.Value((log_prior - log_prior.max()).astype(dtype))
-    loss_fn = ad.cw_margin_loss if spec.loss_kind == "cw_margin" else ad.cross_entropy
+    loss_fn = cw_margin_loss if spec.loss_kind == "cw_margin" else ad.cross_entropy
     for _ in range(spec.steps):
         xv = ad.Value(adv.astype(dtype), requires_grad=True)
         logits = forward_logits(frozen, xv)
@@ -118,7 +142,15 @@ def reference_pgd_attack(model: ModelParams, x, y, spec, rng: SplitMix64 | None 
 def brute_force_knn_majority(points: np.ndarray, labels: np.ndarray, k: int,
                              num_classes: int) -> np.ndarray:
     """Exhaustive per-query reference: direct distances, full stable sort,
-    self excluded, majority with lowest-class tie break."""
+    self excluded, majority with lowest-class tie break.
+
+    Its direct differences ``sum((q - p) ** 2)`` round differently from
+    ``knn_split``'s expansion form ``|q|^2 + |p|^2 - 2 q.p``, so on exactly
+    tied points the two can pick different neighbours: on the 12
+    grid-plus-duplicate cases of ``test_knn_split_grid_ties_match_stable_sort``
+    the clean split differs from this one's in 9. It is a reference for
+    continuous points only; ``stable_sort_knn_majority`` is the tie
+    reference."""
     n = len(points)
     majority = np.zeros(n, dtype=np.int64)
     for i in range(n):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oat import autodiff as ad
-from oat.adversary import AttackSpec, cw_margin_loss, pgd_attack
+from oat.adversary import AttackSpec, pgd_attack
 from oat.autodiff import Value
 from oat.corruption import (ClassCounts, CorruptionSpec, apply_exponential_imbalance,
                             apply_symmetric_noise, class_counts, compute_nr,
@@ -29,7 +29,7 @@ from oat.oracle import (AugmentationPolicy, KnnIndex, knn_split,
 from oat.rng import SplitMix64
 from oat.trainer import TrainConfig, adjust_logits, at_model_loss, train
 
-from helpers import brute_force_knn_majority, fd_max_rel_error
+from helpers import brute_force_knn_majority, cw_margin_loss, fd_max_rel_error
 
 CRITERION_LINES: list[str] = []
 

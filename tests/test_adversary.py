@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from oat import autodiff as ad
-from oat.adversary import AttackSpec, cw_margin_loss, pgd_attack
-from oat.autodiff import Value
+from oat.adversary import AttackSpec, pgd_attack
 from oat.corruption import ClassCounts
 from oat.models import AT_MODEL, ArchSpec, cast, init_model
 from oat.rng import SplitMix64
@@ -166,10 +165,26 @@ def test_attacking_no_rows_still_checks_every_label():
 
 
 def test_cw_margin_closed_forms():
-    assert cw_margin_loss(Value([[3.0, 1.0]]), np.array([0])).item() == pytest.approx(-2.0)
-    assert cw_margin_loss(Value([[1.0, 1.0]]), np.array([0])).item() == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="2 classes"):
-        cw_margin_loss(Value([[1.0]]), np.array([0]))
+    # the label's own logit never counts as the largest other one, even when
+    # it ties or leads: the margin rises along e_other - e_label
+    for z in ([[3.0, 1.0]], [[1.0, 1.0]], [[1.0, 3.0]]):
+        assert np.array_equal(ad.cw_margin_adjoint(np.array(z), np.array([0])), [[-1.0, 1.0]])
+    assert np.array_equal(ad.cw_margin_adjoint(np.array([[2.0, 5.0, 1.0, 5.0]]), np.array([2])),
+                          [[0.0, 1.0, -1.0, 0.0]])
+
+
+def test_pgd_attack_rejects_a_cw_attack_on_a_one_class_model():
+    # with one class the label is every row's only logit, so the CW margin has
+    # no other class to raise; the check runs at entry, whatever rows holds
+    arch = ArchSpec(input_dim=5, encoder_widths=(4,), feature_dim=3, num_classes=1)
+    model = init_model(arch, AT_MODEL, seed=0)
+    x, y = np.full((3, 5), 0.5), np.zeros(3, dtype=np.int64)
+    cw = AttackSpec(epsilon=0.1, alpha=0.05, steps=2, loss_kind="cw_margin")
+    for rows in (None, np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="the cw_margin loss needs at least 2 classes, "
+                                             "the model has 1"):
+            pgd_attack(model, x, y, cw, rows=rows)
+    assert pgd_attack(model, x, y, AttackSpec(epsilon=0.1, alpha=0.05, steps=2)).shape == x.shape
 
 
 @pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
@@ -229,14 +244,12 @@ def test_pgd_attack_checks_the_label_count_at_entry():
 def test_cw_gradient_direction_matches_ce_on_2class_linear():
     # symmetric 2-class toy: d(CW)/dz = [-1, 1] for y=0; CE gives softmax-e_y,
     # proportional along the same axis, so input-gradient signs agree
-    w = Value(np.array([[1.0, -1.0], [0.5, 2.0]]))
-    x = Value(np.array([[0.3, 0.7]]), requires_grad=True)
+    w = np.array([[1.0, -1.0], [0.5, 2.0]])
+    z = ad.mlp_activations(np.array([[0.3, 0.7]]), [(w, np.zeros(2))])[-1]
     y = np.array([0])
-    ad.backward(cw_margin_loss(ad.mlp(x, [(w, Value(np.zeros(2)))]), y))
-    cw_sign = np.sign(x.grad.copy())
-    x2 = Value(np.array([[0.3, 0.7]]), requires_grad=True)
-    ad.backward(ad.cross_entropy(ad.mlp(x2, [(w, Value(np.zeros(2)))]), y))
-    assert np.array_equal(np.sign(x2.grad), cw_sign)
+    cw = ad.mlp_input_adjoint(ad.cw_margin_adjoint(z, y), w, None)
+    ce = ad.mlp_input_adjoint(ad.cross_entropy_adjoint(ad.log_softmax(z), y), w, None)
+    assert np.all(cw != 0) and np.array_equal(np.sign(cw), np.sign(ce))
 
 
 def test_attack_deterministic_given_stream():
@@ -265,12 +278,11 @@ def test_pgd_attack_leaves_model_untouched():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
 def test_pgd_attack_leaves_the_callers_batch_unchanged(monkeypatch, dtype, loss_kind):
-    """The attack updates its own copy in place, never ``x``; a
-    cross-entropy attack builds no graph, so it never calls ``backward``."""
-    if loss_kind == "cross_entropy":
-        def no_backward(root):
-            raise AssertionError("a cross-entropy attack called autodiff.backward")
-        monkeypatch.setattr(ad, "backward", no_backward)
+    """The attack updates its own copy in place, never ``x``; it builds no
+    graph for either loss, so it never calls ``backward``."""
+    def no_backward(root):
+        raise AssertionError(f"a {loss_kind} attack called autodiff.backward")
+    monkeypatch.setattr(ad, "backward", no_backward)
     arch = ArchSpec(input_dim=9, encoder_widths=(16,), feature_dim=5, num_classes=4)
     model = cast(init_model(arch, AT_MODEL, seed=3), dtype)
     rng = SplitMix64(17).fork("caller." + loss_kind)

@@ -6,10 +6,10 @@ import pytest
 
 import oat
 from oat import autodiff as ad
-from oat.autodiff import SgdOptimizer, Value, backward, cw_margin_loss, detach, sgd_pass
+from oat.autodiff import SgdOptimizer, Value, backward, detach, sgd_pass
 from oat.rng import SplitMix64
 
-from helpers import fd_max_rel_error, probe
+from helpers import cw_margin_loss, fd_max_rel_error, probe
 
 
 def _identity_layer(n: int):
@@ -216,14 +216,16 @@ def test_cosine_loss_gradients_match_finite_differences():
 
 
 def test_cw_margin_max_subgradient():
-    z = Value(np.array([[1.0, 5.0, 2.0], [4.0, 4.0, 0.0]]), requires_grad=True)
     # the true class is 2 in both rows, so the max over the others is 5 and 4
-    loss = cw_margin_loss(z, np.array([2, 2]))
-    assert loss.item() == ((5.0 - 2.0) + (4.0 - 0.0)) / 2
-    backward(loss)
-    expected = np.array([[0.0, 0.5, -0.5],
-                         [0.5, 0.0, -0.5]])  # tie at 4.0 resolves to the lower index
-    assert np.array_equal(z.grad, expected)
+    # (a tie at 4.0 resolves to the lower index); adj / B goes to each max
+    # and -adj / B to each label, in the logits' dtype
+    z = np.array([[1.0, 5.0, 2.0], [4.0, 4.0, 0.0]])
+    for dtype in (np.float32, np.float64):
+        for adj in (1.0, 3.0, 0.37, -2.0):
+            g = ad.cw_margin_adjoint(z.astype(dtype), np.array([2, 2]), adj)
+            u = dtype(adj / 2)
+            assert g.dtype == dtype
+            assert np.array_equal(g, np.array([[0.0, u, -u], [u, 0.0, -u]], dtype=dtype))
 
 
 # Each loss node against the chain of single-purpose ops it replaced, written
@@ -358,9 +360,51 @@ def test_cross_entropy_adjoint_is_bitwise_the_log_softmax_chain_rule(dtype):
 
 
 def test_cw_margin_tie_goes_to_the_lower_index():
-    z = Value(np.array([[0.0, 7.0, 7.0], [3.0, 1.0, 3.0]]), requires_grad=True)
-    backward(cw_margin_loss(z, np.array([0, 1])))
-    assert np.array_equal(z.grad, [[-0.5, 0.5, 0.0], [0.5, -0.5, 0.0]])
+    z = np.array([[0.0, 7.0, 7.0], [3.0, 1.0, 3.0]])
+    assert np.array_equal(ad.cw_margin_adjoint(z, np.array([0, 1])),
+                          [[-0.5, 0.5, 0.0], [0.5, -0.5, 0.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cw_margin_adjoint_is_bitwise_the_graph_node(dtype):
+    # the kernel against the graph-built node's backward, compared raw so the
+    # sign of every zero counts: through backward into a logits leaf, which
+    # is how the attack took it before the kernel, and at scaled adjoints
+    for z, y, _ in _loss_cases():
+        z = z.astype(dtype)
+        leaf = Value(z, requires_grad=True)
+        node = cw_margin_loss(leaf, y)
+        backward(node)
+        assert ad.cw_margin_adjoint(z, y).tobytes() == leaf.grad.tobytes()
+        for adj in (1.0, 2.0, 0.37, 0.0, -0.0):
+            got = ad.cw_margin_adjoint(z, y, adj)
+            assert got.dtype == dtype
+            assert got.tobytes() == node._backward_fn(adj)[0].tobytes()
+
+
+def _cw_margin(z, y):
+    """The mean CW margin, its max over the non-label entries written out."""
+    rows = np.arange(len(y))
+    others = z.copy()
+    others[rows, y] = -np.inf
+    return (others.max(axis=1) - z[rows, y]).mean()
+
+
+def test_cw_margin_adjoint_matches_finite_differences():
+    # central differences on float64 logits with no tie at a row's maximum
+    # (ties are kinks of the margin, so the tied case is left out); the
+    # margin is piecewise linear, so they agree to rounding
+    h = 1e-5
+    for z, y, _ in list(_loss_cases())[:-1]:
+        grad = ad.cw_margin_adjoint(z, y)
+        worst = 0.0
+        for i in np.ndindex(z.shape):
+            up, down = z.copy(), z.copy()
+            up[i] += h
+            down[i] -= h
+            fd = (_cw_margin(up, y) - _cw_margin(down, y)) / (2.0 * h)
+            worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(fd)))
+        assert worst < 1e-6, f"{z.shape}: max rel error {worst}"
 
 
 @pytest.mark.parametrize("op,chain,second", _FUSED)
@@ -375,18 +419,15 @@ def test_loss_node_gradients_match_finite_differences(op, chain, second):
 
 def test_loss_nodes_reject_bad_shapes():
     z = Value(np.zeros((4, 3)))
-    for op in (ad.cross_entropy, cw_margin_loss):
-        with pytest.raises(ValueError, match=r"expects \(B, C\) logits"):
-            op(Value(np.zeros(3)), np.array([0]))
-        with pytest.raises(ValueError, match="expected 4 labels, got shape"):
-            op(z, np.array([0]))          # would broadcast over the rows
-        with pytest.raises(ValueError, match="expected 4 labels, got shape"):
-            op(z, np.zeros((4, 1), dtype=np.int64))
-        for bad in (-1, 3):
-            with pytest.raises(ValueError, match=r"labels outside \[0, 3\)"):
-                op(z, np.array([0, 1, bad, 2]))
-    with pytest.raises(ValueError, match="2 classes"):
-        cw_margin_loss(Value(np.zeros((2, 1))), np.array([0, 0]))
+    with pytest.raises(ValueError, match=r"expects \(B, C\) logits"):
+        ad.cross_entropy(Value(np.zeros(3)), np.array([0]))
+    with pytest.raises(ValueError, match="expected 4 labels, got shape"):
+        ad.cross_entropy(z, np.array([0]))          # would broadcast over the rows
+    with pytest.raises(ValueError, match="expected 4 labels, got shape"):
+        ad.cross_entropy(z, np.zeros((4, 1), dtype=np.int64))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=r"labels outside \[0, 3\)"):
+            ad.cross_entropy(z, np.array([0, 1, bad, 2]))
     for op in (ad.soft_cross_entropy, ad.neg_softmax_mse):
         for logits, target in [(z, np.full(3, 1 / 3)),          # a (C,) target broadcast
                                (z, np.full((4, 1), 1.0)),
@@ -622,4 +663,14 @@ def test_every_public_engine_name_is_called_from_another_module():
     for path in package.glob("*.py"):
         if path.name != "autodiff.py":
             called |= _names_called(ast.parse(path.read_text()))
+    # a name that a called engine function calls in turn is reached from
+    # another module too (sgd_pass runs backward)
+    bodies = {node.name: node for node in engine.body if isinstance(node, ast.FunctionDef)}
+    frontier = called
+    while frontier:
+        inner = {node.func.id for name in frontier if name in bodies
+                 for node in ast.walk(bodies[name])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        frontier = inner - called
+        called = called | inner
     assert sorted(public - called) == []

@@ -547,6 +547,19 @@ def test_cli_eval_rejects_a_test_set_the_checkpoint_does_not_fit_exits_2(
     assert captured.err == f"oat: error: {named}\n"
 
 
+def test_cli_eval_rejects_cw_on_a_one_class_checkpoint_exits_2(tmp_path, capsys):
+    arch = ArchSpec(input_dim=4, encoder_widths=(6,), feature_dim=5, num_classes=1)
+    save_model(init_model(arch, AT_MODEL, seed=0), tmp_path / "ckpt")
+    save_dataset(tiny_dataset(num_classes=1, dim=4), tmp_path / "test")
+    argv = ["eval", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path / "test")]
+    assert cli(argv + ["--attack", "cw100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("oat: error: the cw_margin loss needs at least 2 classes, "
+                            "the model has 1\n")
+    assert cli(argv + ["--attack", "pgd20"]) == 0
+
+
 def test_cli_eval_rejects_a_malformed_checkpoint_manifest_exits_2(tmp_path, capsys):
     save_model(init_model(TINY_ARCH, AT_MODEL, seed=0), tmp_path / "ckpt")
     save_dataset(tiny_dataset(dim=5), tmp_path / "test")

@@ -203,6 +203,10 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
     ({"lr": 1e300}, "config key 'lr' must be finite in float32, got 1e+300"),
     ({"lr": 3.5e38}, "config key 'lr' must be finite in float32, got 3.5e+38"),
     ({"weight_decay": 1e39}, "config key 'weight_decay' must be finite in float32, got 1e+39"),
+    ({"lr": 1e-300, "lr_decay_epochs": []},
+     "config key 'lr' must keep lr * lr_decay_factor ** 0 nonzero in float32, got 1e-300"),
+    ({"lr": 1e-44}, "config key 'lr' must keep lr * lr_decay_factor ** 2 nonzero in float32, "
+                    "got 1e-44"),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
@@ -211,8 +215,9 @@ def test_config_from_dict_rejects_wrong_value_types(overrides, named):
 
 
 def test_config_accepts_range_bounds():
+    # lr 1e-45 rounds to float32's smallest subnormal, the least rate it keeps
     config = TrainConfig(epochs=1, batch_size=1, k=1, eval_steps=1, theta_r=1.0,
-                         lr_decay_epochs=(), lr=1e-300, momentum=0.0, weight_decay=0.0,
+                         lr_decay_epochs=(), lr=1e-45, momentum=0.0, weight_decay=0.0,
                          lr_decay_factor=1.0, feature_dim=1, encoder_widths=(1,),
                          augment=AugmentationPolicy(jitter_amp=0.0, flip_prob=1.0,
                                                     scale_amp=0.0, erase_frac=0.0))
