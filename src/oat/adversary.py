@@ -16,9 +16,9 @@ dtype, so the attack's output is bitwise the same.
 Each call builds its layer list once, a buffer for the step and, for a
 float32 model, one input buffer that every step narrows the attacked input
 into. The attacked input is the attack's own float64 copy of the batch,
-stepped and projected in place; the caller's batch is never written. The step ``alpha * sign(adj)``
-is taken in the adjoint's dtype, so a float32 model steps by
-``float32(alpha)``.
+stepped and projected in place; the caller's batch is never written. The
+step ``alpha * sign(adj)`` is taken in the adjoint's dtype, so a float32
+model steps by ``float32(alpha)``.
 
 When a class-count prior is passed, the loss is computed on logits shifted by
 its log; the shift vector is normalized by its maximum so a uniform prior is

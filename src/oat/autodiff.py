@@ -36,8 +36,8 @@ forward), ``mlp_input_adjoint`` (one layer of ``mlp``'s input adjoint),
 ``cross_entropy_adjoint`` (``cross_entropy``'s logits adjoint, in closed
 form: ``exp(log_probs)`` scaled by ``adj / B``, less ``adj / B`` at each
 label, which is bitwise the log-softmax chain rule it replaces) and
-``cw_margin_adjoint`` (the CW margin's logits adjoint: ``adj / B`` at each
-row's largest non-label logit, ``-adj / B`` at its label). The nodes call
+``cw_margin_adjoint`` (the CW margin's logits adjoint: ``1 / B`` at each
+row's largest non-label logit, ``-1 / B`` at its label). The nodes call
 the first three; the CW margin has no node, since only the attack
 differentiates it.
 
@@ -334,17 +334,16 @@ def soft_cross_entropy(logits: Value, target: np.ndarray) -> Value:
 _MASK_NEG = -1e18  # dominates any finite logit without leaving float32 range
 
 
-def cw_margin_adjoint(logits: np.ndarray, y: np.ndarray, adj: float = 1.0) -> np.ndarray:
+def cw_margin_adjoint(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The logits' adjoint of the CW margin, the mean over the B rows of
-    ``max_{j != y_i} z_j - z_{y_i}``, given the loss's adjoint ``adj``: ``adj
-    / B`` at each row's largest non-label logit and ``-adj / B`` at its label,
-    in the logits' dtype. The largest is taken over the logits plus
-    ``_MASK_NEG`` at the label, the lowest index winning a tie, so a row needs
-    at least 2 classes."""
+    ``max_{j != y_i} z_j - z_{y_i}``: ``1 / B`` at each row's largest
+    non-label logit and ``-1 / B`` at its label, in the logits' dtype. The
+    largest is taken over the logits plus ``_MASK_NEG`` at the label, the
+    lowest index winning a tie, so a row needs at least 2 classes."""
     rows = np.arange(len(y))
     masked = logits.copy()
     masked[rows, y] += _MASK_NEG
-    u = adj / len(y)
+    u = 1.0 / len(y)
     g = np.zeros_like(masked)
     g[rows, masked.argmax(axis=1)] += u
     g[rows, y] -= u
