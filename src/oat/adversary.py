@@ -35,6 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corruption import ClassCounts
+from .dataio import require
 from .models import ModelParams
 from .rng import SplitMix64
 
@@ -48,14 +49,11 @@ class AttackSpec:
     random_start: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        require(self, "attack", ("epsilon", "alpha"),
+                lambda v: math.isfinite(v) and v >= 0, "be finite and nonnegative")
         if self.alpha > self.epsilon:
             raise ValueError("alpha must not exceed epsilon")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        require(self, "attack", ("steps",), lambda v: v >= 1, "be at least 1")
         if self.loss_kind not in ("cross_entropy", "cw_margin"):
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
 

@@ -58,7 +58,7 @@ updates in place, with each ``.grad`` as scratch. The kernels and
 ``log_softmax`` likewise update the arrays they allocate in place (the bias
 add, the ReLU mask, the log-sum-exp subtraction), which runs the same IEEE
 operations in the same order as the out-of-place forms, and ``log_softmax``
-reads each row's maximum off its ``argmax`` (``_row_max``).
+and ``softmax`` read each row's maximum off its ``argmax`` (``_row_max``).
 """
 
 from __future__ import annotations
@@ -253,16 +253,18 @@ def backward(root: Value) -> None:
 # ---------------------------------------------------------------------------
 
 def _row_max(z: np.ndarray) -> np.ndarray:
-    """``z.max(axis=-1, keepdims=True)`` of a (B, C) array, bit for bit.
+    """``z.max(axis=-1, keepdims=True)`` of a (B, C) array or a (C,) row,
+    bit for bit.
 
     numpy reduces a short last axis one row at a time, which at (128, 10)
     takes about twice as long as picking each row's ``argmax`` entry. The
     two agree bitwise unless a row's maximum is NaN or a zero (``+0.0 ==
     -0.0``, and which one a reduction keeps depends on its order), and then
     numpy's own reduction answers."""
-    top = z[np.arange(len(z)), z.argmax(axis=-1)]
-    if len(z) and np.abs(top).min() > 0:
-        return top[:, None]
+    rows = z.reshape(-1, z.shape[-1])
+    top = rows[np.arange(len(rows)), rows.argmax(axis=-1)]
+    if len(rows) and np.abs(top).min() > 0:
+        return top.reshape(*z.shape[:-1], 1)
     return z.max(axis=-1, keepdims=True)
 
 
@@ -351,10 +353,10 @@ def cw_margin_adjoint(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax (stable) of a plain array; rows sum to 1. Records no
-    graph node."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    """Row-wise softmax (stable) of a plain (B, C) array or (C,) row,
+    shifted by each row's ``_row_max``; rows sum to 1. Records no graph
+    node."""
+    e = np.exp(z - _row_max(z))
     return e / e.sum(axis=-1, keepdims=True)
 
 

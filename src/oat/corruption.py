@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import LabeledDataset
+from .dataio import LabeledDataset, require
 from .rng import SplitMix64
 
 
@@ -30,10 +30,8 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.noise_type not in ("symmetric", "asymmetric", "none"):
             raise ValueError(f"unknown noise_type {self.noise_type!r}")
-        if not 0.0 <= self.target_nr < 1.0:
-            raise ValueError("target_nr must lie in [0, 1)")
-        if not 0.0 < self.target_ir <= 1.0:
-            raise ValueError("target_ir must lie in (0, 1]")
+        require(self, "corruption", ("target_nr",), lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+        require(self, "corruption", ("target_ir",), lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
         if self.noise_type == "asymmetric" and not self.asym_pairs:
             raise ValueError("asymmetric noise requires asym_pairs")
         if self.noise_type != "asymmetric" and self.asym_pairs:
@@ -132,8 +130,7 @@ def apply_asymmetric_noise(ds: LabeledDataset, nr: float,
     for src, dst in pairs:
         members = np.flatnonzero(ds.gt_labels == src)
         n_flip = _round_half_up(nr * len(members))
-        for j in rng.sample(len(members), n_flip):
-            observed[members[j]] = dst
+        observed[members[rng.sample(len(members), n_flip)]] = dst
     return ds.with_observed(observed)
 
 
@@ -173,14 +170,7 @@ def apply_exponential_imbalance(ds: LabeledDataset, ir: float, seed: int) -> Lab
                 picked[-1] = correct[0]
         keep.append(picked)
 
-    selected = np.sort(np.concatenate([k for k in keep if len(k)]).astype(np.int64))
-    return LabeledDataset(
-        samples=ds.samples[selected],
-        observed_labels=ds.observed_labels[selected],
-        gt_labels=None if ds.gt_labels is None else ds.gt_labels[selected],
-        num_classes=ds.num_classes,
-        ids=ds.ids[selected],
-    )
+    return ds.take(np.sort(np.concatenate([k for k in keep if len(k)]).astype(np.int64)))
 
 
 def balanced_oversample(ds: LabeledDataset, seed: int = 0) -> LabeledDataset:
@@ -201,14 +191,7 @@ def balanced_oversample(ds: LabeledDataset, seed: int = 0) -> LabeledDataset:
     members = np.argsort(ds.observed_labels, kind="stable")
     picks = np.asarray(rng.randints(np.repeat(counts, need)), dtype=np.int64)
     extra = members[np.repeat(np.cumsum(counts) - counts, need) + picks]
-    rows = np.concatenate([np.arange(len(ds)), extra])
-    return LabeledDataset(
-        samples=ds.samples[rows],
-        observed_labels=ds.observed_labels[rows],
-        gt_labels=None if ds.gt_labels is None else ds.gt_labels[rows],
-        num_classes=ds.num_classes,
-        ids=ds.ids[rows],
-    )
+    return ds.take(np.concatenate([np.arange(len(ds)), extra]))
 
 
 def corrupt(ds: LabeledDataset, spec: CorruptionSpec) -> tuple[LabeledDataset, dict]:

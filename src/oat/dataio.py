@@ -61,6 +61,13 @@ class LabeledDataset:
     def with_observed(self, labels: np.ndarray) -> "LabeledDataset":
         return replace(self, observed_labels=np.asarray(labels, dtype=np.int64))
 
+    def take(self, rows: np.ndarray) -> "LabeledDataset":
+        """The dataset of the given rows, in that order; a row may repeat."""
+        return replace(self, samples=self.samples[rows],
+                       observed_labels=self.observed_labels[rows],
+                       gt_labels=None if self.gt_labels is None else self.gt_labels[rows],
+                       ids=self.ids[rows])
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -71,10 +78,10 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if self.per_class < 1:
-            raise ValueError("per_class must be >= 1")
-        if self.cluster_spread <= 0:
-            raise ValueError("cluster_spread must be positive")
+        require(self, "synthetic", ("num_classes", "dim", "per_class"),
+                lambda v: v >= 1, "be at least 1")
+        require(self, "synthetic", ("cluster_spread",),
+                lambda v: math.isfinite(v) and v > 0, "be finite and positive")
 
 
 def class_means(num_classes: int, dim: int) -> np.ndarray:
@@ -195,6 +202,17 @@ def from_json(cls, d, where: str, defaults: bool = True):
     return cls(**kwargs)
 
 
+def require(spec, where: str, keys: tuple[str, ...], ok, what: str) -> None:
+    """Raise ValueError ``<where> key '<key>' must <what>, got <value>`` for
+    the first of ``keys`` whose value on ``spec`` fails ``ok``; a tuple value
+    prints as the list a JSON user wrote."""
+    for key in keys:
+        value = getattr(spec, key)
+        if not ok(value):
+            shown = list(value) if isinstance(value, tuple) else value
+            raise ValueError(f"{where} key {key!r} must {what}, got {shown!r}")
+
+
 def _matches(value, hint) -> bool:
     # builtins.float, not float: a test counts load_dataset's calls by
     # shadowing this module's float with a function
@@ -246,10 +264,8 @@ class _Meta:
     def __post_init__(self):
         if self.version != 1:
             raise ValueError(f"unsupported dataset version {self.version!r}")
-        for key, least in (("count", 0), ("dim", 1), ("num_classes", 1)):
-            if getattr(self, key) < least:
-                raise ValueError(f"dataset key {key!r} must be at least {least}, "
-                                 f"got {getattr(self, key)!r}")
+        require(self, "dataset", ("count",), lambda v: v >= 0, "be at least 0")
+        require(self, "dataset", ("dim", "num_classes"), lambda v: v >= 1, "be at least 1")
 
 
 _BLOCK_ROWS = 256

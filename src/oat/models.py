@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .dataio import read_json, replaced_together
+from .dataio import read_json, replaced_together, require
 from .rng import SplitMix64
 
 ORACLE = "oracle"
@@ -43,14 +43,11 @@ class ArchSpec:
     predictor_out: int = 128
 
     def __post_init__(self):
-        for key in ("input_dim", "feature_dim", "num_classes", "projector_hidden",
-                    "projector_out", "predictor_hidden", "predictor_out"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"arch key {key!r} must be at least 1, got {value!r}")
-        if any(width < 1 for width in self.encoder_widths):
-            raise ValueError(f"arch key 'encoder_widths' must all be at least 1, "
-                             f"got {list(self.encoder_widths)}")
+        require(self, "arch", ("input_dim", "feature_dim", "num_classes", "projector_hidden",
+                               "projector_out", "predictor_hidden", "predictor_out"),
+                lambda v: v >= 1, "be at least 1")
+        require(self, "arch", ("encoder_widths",),
+                lambda widths: all(w >= 1 for w in widths), "all be at least 1")
         if self.projector_out != self.predictor_out:
             raise ValueError("projector_out and predictor_out must match (cosine compares them)")
 
@@ -179,9 +176,8 @@ class _Manifest:
     def __post_init__(self):
         if self.version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {self.version!r}")
-        if self.role not in (ORACLE, AT_MODEL):
-            raise ValueError(f"checkpoint key 'role' must be {ORACLE!r} or {AT_MODEL!r}, "
-                             f"got {self.role!r}")
+        require(self, "checkpoint", ("role",), lambda v: v in (ORACLE, AT_MODEL),
+                f"be {ORACLE!r} or {AT_MODEL!r}")
 
 
 def _layout(params: ModelParams) -> list[dict]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .dataio import LabeledDataset
+from .dataio import LabeledDataset, require
 from .models import ModelParams, detached, forward_features, forward_logits, project_predict
 from .rng import SplitMix64
 
@@ -77,14 +77,10 @@ class AugmentationPolicy:
     erase_frac: float = 0.25
 
     def __post_init__(self):
-        for key in ("flip_prob", "erase_frac"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ValueError(f"augment key {key!r} must lie in [0, 1], "
-                                 f"got {getattr(self, key)!r}")
-        for key in ("jitter_amp", "scale_amp"):
-            if not getattr(self, key) >= 0.0:
-                raise ValueError(f"augment key {key!r} must be nonnegative, "
-                                 f"got {getattr(self, key)!r}")
+        require(self, "augment", ("flip_prob", "erase_frac"),
+                lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+        require(self, "augment", ("jitter_amp", "scale_amp"),
+                lambda v: v >= 0.0, "be nonnegative")
 
     def apply(self, x: np.ndarray, which: str, rng: SplitMix64) -> np.ndarray:
         if which not in ("weak", "strong"):

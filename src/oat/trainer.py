@@ -37,7 +37,7 @@ from . import autodiff as ad
 from .adversary import AttackSpec, pgd_attack
 from .autodiff import SgdOptimizer, Value
 from .corruption import ClassCounts, balanced_oversample, class_counts
-from .dataio import LabeledDataset, from_json, replaced_together
+from .dataio import LabeledDataset, from_json, replaced_together, require
 from .evaluation import (MetricsRecord, accuracy, check_test_set,
                          distribution_error, robust_accuracy)
 from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, cast, detached,
@@ -74,34 +74,29 @@ class TrainConfig:
         if self.method not in ("oat", "pgd_at"):
             raise ValueError(f"unknown method {self.method!r}")
 
-        def require(key: str, ok, what: str) -> None:
-            if not ok(getattr(self, key)):
-                raise ValueError(f"config key {key!r} must {what}, got {getattr(self, key)!r}")
-
-        for key in ("epochs", "batch_size", "k", "eval_steps", "feature_dim"):
-            require(key, lambda v: v >= 1, "be at least 1")
-        if any(width < 1 for width in self.encoder_widths):
-            raise ValueError(f"config key 'encoder_widths' must all be at least 1, "
-                             f"got {list(self.encoder_widths)}")
-        require("lr", lambda v: v > 0.0, "be positive")
-        require("weight_decay", lambda v: v >= 0.0, "be nonnegative")
-        for key in ("lr", "weight_decay"):  # the optimizer steps in TRAIN_DTYPE
-            require(key, _finite_in_train_dtype, "be finite in float32")
-        require("momentum", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
-        for key in ("theta_r", "lr_decay_factor"):
-            require(key, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
-        if any(e < 0 for e in self.lr_decay_epochs):
-            raise ValueError(f"config key 'lr_decay_epochs' must all be nonnegative, "
-                             f"got {list(self.lr_decay_epochs)}")
+        require(self, "config", ("epochs", "batch_size", "k", "eval_steps", "feature_dim"),
+                lambda v: v >= 1, "be at least 1")
+        require(self, "config", ("encoder_widths",),
+                lambda widths: all(w >= 1 for w in widths), "all be at least 1")
+        require(self, "config", ("lr",), lambda v: v > 0.0, "be positive")
+        require(self, "config", ("weight_decay",), lambda v: v >= 0.0, "be nonnegative")
+        # the optimizer steps in TRAIN_DTYPE
+        require(self, "config", ("lr", "weight_decay"), _finite_in_train_dtype,
+                "be finite in float32")
+        require(self, "config", ("momentum",), lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+        require(self, "config", ("theta_r", "lr_decay_factor"),
+                lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+        require(self, "config", ("lr_decay_epochs",),
+                lambda epochs: all(e >= 0 for e in epochs), "all be nonnegative")
         if any(e >= self.epochs for e in self.lr_decay_epochs):
             raise ValueError(f"lr_decay_epochs={list(self.lr_decay_epochs)} must all be "
                              f"< epochs={self.epochs}; set lr_decay_epochs together with epochs")
         if list(self.lr_decay_epochs) != sorted(set(self.lr_decay_epochs)):
             raise ValueError("lr_decay_epochs must be strictly increasing")
         decays = len(self.lr_decay_epochs)  # lr_at_epoch's rate after the last decay
-        if TRAIN_DTYPE(self.lr * self.lr_decay_factor ** decays) == 0:
-            raise ValueError(f"config key 'lr' must keep lr * lr_decay_factor ** {decays} "
-                             f"nonzero in float32, got {self.lr!r}")
+        require(self, "config", ("lr",),
+                lambda v: TRAIN_DTYPE(v * self.lr_decay_factor ** decays) != 0,
+                f"keep lr * lr_decay_factor ** {decays} nonzero in float32")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

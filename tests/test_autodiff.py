@@ -329,11 +329,15 @@ def test_row_max_is_bitwise_numpys_reduction(dtype):
         cols = 2 + rng.randint(15)
         cases.append(values[[rng.randint(3) for _ in range(cols)]].reshape(1, cols))
         cases.append(values[[rng.randint(6) for _ in range(3 * cols)]].reshape(3, cols))
-    cases.append(np.zeros((0, 4)))
+    cases += [np.zeros((0, 4)), values[[0, 2, 1]], values[[4, 3]]]  # and two (C,) rows
     for z in cases:
         z = z.astype(dtype)
         want = z.max(axis=-1, keepdims=True)
         assert ad._row_max(z).tobytes() == want.tobytes(), z
+        # softmax takes its shift from _row_max: bitwise the shift by numpy's max
+        with np.errstate(invalid="ignore"):
+            e = np.exp(z - want)
+            assert ad.softmax(z).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes(), z
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -231,6 +231,20 @@ def test_corruption_spec_validation():
         CorruptionSpec("none", 0.4, 1.0)
 
 
+@pytest.mark.parametrize("nr,ir,named", [
+    (1.0, 1.0, "corruption key 'target_nr' must lie in [0, 1), got 1.0"),
+    (-0.1, 1.0, "corruption key 'target_nr' must lie in [0, 1), got -0.1"),
+    (math.nan, 1.0, "corruption key 'target_nr' must lie in [0, 1), got nan"),
+    (0.2, 0.0, "corruption key 'target_ir' must lie in (0, 1], got 0.0"),
+    (0.2, 1.5, "corruption key 'target_ir' must lie in (0, 1], got 1.5"),
+    (0.2, math.nan, "corruption key 'target_ir' must lie in (0, 1], got nan"),
+])
+def test_corruption_spec_rejects_out_of_range_ratios(nr, ir, named):
+    with pytest.raises(ValueError) as err:
+        CorruptionSpec("symmetric", nr, ir)
+    assert str(err.value) == named
+
+
 def test_asymmetric_noise_rejects_a_repeated_source_class():
     # a second pair from class 0 would redraw from all of class 0's rows, so
     # pair 0->1 would end below its exact round(nr * 50) = 20 flips

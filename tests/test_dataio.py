@@ -80,6 +80,26 @@ def test_gen_synthetic_keeps_its_golden_bits(spec, digest):
     assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("change,named", [
+    ({"num_classes": 0}, "synthetic key 'num_classes' must be at least 1, got 0"),
+    ({"dim": 0}, "synthetic key 'dim' must be at least 1, got 0"),
+    ({"per_class": 0}, "synthetic key 'per_class' must be at least 1, got 0"),
+    ({"cluster_spread": 0.0}, "synthetic key 'cluster_spread' must be finite and positive, "
+                              "got 0.0"),
+    ({"cluster_spread": -0.1}, "synthetic key 'cluster_spread' must be finite and positive, "
+                               "got -0.1"),
+    ({"cluster_spread": np.inf}, "synthetic key 'cluster_spread' must be finite and positive, "
+                                 "got inf"),
+    ({"cluster_spread": np.nan}, "synthetic key 'cluster_spread' must be finite and positive, "
+                                 "got nan"),
+])
+def test_synthetic_spec_rejects_what_gen_synthetic_cannot_build(change, named):
+    spec = {"num_classes": 2, "dim": 4, "per_class": 3, "cluster_spread": 0.1, "seed": 1}
+    with pytest.raises(ValueError) as err:
+        SyntheticSpec(**{**spec, **change})
+    assert str(err.value) == named
+
+
 def test_gen_synthetic_counts_and_nr():
     ds = gen_synthetic(SyntheticSpec(num_classes=3, dim=4, per_class=5,
                                      cluster_spread=0.05, seed=2))

@@ -229,6 +229,9 @@ def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
     (["--nr", "0.4"], "target_nr 0.4 needs a noise type, got 'none'"),
     (["--noise", "asymmetric", "--nr", "0.4", "--pairs", "0:1,0:2"],
      "asym pairs name source class 0 more than once"),
+    (["--noise", "symmetric", "--nr", "1"],
+     "corruption key 'target_nr' must lie in [0, 1), got 1.0"),
+    (["--ir", "0"], "corruption key 'target_ir' must lie in (0, 1], got 0.0"),
 ])
 def test_cli_corrupt_rejected_spec_exits_2(tmp_path, capsys, flags, named):
     data = _make_dataset_dir(tmp_path, "data", per_class=4)

@@ -207,6 +207,15 @@ def test_config_from_dict_rejects_unknown_keys(overrides, named):
      "config key 'lr' must keep lr * lr_decay_factor ** 0 nonzero in float32, got 1e-300"),
     ({"lr": 1e-44}, "config key 'lr' must keep lr * lr_decay_factor ** 2 nonzero in float32, "
                     "got 1e-44"),
+    ({"attack": {"epsilon": -1, "alpha": 0, "steps": 3}},
+     "attack key 'epsilon' must be finite and nonnegative, got -1"),
+    ({"attack": {"epsilon": 0.1, "alpha": -0.01, "steps": 3}},
+     "attack key 'alpha' must be finite and nonnegative, got -0.01"),
+    ({"attack": {"epsilon": 0.1, "alpha": 0.2, "steps": 3}}, "alpha must not exceed epsilon"),
+    ({"attack": {"epsilon": 0.1, "alpha": 0.02, "steps": 0}},
+     "attack key 'steps' must be at least 1, got 0"),
+    ({"attack": {"epsilon": 0.1, "alpha": 0.02, "steps": -4}},
+     "attack key 'steps' must be at least 1, got -4"),
 ])
 def test_config_from_dict_rejects_wrong_value_types(overrides, named):
     with pytest.raises(ValueError) as err:
