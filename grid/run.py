@@ -10,7 +10,7 @@ deterministic and do not depend on the BLAS thread count, so two invocations
 on one tree write the same figures; only ``wall_s`` and the machine block
 differ. The committed tables were written with ``OPENBLAS_NUM_THREADS=1``.
 
-Cells, each with the acceptance config and 400 test rows:
+Cells, each with 400 test rows:
   - ``acceptance``: 16-d clusters at spread 0.10, symmetric noise 0.4, then
     imbalance 0.1 (``corrupt``), as in the acceptance tests;
   - ``imbalance_first``: the same clean data, imbalance 0.1 first, then
@@ -18,12 +18,15 @@ Cells, each with the acceptance config and 400 test rows:
   - ``spread_0.25``: the acceptance corruption of clusters at spread 0.25,
     which no method saturates.
 
-Runs: ``oat``; ``oat_no_adjust`` (logits adjustment off); ``pgd_at``;
-``ceiling`` (``pgd_at`` on the hidden true labels); ``erm`` (``pgd_at`` with
-epsilon = alpha = 0, that is plain training). Every run is evaluated each
-epoch with PGD-20 at the acceptance epsilon, except ``erm``, whose records
-attack at its own epsilon 0: its robust figures are the PGD-20 accuracy of
-its best/ and last/ checkpoints, from ``evaluate`` at the acceptance attack.
+Runs: each entry of ``RUNS`` is its overrides of ``TrainConfig``'s defaults,
+the acceptance config, as an ``oat train --config`` file holds them, and its
+labels, ``observed`` or ``gt`` (hidden true). ``oat``; ``oat_no_adjust``
+(logits adjustment off); ``pgd_at``; ``ceiling`` (``pgd_at`` on the true
+labels); ``erm`` (``pgd_at`` at epsilon = alpha = 0, plain training). Every
+run is evaluated each epoch with PGD-20 at the acceptance epsilon, except
+``erm``, whose records attack at its own epsilon 0: its robust figures are
+the PGD-20 accuracy of its best/ and last/ checkpoints, from ``evaluate`` at
+the acceptance attack.
 
 Figures per run: ``best_epoch`` (the trainer's choice, the highest robust
 accuracy on the test set), ``best_clean`` and ``best_robust`` at that epoch,
@@ -34,7 +37,6 @@ training wall time. Each figure also gets its median over the seeds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
@@ -48,30 +50,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from oat.adversary import AttackSpec  # noqa: E402
 from oat.corruption import (CorruptionSpec, apply_exponential_imbalance,  # noqa: E402
                             apply_symmetric_noise, corrupt)
 from oat.dataio import SyntheticSpec, gen_synthetic  # noqa: E402
 from oat.evaluation import evaluate  # noqa: E402
 from oat.models import load_model  # noqa: E402
-from oat.oracle import AugmentationPolicy  # noqa: E402
 from oat.trainer import TrainConfig, train  # noqa: E402
 
 SEEDS = (1, 2, 3)
-ATTACK = AttackSpec(epsilon=0.15, alpha=0.0375, steps=10)
-EVAL_ATTACK = AttackSpec(epsilon=0.15, alpha=0.0375, steps=20)
+EVAL_ATTACK = TrainConfig().eval_attack  # PGD-20 at epsilon 0.15
 FIGURES = ("best_epoch", "best_clean", "best_robust", "last_clean", "last_robust", "wall_s")
-
-
-def config(method: str, seed: int, **overrides) -> TrainConfig:
-    """The acceptance config (lr 0.05, 60 epochs, PGD-10 at epsilon 0.15)."""
-    return dataclasses.replace(TrainConfig(
-        epochs=60, batch_size=128, lr=0.05, momentum=0.9, weight_decay=5e-4,
-        lr_decay_epochs=(30, 45), lr_decay_factor=0.1, theta_r=0.8, k=200,
-        attack=ATTACK, method=method, seed=seed, encoder_widths=(64,), feature_dim=32,
-        augment=AugmentationPolicy(flip_prob=0.0, jitter_amp=0.04, scale_amp=0.15,
-                                   erase_frac=0.2),
-        eval_steps=EVAL_ATTACK.steps), **overrides)
 
 
 def cells() -> dict:
@@ -90,13 +78,21 @@ def cells() -> dict:
 
 
 RUNS = {
-    "oat": lambda ds, seed: (config("oat", seed), ds),
-    "oat_no_adjust": lambda ds, seed: (config("oat", seed, adjustment_enabled=False), ds),
-    "pgd_at": lambda ds, seed: (config("pgd_at", seed), ds),
-    "ceiling": lambda ds, seed: (config("pgd_at", seed), ds.with_observed(ds.gt_labels)),
-    "erm": lambda ds, seed: (config("pgd_at", seed, attack=AttackSpec(0.0, 0.0, ATTACK.steps)),
-                             ds),
+    "oat": ({}, "observed"),
+    "oat_no_adjust": ({"adjustment_enabled": False}, "observed"),
+    "pgd_at": ({"method": "pgd_at"}, "observed"),
+    "ceiling": ({"method": "pgd_at"}, "gt"),
+    "erm": ({"method": "pgd_at", "attack": {"epsilon": 0.0, "alpha": 0.0, "steps": 10}},
+            "observed"),
 }
+
+
+def run_inputs(name: str, ds, seed: int):
+    """Run ``name``'s (config, training set) at ``seed``, the config read as
+    ``oat train --config`` reads its file."""
+    overrides, labels = RUNS[name]
+    config = TrainConfig.from_dict({**overrides, "seed": seed})
+    return config, ds if labels == "observed" else ds.with_observed(ds.gt_labels)
 
 
 def run_figures(name: str, cfg: TrainConfig, ds, test, out_dir: Path) -> dict:
@@ -122,10 +118,10 @@ def main() -> int:
     table: dict = {}
     with tempfile.TemporaryDirectory(prefix="oat-grid-") as work:
         for cell, (ds, test) in cells().items():
-            for name, make in RUNS.items():
+            for name in RUNS:
                 per_seed = {}
                 for seed in SEEDS:
-                    cfg, train_ds = make(ds, seed)
+                    cfg, train_ds = run_inputs(name, ds, seed)
                     per_seed[str(seed)] = run_figures(name, cfg, train_ds, test,
                                                       Path(work) / f"{cell}-{name}-{seed}")
                     print(json.dumps({"cell": cell, "run": name, "seed": seed,

@@ -328,8 +328,9 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
         temps["meta.json"].write_text(json.dumps(dataclasses.asdict(meta), indent=2) + "\n")
 
 
-def _csv_rows(file: Path, count: int, width: int):
-    """Yield (i, row) for the data rows of a CSV file under a header line.
+def _csv_rows(file: Path, count: int, width: int, check_header=lambda fields: None):
+    """Yield (i, row) for the data rows of a CSV file under a header line,
+    after passing the header's fields to ``check_header``.
 
     Lines may end in CRLF or LF. Raises ValueError unless the file is UTF-8
     text of exactly ``count`` rows of ``width`` fields each.
@@ -337,7 +338,9 @@ def _csv_rows(file: Path, count: int, width: int):
     n = 0
     with open(file, encoding="utf-8") as f:
         try:
-            next(f, None)
+            header = next(f, None)
+            if header is not None:
+                check_header(header.rstrip("\n").split(","))
             for n, line in enumerate(f, 1):
                 if n > count:
                     raise ValueError(f"{file.name} has more than the {count} rows "
@@ -369,7 +372,8 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     is mostly looked up, and continuous data costs one parse per field.
 
     Raises ValueError naming the file when meta.json is not the object
-    save_dataset writes (``_Meta``), a CSV's row count differs from
+    save_dataset writes (``_Meta``) or its ``dim`` differs from the feature
+    column count of samples.csv's header, a CSV's row count differs from
     meta.json's, a row has the wrong number of fields, or a CSV is not UTF-8
     text; and naming the row as well when a field is not a number, a sample
     value lies outside [0, 1], a label lies outside [0, num_classes), or an
@@ -383,7 +387,13 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     ids = np.zeros(count, dtype=np.int64)
     table: dict[str, float] = {}
     lookup = table.__getitem__
-    for i, row in _csv_rows(path / "samples.csv", count, dim + 1):
+
+    def check_dim(header: list[str]) -> None:  # a header of another width blames meta.json
+        if len(header) - 1 != dim:
+            raise ValueError(f"{path / 'meta.json'}: dataset key 'dim' is {dim}, but "
+                             f"samples.csv's header has {len(header) - 1} feature columns")
+
+    for i, row in _csv_rows(path / "samples.csv", count, dim + 1, check_dim):
         try:
             ids[i] = int(row[0])
             fields = row[1:]

@@ -26,6 +26,11 @@ from .models import load_model
 from .trainer import TrainConfig, train
 
 
+class _UsageError(Exception):
+    """A rejected argument that argparse cannot see, such as a config that
+    TrainConfig rejects; cli() exits 1 on it, as on an argparse error."""
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for runtime errors
     def error(self, message):
@@ -59,7 +64,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--attack", choices=["pgd20", "pgd100", "cw100", "none"], default="pgd20")
-    p.add_argument("--eps", type=_parse_eps, default=8 / 255)
+    p.add_argument("--eps", type=_parse_eps, default=TrainConfig().attack.epsilon)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the metrics record to this file")
 
@@ -93,9 +98,12 @@ def _parse_eps(text: str) -> float:
 
 
 def _cmd_corrupt(args) -> int:
+    try:  # checked before the data is read
+        spec = CorruptionSpec(noise_type=args.noise, target_nr=args.nr, target_ir=args.ir,
+                              asym_pairs=args.pairs, seed=args.seed)
+    except ValueError as err:
+        raise _UsageError(err) from None
     ds = load_dataset(args.input)
-    spec = CorruptionSpec(noise_type=args.noise, target_nr=args.nr, target_ir=args.ir,
-                          asym_pairs=args.pairs, seed=args.seed)
     out, provenance = corrupt(ds, spec)
     output = Path(args.output)
     output.mkdir(parents=True, exist_ok=True)
@@ -111,17 +119,16 @@ def _cmd_corrupt(args) -> int:
 def _cmd_train(args) -> int:
     try:  # a bad config is a usage problem
         overrides = parse_json(args.config, Path(args.config).read_text()) if args.config else {}
-        try:
-            if not isinstance(overrides, dict):
-                raise ValueError("--config must hold a JSON object")
-            if args.method:
-                overrides["method"] = args.method.replace("-", "_")
-            config = TrainConfig.from_dict(overrides)
-        except ValueError as err:  # the defaults pass, so a --config was given and is at fault
-            raise ValueError(f"{args.config}: {err}") from None
     except ValueError as err:
-        print(f"oat: error: {err}", file=sys.stderr)
-        return 1
+        raise _UsageError(err) from None
+    try:
+        if not isinstance(overrides, dict):
+            raise ValueError("--config must hold a JSON object")
+        if args.method:
+            overrides["method"] = args.method.replace("-", "_")
+        config = TrainConfig.from_dict(overrides)
+    except ValueError as err:  # the defaults pass, so a --config was given and is at fault
+        raise _UsageError(f"{args.config}: {err}") from None
     ds = load_dataset(args.data)
     test = load_dataset(args.test)
     state = train(config, ds, test, args.out)
@@ -271,9 +278,9 @@ def cli(argv: list[str] | None = None) -> int:
                 "eval": _cmd_eval, "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except Exception as err:  # runtime failures map to exit 2
+    except Exception as err:  # runtime failures exit 2, rejected arguments 1
         print(f"oat: error: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, _UsageError) else 2
 
 
 def main() -> None:

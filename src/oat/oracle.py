@@ -68,13 +68,13 @@ class AugmentationPolicy:
     weak: jitter + flip. strong: jitter + flip + per-feature scaling jitter +
     random erasing. The knobs control amplitude; each strong view erases a
     window with probability ``ERASE_PROB``. Flip reverses the feature order,
-    which only makes sense for data without coordinate semantics, so tabular
-    configs usually set flip_prob to 0.
+    which only makes sense for data without coordinate semantics such as
+    flattened images; it is off by default.
     """
-    jitter_amp: float = 0.05
-    flip_prob: float = 0.5
-    scale_amp: float = 0.2
-    erase_frac: float = 0.25
+    jitter_amp: float = 0.04
+    flip_prob: float = 0.0
+    scale_amp: float = 0.15
+    erase_frac: float = 0.2
 
     def __post_init__(self):
         require(self, "augment", ("flip_prob", "erase_frac"),

@@ -1,12 +1,14 @@
 """Shared test utilities: finite-difference gradients, a probe loss node,
 a graph-built CW margin node and PGD reference, brute-force k-NN, a
-reference dataset writer and reader, a model-untouched check and small
-fixture builders."""
+reference dataset writer and reader, a model-untouched check, small
+fixture builders and readers of the README's code blocks."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import shlex
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -15,11 +17,19 @@ import numpy as np
 from oat import autodiff as ad
 from oat.dataio import LabeledDataset
 from oat.models import ArchSpec, ModelParams, detached, forward_logits
+from oat.oracle import AugmentationPolicy
 from oat.rng import SplitMix64
 
 TINY_ARCH = ArchSpec(input_dim=5, encoder_widths=(7,), feature_dim=6, num_classes=3,
                      projector_hidden=8, projector_out=4,
                      predictor_hidden=8, predictor_out=4)
+
+# every augmentation op at a nonzero amplitude, flips included: the
+# augmentation tests and the float64 engine digest draw these
+ALL_OPS_AUGMENT = AugmentationPolicy(jitter_amp=0.05, flip_prob=0.5, scale_amp=0.2,
+                                     erase_frac=0.25)
+# the small training runs' amplitudes: no flip and a lighter jitter
+SMALL_RUN_AUGMENT = dataclasses.replace(ALL_OPS_AUGMENT, jitter_amp=0.03, flip_prob=0.0)
 
 
 def fd_max_rel_error(loss_fn, params, h: float = 1e-5, coords_per_tensor: int = 6,
@@ -193,6 +203,24 @@ def tiny_dataset(n_per_class: int = 6, num_classes: int = 3, dim: int = 4,
                           gt_labels=labels.astype(np.int64).copy(),
                           num_classes=num_classes,
                           ids=np.arange(len(labels), dtype=np.int64))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(after: str, lang: str) -> str:
+    """The first ```lang code block of the README after the text ``after``."""
+    text = README.read_text().split(after, 1)[1]
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_quickstart() -> tuple[str, list[list[str]]]:
+    """The README's CLI block: its ``python -c`` snippet and the argv of
+    each of its ``oat`` commands."""
+    block = readme_block("## CLI", "sh")
+    snippet = block.split('python -c "', 1)[1].split('"\n', 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return snippet, [shlex.split(line)[1:] for line in lines if line.startswith("oat ")]
 
 
 def dir_bytes(path) -> dict[str, bytes]:

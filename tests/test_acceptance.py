@@ -5,6 +5,7 @@ pytest terminal summary by conftest). Training-based criteria share one
 module-scoped fixture so the 60-epoch runs happen once.
 """
 
+import dataclasses
 import json
 import math
 import statistics
@@ -19,17 +20,19 @@ from oat.corruption import (ClassCounts, CorruptionSpec, apply_exponential_imbal
                             apply_symmetric_noise, class_counts, compute_nr,
                             corrupt, exponential_targets)
 from oat.dataio import SyntheticSpec, gen_synthetic
+from oat.evalcli import cli
 from oat.evaluation import evaluate, distribution_error
 from oat.models import (AT_MODEL, ORACLE, ArchSpec, forward_features,
                         forward_logits, detached, init_model, load_model,
                         project_predict)
-from oat.oracle import (AugmentationPolicy, KnnIndex, knn_split,
+from oat.oracle import (KnnIndex, knn_split,
                         oracle_interaction_loss, oracle_supervised_loss,
                         predict_probs)
 from oat.rng import SplitMix64
 from oat.trainer import TrainConfig, adjust_logits, at_model_loss, train
 
-from helpers import brute_force_knn_majority, cw_margin_loss, fd_max_rel_error
+from helpers import (SMALL_RUN_AUGMENT, brute_force_knn_majority, cw_margin_loss,
+                     fd_max_rel_error, readme_block, readme_quickstart)
 
 CRITERION_LINES: list[str] = []
 
@@ -287,16 +290,12 @@ def _acceptance_data():
 
 
 def _acceptance_config(method="oat", seed=1, interaction=True, adjustment=True):
-    return TrainConfig(
-        epochs=60, batch_size=128, lr=0.05, momentum=0.9, weight_decay=5e-4,
-        lr_decay_epochs=(30, 45), lr_decay_factor=0.1, theta_r=0.8, k=200,
-        attack=AttackSpec(epsilon=0.15, alpha=0.0375, steps=10),
-        method=method, interaction_enabled=interaction,
-        adjustment_enabled=adjustment, seed=seed,
-        encoder_widths=(64,), feature_dim=32,
-        augment=AugmentationPolicy(flip_prob=0.0, jitter_amp=0.04,
-                                   scale_amp=0.15, erase_frac=0.2),
-        eval_steps=20)
+    # TrainConfig's defaults are the acceptance config
+    return TrainConfig(method=method, seed=seed, interaction_enabled=interaction,
+                       adjustment_enabled=adjustment)
+
+
+EVAL_ATTACK = TrainConfig().eval_attack  # the acceptance runs' per-epoch PGD-20
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +400,7 @@ def test_criterion_8_ablation_wiring(training_runs, tmp_path):
                          method="oat", interaction_enabled=False,
                          adjustment_enabled=False, seed=4,
                          encoder_widths=(32,), feature_dim=16,
-                         augment=AugmentationPolicy(flip_prob=0.0, jitter_amp=0.03),
+                         augment=SMALL_RUN_AUGMENT,
                          eval_steps=5)
     state = train(config, clean, test, tmp_path / "degenerate")
     degenerate = _records(tmp_path / "degenerate")
@@ -423,7 +422,7 @@ def test_criterion_9_determinism_and_persistence(training_runs, tmp_path):
                          attack=AttackSpec(epsilon=0.1, alpha=0.025, steps=4),
                          method="oat", seed=13, encoder_widths=(32,),
                          feature_dim=16,
-                         augment=AugmentationPolicy(flip_prob=0.0, jitter_amp=0.03),
+                         augment=SMALL_RUN_AUGMENT,
                          eval_steps=4)
     train(config, corrupted, test, tmp_path / "first")
     train(config, corrupted, test, tmp_path / "second")
@@ -431,16 +430,13 @@ def test_criterion_9_determinism_and_persistence(training_runs, tmp_path):
                  == (tmp_path / "second" / "metrics.jsonl").read_text())
 
     run_dir, state = training_runs["runs"][("oat", 1)]
-    spec = AttackSpec(epsilon=0.15, alpha=0.0375, steps=20)
     reload_ok = True
     for name in ("best", "last"):
-        a = evaluate(load_model(run_dir / name), test, [spec], seed=3)
-        b = evaluate(load_model(run_dir / name), test, [spec], seed=3)
+        a = evaluate(load_model(run_dir / name), test, [EVAL_ATTACK], seed=3)
+        b = evaluate(load_model(run_dir / name), test, [EVAL_ATTACK], seed=3)
         if a.clean_accuracy != b.clean_accuracy or a.robust_accuracy != b.robust_accuracy:
             reload_ok = False
-    best_records = _best(_records(run_dir))
-    best_reload = evaluate(load_model(run_dir / "best"), test,
-                           [AttackSpec(epsilon=0.15, alpha=0.0375, steps=20)], seed=0)
+    best_reload = evaluate(load_model(run_dir / "best"), test, [EVAL_ATTACK], seed=0)
     _criterion(9, identical and reload_ok,
                f"repeated runs byte-identical: {identical}; checkpoints re-evaluate "
                f"identically: {reload_ok} (best CA {best_reload.clean_accuracy:.3f})")
@@ -451,11 +447,25 @@ def test_monotone_threat_on_trained_model(training_runs):
     run_dir, _ = training_runs["runs"][("oat", 1)]
     model = load_model(run_dir / "best")
     test = training_runs["test"]
-    record = evaluate(model, test, [
-        AttackSpec(epsilon=0.15, alpha=0.0375, steps=20),
-        AttackSpec(epsilon=0.15, alpha=0.0375, steps=100),
-    ], seed=17)
+    record = evaluate(model, test, [EVAL_ATTACK, dataclasses.replace(EVAL_ATTACK, steps=100)],
+                      seed=17)
     assert record.robust_accuracy["pgd100"] <= record.robust_accuracy["pgd20"] + 0.005
+
+
+def test_readme_quickstart_is_the_acceptance_run(training_runs, tmp_path, monkeypatch,
+                                                 capsys):
+    # the README's CLI block, run as written with its example run_config.json,
+    # trains the seed-1 acceptance oat run
+    snippet, commands = readme_quickstart()
+    monkeypatch.chdir(tmp_path)
+    exec(snippet, {})
+    (tmp_path / "run_config.json").write_text(readme_block("Example `run_config.json`", "json"))
+    for argv in commands:
+        assert cli(argv) == 0, capsys.readouterr().err
+    train_argv = next(argv for argv in commands if argv[0] == "train")
+    run_dir = tmp_path / train_argv[train_argv.index("--out") + 1]
+    expected = training_runs["runs"][("oat", 1)][0] / "metrics.jsonl"
+    assert (run_dir / "metrics.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_oat_parity_on_clean_balanced_data(tmp_path):
@@ -475,7 +485,7 @@ def test_oat_parity_on_clean_balanced_data(tmp_path):
                 lr_decay_epochs=(70, 90), theta_r=0.8, k=20,
                 attack=AttackSpec(epsilon=0.05, alpha=0.0125, steps=5),
                 method=method, seed=seed, encoder_widths=(32,), feature_dim=16,
-                augment=AugmentationPolicy(flip_prob=0.0, jitter_amp=0.03),
+                augment=SMALL_RUN_AUGMENT,
                 eval_steps=5)
             train(config, clean, test, tmp_path / f"{method}_{seed}")
             cas.append(_best(_records(tmp_path / f"{method}_{seed}"))["clean_accuracy"])

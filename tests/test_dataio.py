@@ -269,6 +269,10 @@ _MALFORMED_META = {
                          "dataset key 'num_classes' must be at least 1, got 0"),
     "has_gt-missing": ("has_gt", _DROP, "missing dataset key(s): has_gt"),
     "has_gt-int": ("has_gt", 1, "dataset key 'has_gt' must be bool, got 1"),
+    # the saved data is 3-d: a dim that disagrees with samples.csv's header
+    "dim-2": ("dim", 2, "dataset key 'dim' is 2, but samples.csv's header has 3 feature columns"),
+    "dim-4": ("dim", 4, "dataset key 'dim' is 4, but samples.csv's header has 3 feature columns"),
+    "dim-5": ("dim", 5, "dataset key 'dim' is 5, but samples.csv's header has 3 feature columns"),
 }
 
 
@@ -283,7 +287,8 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, key, value, named):
     else:
         meta[key] = value
     (path / "meta.json").write_text(json.dumps(meta))
-    (path / "samples.csv").unlink()  # meta.json is checked before any CSV is read
+    # meta.json is checked before any CSV row is read, and its dim against the header
+    _edit_lines(path / "samples.csv", lambda lines: lines[:1])
     with pytest.raises(ValueError) as info:
         load_dataset(path)
     assert str(info.value) == f"{path / 'meta.json'}: {named}"

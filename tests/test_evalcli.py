@@ -1,6 +1,5 @@
 import json
 import os
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +20,8 @@ from oat.models import AT_MODEL, ArchSpec, init_model, load_model, save_model
 from oat.oracle import predict_probs
 from oat.rng import SplitMix64
 
-from helpers import TINY_ARCH, dir_bytes, leaves_model_untouched, tiny_dataset
+from helpers import (TINY_ARCH, dir_bytes, leaves_model_untouched, readme_quickstart,
+                     tiny_dataset)
 
 
 def _separable_model_and_data():
@@ -225,18 +225,21 @@ def test_cli_corrupt_malformed_pairs_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flags,named", [
-    (["--nr", "0.4"], "target_nr 0.4 needs a noise type, got 'none'"),
-    (["--noise", "asymmetric", "--nr", "0.4", "--pairs", "0:1,0:2"],
+@pytest.mark.parametrize("input_name,flags,named", [
+    ("data", ["--nr", "0.4"], "target_nr 0.4 needs a noise type, got 'none'"),
+    ("data", ["--noise", "asymmetric", "--nr", "0.4", "--pairs", "0:1,0:2"],
      "asym pairs name source class 0 more than once"),
-    (["--noise", "symmetric", "--nr", "1"],
+    ("data", ["--noise", "symmetric", "--nr", "1"],
      "corruption key 'target_nr' must lie in [0, 1), got 1.0"),
-    (["--ir", "0"], "corruption key 'target_ir' must lie in (0, 1], got 0.0"),
-])
-def test_cli_corrupt_rejected_spec_exits_2(tmp_path, capsys, flags, named):
-    data = _make_dataset_dir(tmp_path, "data", per_class=4)
-    code = cli(["corrupt", "--input", str(data), *flags, "--output", str(tmp_path / "out")])
-    assert code == 2
+    ("data", ["--ir", "0"], "corruption key 'target_ir' must lie in (0, 1], got 0.0"),
+    # the spec is checked before --input is read
+    ("missing", ["--ir", "0"], "corruption key 'target_ir' must lie in (0, 1], got 0.0"),
+], ids=["nr-without-noise", "repeated-pair-source", "nr-1", "ir-0", "ir-0-missing-input"])
+def test_cli_corrupt_rejected_spec_exits_1(tmp_path, capsys, input_name, flags, named):
+    _make_dataset_dir(tmp_path, "data", per_class=4)
+    code = cli(["corrupt", "--input", str(tmp_path / input_name), *flags,
+                "--output", str(tmp_path / "out")])
+    assert code == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -726,15 +729,8 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert json.loads(done.stdout)["epochs"][0]["robust_pgd20"] == 0.25
 
 
-def _readme_cli_commands():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in commands if line.startswith("oat ")]
-
-
 def test_readme_cli_commands_parse():
-    commands = _readme_cli_commands()
+    _, commands = readme_quickstart()
     assert [argv[0] for argv in commands] == ["corrupt", "train", "eval", "report"]
     for argv in commands:
         _build_parser().parse_args(argv)  # a usage error exits 1

@@ -40,7 +40,7 @@ def test_cells_hold_the_acceptance_imbalance_first_and_spread_data(grid):
 def test_every_run_yields_every_figure(grid, tmp_path, name):
     ds = gen_synthetic(SyntheticSpec(3, 16, 12, 0.1, seed=1))
     test = gen_synthetic(SyntheticSpec(3, 16, 4, 0.1, seed=2))
-    config, train_ds = grid.RUNS[name](ds, 1)
+    config, train_ds = grid.run_inputs(name, ds, 1)
     config = dataclasses.replace(config, epochs=2, lr_decay_epochs=(), k=5)
     figures = grid.run_figures(name, config, train_ds, test, tmp_path / "run")
     assert list(figures) == list(grid.FIGURES)

@@ -16,8 +16,8 @@ from oat.oracle import (AugmentationPolicy, KnnIndex, embed, knn_split,
                         oracle_supervised_loss, predict_probs, refurbish)
 from oat.rng import SplitMix64
 
-from helpers import (TINY_ARCH, brute_force_knn_majority, stable_sort_knn_majority,
-                     tiny_dataset)
+from helpers import (ALL_OPS_AUGMENT, TINY_ARCH, brute_force_knn_majority,
+                     stable_sort_knn_majority, tiny_dataset)
 
 
 def _oracle_with_fixed_logits(logit_rows):
@@ -375,7 +375,7 @@ def test_erase_zeroes_one_window_per_hit_row():
 
 
 def test_augmentation_stays_in_box():
-    policy = AugmentationPolicy()
+    policy = ALL_OPS_AUGMENT
     rng = SplitMix64(3).fork("aug")
     x = rng.uniform(20 * 6).reshape(20, 6)
     for which in ("weak", "strong"):
@@ -390,7 +390,7 @@ def test_augmentation_rejects_unknown_view():
 
 
 def test_augmentation_deterministic_given_stream():
-    policy = AugmentationPolicy()
+    policy = ALL_OPS_AUGMENT
     x = np.full((4, 5), 0.5)
     a = policy.apply(x, "strong", SplitMix64(7).fork("s"))
     b = policy.apply(x, "strong", SplitMix64(7).fork("s"))

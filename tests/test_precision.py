@@ -15,12 +15,12 @@ from oat.dataio import SyntheticSpec, gen_synthetic, save_dataset
 from oat.evalcli import cli
 from oat.evaluation import accuracy, robust_accuracy
 from oat.models import AT_MODEL, ORACLE, cast, init_model, load_model
-from oat.oracle import (AugmentationPolicy, embed, oracle_contrastive_loss,
-                        oracle_interaction_loss, oracle_supervised_loss, predict_probs)
+from oat.oracle import (embed, oracle_contrastive_loss, oracle_interaction_loss,
+                        oracle_supervised_loss, predict_probs)
 from oat.rng import SplitMix64
 from oat.trainer import RunState, TrainConfig, at_model_loss, run_epoch, train
 
-from helpers import TINY_ARCH
+from helpers import ALL_OPS_AUGMENT, SMALL_RUN_AUGMENT, TINY_ARCH
 
 
 def _data(seed=3, spread=0.05):
@@ -36,7 +36,7 @@ def _config(method, **overrides):
         epochs=2, batch_size=16, lr=0.05, momentum=0.9, seed=2, lr_decay_epochs=(),
         theta_r=0.8, k=5, encoder_widths=(12,), feature_dim=8,
         attack=AttackSpec(epsilon=0.05, alpha=0.0125, steps=3),
-        augment=AugmentationPolicy(flip_prob=0.0, jitter_amp=0.03),
+        augment=SMALL_RUN_AUGMENT,
         method=method, eval_steps=3), **overrides})
 
 
@@ -107,7 +107,7 @@ def test_a_float64_model_through_the_engine_stays_float64_bit_for_bit():
         x_adv = pgd_attack(model, x, y, AttackSpec(0.1, 0.025, 3), rng.fork("attack", step), dist)
         soft = predict_probs(oracle, x)
         loss = ad.add(at_model_loss(model, oracle, x, x_adv, soft, dist, config)[0],
-                      oracle_contrastive_loss(oracle, x, AugmentationPolicy(),
+                      oracle_contrastive_loss(oracle, x, ALL_OPS_AUGMENT,
                                               rng.fork("augment", step)))
         loss = ad.add(loss, ad.add(oracle_supervised_loss(oracle, x, y),
                                    oracle_interaction_loss(oracle, model, x)))

@@ -24,7 +24,7 @@ from oat.rng import SplitMix64
 from oat.trainer import (TrainConfig, adjust_logits, at_model_loss,
                          estimate_label_distribution, lr_at_epoch, train)
 
-from helpers import TINY_ARCH, dir_bytes, tiny_dataset
+from helpers import SMALL_RUN_AUGMENT, TINY_ARCH, dir_bytes, readme_block, tiny_dataset
 
 
 def _fast_config(**overrides):
@@ -32,7 +32,7 @@ def _fast_config(**overrides):
                 lr_decay_epochs=(2,), theta_r=0.8, k=5,
                 encoder_widths=(12,), feature_dim=8,
                 attack=AttackSpec(epsilon=0.03, alpha=0.01, steps=2),
-                augment=AugmentationPolicy(flip_prob=0.0, jitter_amp=0.03),
+                augment=SMALL_RUN_AUGMENT,
                 eval_steps=3)
     base.update(overrides)
     return TrainConfig(**base)
@@ -138,11 +138,12 @@ def test_config_roundtrip_through_dict():
 
 
 def test_readme_run_config_builds():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("Example `run_config.json`", 1)[1]
-    block = block.split("```json\n", 1)[1].split("```", 1)[0]
-    config = TrainConfig.from_dict(json.loads(block))
-    assert config.method == "oat" and config.augment.flip_prob == 0.0
+    # the README lists TrainConfig's defaults, and its example sets none of them
+    defaults = json.loads(readme_block("`oat train --config` reads", "json"))
+    assert defaults == json.loads(json.dumps(TrainConfig().to_dict()))
+    example = json.loads(readme_block("Example `run_config.json`", "json"))
+    assert all(defaults[key] != value for key, value in example.items())
+    assert TrainConfig.from_dict(example) == TrainConfig(seed=1)
 
 
 @pytest.mark.parametrize("overrides,named", [
