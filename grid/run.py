@@ -25,8 +25,10 @@ labels, ``observed`` or ``gt`` (hidden true). ``oat``; ``oat_no_adjust``
 labels); ``erm`` (``pgd_at`` at epsilon = alpha = 0, plain training). Every
 run is evaluated each epoch with PGD-20 at the acceptance epsilon, except
 ``erm``, whose records attack at its own epsilon 0: its robust figures are
-the PGD-20 accuracy of its best/ and last/ checkpoints, from ``evaluate`` at
-the acceptance attack.
+``evaluate`` of its best/ and last/ checkpoints at the acceptance attack and
+the run's seed. A record's robust accuracy is ``evaluate`` of that epoch's
+checkpoint at the run's seed too, so every robust figure in the table comes
+from one estimator.
 
 Figures per run: ``best_epoch`` (the trainer's choice, the highest robust
 accuracy on the test set), ``best_clean`` and ``best_robust`` at that epoch,
@@ -104,7 +106,8 @@ def run_figures(name: str, cfg: TrainConfig, ds, test, out_dir: Path) -> dict:
     for which, record in (("best", records[state.best_epoch]), ("last", records[-1])):
         figures[f"{which}_clean"] = record["clean_accuracy"]
         if name == "erm":  # its records attack at epsilon 0
-            record = evaluate(load_model(out_dir / which), test, [EVAL_ATTACK]).to_dict()
+            record = evaluate(load_model(out_dir / which), test, [EVAL_ATTACK],
+                              seed=cfg.seed).to_dict()
         figures[f"{which}_robust"] = record["robust_accuracy"][EVAL_ATTACK.name()]
     figures["wall_s"] = round(wall, 2)
     return figures

@@ -63,24 +63,13 @@ class AttackSpec:
 
 def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
                spec: AttackSpec, rng: SplitMix64 | None = None,
-               prior: ClassCounts | None = None,
-               rows: np.ndarray | None = None) -> np.ndarray:
+               prior: ClassCounts | None = None) -> np.ndarray:
     """Iterative sign-gradient ascent projected onto the eps ball and [0,1] box;
     with a ``prior``, the attacked loss sees logits shifted by its log.
 
-    With ``rows`` (an index array into the batch), the random start is still
-    drawn for the whole batch, but only ``x[rows]`` is attacked and only those
-    rows are returned. In exact arithmetic each row's gradient involves that
-    row alone, up to the batch-mean's positive 1/n factor. In floating point
-    it need not: BLAS may round a row's products differently when the batch
-    has another row count, so logits and gradients can differ in the last
-    bits. The sign step absorbs such rounding-level differences, and the
-    tests pin ``pgd_attack(...)[rows]`` bit for bit on sampled data; that is
-    a measured property, not a guarantee for every input.
     ``x`` must be (B, input_dim), ``y`` must hold B labels in
-    [0, num_classes), all of them checked whatever ``rows`` picks, a
-    ``prior`` must count num_classes classes, and a CW margin attack needs at
-    least 2 classes."""
+    [0, num_classes), a ``prior`` must count num_classes classes, and a CW
+    margin attack needs at least 2 classes."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
@@ -103,8 +92,6 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
         adv = np.clip(x + start, 0.0, 1.0)
     else:
         adv = x.copy()
-    if rows is not None:
-        x, y, adv = x[rows], y[rows], adv[rows]
     if not len(x):  # a batch-mean loss over no rows has no gradient to follow
         return adv
 

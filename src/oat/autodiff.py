@@ -253,18 +253,16 @@ def backward(root: Value) -> None:
 # ---------------------------------------------------------------------------
 
 def _row_max(z: np.ndarray) -> np.ndarray:
-    """``z.max(axis=-1, keepdims=True)`` of a (B, C) array or a (C,) row,
-    bit for bit.
+    """``z.max(axis=-1, keepdims=True)`` of a (B, C) array, bit for bit.
 
     numpy reduces a short last axis one row at a time, which at (128, 10)
     takes about twice as long as picking each row's ``argmax`` entry. The
     two agree bitwise unless a row's maximum is NaN or a zero (``+0.0 ==
     -0.0``, and which one a reduction keeps depends on its order), and then
     numpy's own reduction answers."""
-    rows = z.reshape(-1, z.shape[-1])
-    top = rows[np.arange(len(rows)), rows.argmax(axis=-1)]
-    if len(rows) and np.abs(top).min() > 0:
-        return top.reshape(*z.shape[:-1], 1)
+    top = z[np.arange(len(z)), z.argmax(axis=-1)]
+    if len(z) and np.abs(top).min() > 0:
+        return top[:, None]
     return z.max(axis=-1, keepdims=True)
 
 
@@ -353,9 +351,8 @@ def cw_margin_adjoint(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax (stable) of a plain (B, C) array or (C,) row,
-    shifted by each row's ``_row_max``; rows sum to 1. Records no graph
-    node."""
+    """Row-wise softmax (stable) of a plain (B, C) array, shifted by each
+    row's ``_row_max``; rows sum to 1. Records no graph node."""
     e = np.exp(z - _row_max(z))
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -1,12 +1,14 @@
 """Evaluation metrics: clean accuracy, PGD robust accuracy, the metrics record
 and distribution-recovery error.
 
-The training loop picks its best checkpoint with these functions and
-``oat eval`` reports them, so both compute robust accuracy with the same code.
-Evaluation runs its batches of ``BATCH_SIZE`` rows one after another; each
-batch's attack stream is forked from the seed by batch index, so results
-depend only on the seed. The attack runs only on the rows a batch classifies
-correctly clean, since no other row can count as robust; a batch with no such
+The training loop scores each epoch with ``accuracy`` and ``robust_accuracy``
+at the run's seed, and ``oat eval`` scores a checkpoint with ``evaluate``,
+which calls the same two, so ``oat eval --seed <run seed>`` of an epoch's
+checkpoint prints that epoch's record. Evaluation runs its batches of
+``BATCH_SIZE`` rows one after another; each attack's stream is forked from
+the seed by the attack's name and each batch's from that by batch index, so
+results depend only on the seed. A batch attacks only its rows that are
+right clean, since no other row can count as robust; a batch with no such
 row runs no attack. Predictions use raw logits (no class-prior adjustment).
 """
 
@@ -61,34 +63,32 @@ def accuracy(model: ModelParams, x: np.ndarray, labels: np.ndarray) -> float:
 
 
 def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
-                    rng: SplitMix64) -> float:
+                    seed: int) -> float:
     """Fraction of test points that are correctly classified both clean and
     after the attack (an attacked sample can only lose correctness).
 
-    A row that is wrong clean can never count, so each batch attacks only its
-    clean-correct rows (as AutoAttack does), and a batch with none runs no
-    attack. The random start is drawn for the whole batch, and the sign step
-    absorbs the rounding-level differences a smaller BLAS batch can bring, so
-    the count matches attacking the whole batch on the data the tests sample
-    (see ``pgd_attack``'s ``rows``)."""
+    Batch i attacks its rows that are right clean (as AutoAttack does) from
+    ``SplitMix64(seed).fork("evaluate." + attack.name()).fork("batch", i)``,
+    so a random start is drawn only for a row that can count."""
     check_test_set(ds)
+    stream = SplitMix64(seed).fork("evaluate." + attack.name())
     robust = 0
     for i, start in enumerate(range(0, len(ds), BATCH_SIZE)):
         x = ds.samples[start:start + BATCH_SIZE]
         y = ds.gt_labels[start:start + BATCH_SIZE]
-        rows = np.flatnonzero(predict_probs(model, x).argmax(axis=1) == y)
-        if not len(rows):
+        right = predict_probs(model, x).argmax(axis=1) == y
+        if not right.any():
             continue
-        adv = pgd_attack(model, x, y, attack, rng.fork("batch", i), rows=rows)
-        robust += int(np.sum(predict_probs(model, adv).argmax(axis=1) == y[rows]))
+        adv = pgd_attack(model, x[right], y[right], attack, stream.fork("batch", i))
+        robust += int(np.sum(predict_probs(model, adv).argmax(axis=1) == y[right]))
     return robust / len(ds)
 
 
 def evaluate(model: ModelParams, test: LabeledDataset,
              attacks: list[AttackSpec], seed: int = 0) -> MetricsRecord:
-    """Clean accuracy plus robust accuracy per attack; each attack's stream is
-    forked from ``seed`` by the attack's name. Raises ValueError if ``test``'s
-    dim or num_classes differs from the model's arch."""
+    """Clean accuracy plus ``robust_accuracy`` at ``seed`` per attack. Raises
+    ValueError if ``test``'s dim or num_classes differs from the model's
+    arch."""
     check_test_set(test)
     arch = model.arch
     if test.dim != arch.input_dim or test.num_classes != arch.num_classes:
@@ -97,11 +97,8 @@ def evaluate(model: ModelParams, test: LabeledDataset,
                          f"{arch.num_classes} classes")
     return MetricsRecord(
         clean_accuracy=accuracy(model, test.samples, test.gt_labels),
-        robust_accuracy={
-            attack.name(): robust_accuracy(
-                model, test, attack,
-                SplitMix64(seed).fork("evaluate." + attack.name()))
-            for attack in attacks})
+        robust_accuracy={attack.name(): robust_accuracy(model, test, attack, seed)
+                         for attack in attacks})
 
 
 def distribution_error(estimated, reference) -> float:

@@ -20,7 +20,8 @@ refused before anything is written.
 
 Training runs in float32 (``TRAIN_DTYPE``). Every figure in a record is
 scored on a float64 copy of the robust model, which is what best/ and last/
-hold, so ``oat eval`` of a checkpoint sees the model its record scored.
+hold, and its accuracies are ``evaluate``'s at the run's seed, so
+``oat eval --seed <run seed>`` of best/ or last/ prints its record's figures.
 """
 
 from __future__ import annotations
@@ -338,7 +339,7 @@ def _evaluate_epoch(state: RunState, test: LabeledDataset, at_losses: dict[str, 
     config, attack, gt = state.config, state.config.eval_attack, state.gt
     model = cast(state.model, np.float64)  # the model a checkpoint of this epoch holds
     ca = accuracy(model, test.samples, test.gt_labels)
-    ra = robust_accuracy(model, test, attack, state.rng.fork("eval", state.epoch))
+    ra = robust_accuracy(model, test, attack, config.seed)
 
     losses = dict(at_losses)
     record: dict = {

@@ -114,7 +114,7 @@ def leaves_model_untouched(model: ModelParams):
 
 
 def reference_pgd_attack(model: ModelParams, x, y, spec, rng: SplitMix64 | None = None,
-                         prior=None, rows=None) -> np.ndarray:
+                         prior=None) -> np.ndarray:
     """PGD whose every step builds a graph and walks it with ``ad.backward``:
     ``forward_logits`` of a ``detached`` model on an input leaf in the
     model's dtype, the prior's log shift as an ``add`` node, and the loss
@@ -129,8 +129,6 @@ def reference_pgd_attack(model: ModelParams, x, y, spec, rng: SplitMix64 | None 
         adv = np.clip(x + start, 0.0, 1.0)
     else:
         adv = x.copy()
-    if rows is not None:
-        x, y, adv = x[rows], y[rows], adv[rows]
     frozen, shift = detached(model), None
     dtype = model.head[0].data.dtype
     if prior is not None:

@@ -455,7 +455,8 @@ def test_monotone_threat_on_trained_model(training_runs):
 def test_readme_quickstart_is_the_acceptance_run(training_runs, tmp_path, monkeypatch,
                                                  capsys):
     # the README's CLI block, run as written with its example run_config.json,
-    # trains the seed-1 acceptance oat run
+    # trains the seed-1 acceptance oat run, and its oat eval of best/ prints
+    # the best record's figures
     snippet, commands = readme_quickstart()
     monkeypatch.chdir(tmp_path)
     exec(snippet, {})
@@ -466,6 +467,10 @@ def test_readme_quickstart_is_the_acceptance_run(training_runs, tmp_path, monkey
     run_dir = tmp_path / train_argv[train_argv.index("--out") + 1]
     expected = training_runs["runs"][("oat", 1)][0] / "metrics.jsonl"
     assert (run_dir / "metrics.jsonl").read_bytes() == expected.read_bytes()
+    eval_argv = next(argv for argv in commands if argv[0] == "eval")
+    best = _best(_records(run_dir))
+    assert json.loads((tmp_path / eval_argv[eval_argv.index("--out") + 1]).read_text()) == {
+        "clean_accuracy": best["clean_accuracy"], "robust_accuracy": best["robust_accuracy"]}
 
 
 def test_oat_parity_on_clean_balanced_data(tmp_path):

@@ -134,36 +134,6 @@ def test_pgd_attack_on_zero_rows_returns_zero_rows():
         assert adv.shape == (0, TINY_ARCH.input_dim)
 
 
-@pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
-@pytest.mark.parametrize("random_start", [True, False])
-def test_attacking_some_rows_is_bitwise_the_whole_batch_attack_at_those_rows(
-        loss_kind, random_start):
-    rng = SplitMix64(11).fork("rows." + loss_kind, int(random_start))
-    spec = AttackSpec(epsilon=0.1, alpha=0.025, steps=8, loss_kind=loss_kind,
-                      random_start=random_start)
-    for trial, dim in enumerate((2, 16, 128)):
-        arch = ArchSpec(input_dim=dim, encoder_widths=(24, 12), feature_dim=8, num_classes=10)
-        model = init_model(arch, AT_MODEL, seed=trial)
-        n = 37
-        x = _rand_batch(rng, n, dim)
-        y = np.array([rng.randint(10) for _ in range(n)])
-        whole = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"))
-        some = np.flatnonzero(rng.uniform(n) < 0.4)
-        for rows in (np.array([rng.randint(n)]), some, np.arange(n)):
-            adv = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"), rows=rows)
-            assert np.array_equal(adv, whole[rows])
-
-
-def test_attacking_no_rows_still_checks_every_label():
-    model = init_model(TINY_ARCH, AT_MODEL, seed=2)
-    spec = AttackSpec(epsilon=0.1, alpha=0.05, steps=1)
-    x = np.full((3, 5), 0.5)
-    adv = pgd_attack(model, x, np.array([0, 1, 2]), spec, rows=np.array([], dtype=np.int64))
-    assert adv.shape == (0, 5)
-    with pytest.raises(ValueError, match="labels"):
-        pgd_attack(model, x, np.array([0, 1, 3]), spec, rows=np.array([0]))
-
-
 def test_cw_margin_closed_forms():
     # the label's own logit never counts as the largest other one, even when
     # it ties or leads: the margin rises along e_other - e_label
@@ -175,15 +145,14 @@ def test_cw_margin_closed_forms():
 
 def test_pgd_attack_rejects_a_cw_attack_on_a_one_class_model():
     # with one class the label is every row's only logit, so the CW margin has
-    # no other class to raise; the check runs at entry, whatever rows holds
+    # no other class to raise; the check runs at entry
     arch = ArchSpec(input_dim=5, encoder_widths=(4,), feature_dim=3, num_classes=1)
     model = init_model(arch, AT_MODEL, seed=0)
     x, y = np.full((3, 5), 0.5), np.zeros(3, dtype=np.int64)
     cw = AttackSpec(epsilon=0.1, alpha=0.05, steps=2, loss_kind="cw_margin")
-    for rows in (None, np.array([], dtype=np.int64)):
-        with pytest.raises(ValueError, match="the cw_margin loss needs at least 2 classes, "
-                                             "the model has 1"):
-            pgd_attack(model, x, y, cw, rows=rows)
+    with pytest.raises(ValueError, match="the cw_margin loss needs at least 2 classes, "
+                                         "the model has 1"):
+        pgd_attack(model, x, y, cw)
     assert pgd_attack(model, x, y, AttackSpec(epsilon=0.1, alpha=0.05, steps=2)).shape == x.shape
 
 
@@ -206,12 +175,9 @@ def test_pgd_attack_is_bitwise_the_graph_built_reference(loss_kind, prior, rando
         for n in (1, 23, 128):
             x = _rand_batch(rng, n, 9)
             y = np.array([rng.randint(4) for _ in range(n)])
-            some = np.flatnonzero(rng.uniform(n) < 0.5)
-            for rows in (None, np.array([rng.randint(n)]), some if len(some) else None):
-                got = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"), prior, rows)
-                want = reference_pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"),
-                                            prior, rows)
-                assert got.tobytes() == want.tobytes()
+            got = pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"), prior)
+            want = reference_pgd_attack(model, x, y, spec, SplitMix64(trial).fork("a"), prior)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_pgd_attack_checks_the_batch_shape_at_entry():
@@ -219,8 +185,7 @@ def test_pgd_attack_checks_the_batch_shape_at_entry():
     spec = AttackSpec(epsilon=0.1, alpha=0.05, steps=1)
     for x in (np.zeros((3, 4)), np.zeros(5), np.zeros((3, 5, 1))):
         with pytest.raises(ValueError, match=r"expected batch of shape \(B, 5\), got"):
-            pgd_attack(model, x, np.zeros(len(x), dtype=np.int64), spec,
-                       rows=np.array([], dtype=np.int64))
+            pgd_attack(model, x, np.zeros(len(x), dtype=np.int64), spec)
 
 
 def test_pgd_attack_checks_the_prior_class_count_at_entry():
@@ -238,7 +203,7 @@ def test_pgd_attack_checks_the_label_count_at_entry():
     spec = AttackSpec(epsilon=0.1, alpha=0.05, steps=1)
     for y in (np.array([0, 1]), np.array([0, 1, 2, 0]), np.zeros((3, 1), dtype=np.int64)):
         with pytest.raises(ValueError, match="expected 3 labels, got shape"):
-            pgd_attack(model, np.full((3, 5), 0.5), y, spec, rows=np.array([0]))
+            pgd_attack(model, np.full((3, 5), 0.5), y, spec)
 
 
 def test_cw_gradient_direction_matches_ce_on_2class_linear():
@@ -292,8 +257,7 @@ def test_pgd_attack_leaves_the_callers_batch_unchanged(monkeypatch, dtype, loss_
     for random_start in (True, False):
         spec = AttackSpec(epsilon=0.1, alpha=0.025, steps=4, loss_kind=loss_kind,
                           random_start=random_start)
-        for prior, rows in ((None, None), (ClassCounts((9, 1, 4, 2)), None),
-                            (None, np.array([0, 5, 7]))):
-            adv = pgd_attack(model, x, y, spec, SplitMix64(2).fork("a"), prior, rows)
+        for prior in (None, ClassCounts((9, 1, 4, 2))):
+            adv = pgd_attack(model, x, y, spec, SplitMix64(2).fork("a"), prior)
             assert not np.shares_memory(adv, x)
             assert x.tobytes() == before

@@ -29,9 +29,9 @@ def test_relu_definition():
 
 
 def test_softmax_symmetry():
-    out = ad.softmax(np.array([0.0, 0.0]))
+    out = ad.softmax(np.array([[0.0, 0.0]]))
     assert type(out) is np.ndarray   # plain numpy: no graph node
-    assert np.array_equal(out, [0.5, 0.5])
+    assert np.array_equal(out, [[0.5, 0.5]])
 
 
 def test_softmax_rows_sum_to_one():
@@ -329,7 +329,7 @@ def test_row_max_is_bitwise_numpys_reduction(dtype):
         cols = 2 + rng.randint(15)
         cases.append(values[[rng.randint(3) for _ in range(cols)]].reshape(1, cols))
         cases.append(values[[rng.randint(6) for _ in range(3 * cols)]].reshape(3, cols))
-    cases += [np.zeros((0, 4)), values[[0, 2, 1]], values[[4, 3]]]  # and two (C,) rows
+    cases.append(np.zeros((0, 4)))
     for z in cases:
         z = z.astype(dtype)
         want = z.max(axis=-1, keepdims=True)

@@ -509,13 +509,17 @@ def test_train_loss_records_match_enabled_terms(tmp_path):
 def test_train_oracle_total_is_sum_of_parts(tmp_path, nr, batch_size):
     train_ds, test_ds = _small_data(seed=5)
     train_ds = apply_symmetric_noise(train_ds, nr, seed=5)
-    train(_fast_config(batch_size=batch_size), train_ds, test_ds, tmp_path / "run")
+    train(_fast_config(batch_size=batch_size, augment=AugmentationPolicy()),
+          train_ds, test_ds, tmp_path / "run")
     record = json.loads((tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[-1])
     if nr:
         assert record["empty_clean_batches"] > 0
     losses = record["losses"]
-    assert losses["oracle_total"] == pytest.approx(
-        losses["contrastive"] + losses["supervised"] + losses["divergence"], abs=1e-9)
+    parts = (losses["contrastive"], losses["supervised"], losses["divergence"])
+    # each batch's total is a float32 sum of its parts, so the epoch means
+    # agree to float32's resolution at the parts' size, not to float64's
+    bound = 2 * np.finfo(np.float32).eps * sum(abs(part) for part in parts)
+    assert abs(losses["oracle_total"] - sum(parts)) <= bound
     assert losses["model_total"] == pytest.approx(
         losses["soft_ce"] + losses["feature_align"], abs=1e-9)
 
