@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import types
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -159,7 +160,7 @@ def load_idx(image_path: str | Path, label_path: str | Path) -> LabeledDataset:
 
 
 # ---------------------------------------------------------------------------
-# checked JSON: the config, meta.json and checkpoint.json
+# checked JSON: the config, meta.json, checkpoint.json and metrics.jsonl
 # ---------------------------------------------------------------------------
 
 def parse_json(path: Path, text: str, line: int = 1):
@@ -226,10 +227,16 @@ def _matches(value, hint) -> bool:
             return False
         return not isinstance(value, bool) and isinstance(
             value, (int, number) if hint is number else hint)
-    if typing.get_origin(hint) is tuple:         # tuple[X, ...]
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_matches(v, item) for v in value)
-    return isinstance(value, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return any(_matches(value, arm) for arm in args)
+    if origin in (tuple, list):                 # tuple[X, ...] and list[X]
+        kinds = (list, tuple) if origin is tuple else list
+        return isinstance(value, kinds) and all(_matches(v, args[0]) for v in value)
+    if origin is dict:                          # dict[str, X]
+        return isinstance(value, dict) and all(
+            _matches(k, args[0]) and _matches(v, args[1]) for k, v in value.items())
+    return isinstance(value, hint)              # a dataclass, or None's type
 
 
 def read_json(path: Path, cls, where: str):
@@ -312,35 +319,50 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     meta = _Meta(1, ds.num_classes, ds.dim, len(ds), ds.gt_labels is not None)
     ids = np.asarray(ds.ids, dtype=np.int64)
-    labels = {"id": ids, "observed_label": ds.observed_labels}
-    if ds.gt_labels is not None:
-        labels["gt_label"] = ds.gt_labels
+    labels = [ids, ds.observed_labels] + [ds.gt_labels] * meta.has_gt
     with replaced_together(path, ("samples.csv", "labels.csv", "meta.json")) as temps:
         with open(temps["samples.csv"], "w", newline="") as f:
-            f.write(",".join(["id"] + [f"f{j}" for j in range(ds.dim)]) + "\r\n")
+            f.write(",".join(_csv_header("samples.csv", meta)) + "\r\n")
             for start in range(0, len(ds), _BLOCK_ROWS):
                 stop = start + _BLOCK_ROWS
                 f.writelines(_format_block(ids[start:stop], ds.samples[start:stop]))
         with open(temps["labels.csv"], "w", newline="") as f:
-            f.write(",".join(labels) + "\r\n")
-            rows = zip(*(np.asarray(c, dtype=np.int64).tolist() for c in labels.values()))
+            f.write(",".join(_csv_header("labels.csv", meta)) + "\r\n")
+            rows = zip(*(np.asarray(c, dtype=np.int64).tolist() for c in labels))
             f.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
         temps["meta.json"].write_text(json.dumps(dataclasses.asdict(meta), indent=2) + "\n")
 
 
-def _csv_rows(file: Path, count: int, width: int, check_header=lambda fields: None):
-    """Yield (i, row) for the data rows of a CSV file under a header line,
-    after passing the header's fields to ``check_header``.
+def _csv_header(name: str, meta: _Meta) -> list[str]:
+    """The header fields save_dataset writes to ``name`` for ``meta``."""
+    if name == "samples.csv":
+        return ["id"] + [f"f{j}" for j in range(meta.dim)]
+    return ["id", "observed_label"] + ["gt_label"] * meta.has_gt
+
+
+def _csv_rows(file: Path, meta: _Meta):
+    """Yield (i, row) for the data rows of a CSV file under the header that
+    save_dataset writes to it for ``meta``.
 
     Lines may end in CRLF or LF. Raises ValueError unless the file is UTF-8
-    text of exactly ``count`` rows of ``width`` fields each.
+    text of exactly ``meta.count`` rows, each as wide as that header, under
+    that header. A header of another width blames meta.json's key that sets
+    the width; one of the same width with other names blames the file.
     """
-    n = 0
+    # the meta.json key that sets the file's width, and what its columns after id hold
+    key, kind = ("dim", "feature") if file.name == "samples.csv" else ("has_gt", "label")
+    header = _csv_header(file.name, meta)
+    count, width, n = meta.count, len(header), 0
     with open(file, encoding="utf-8") as f:
         try:
-            header = next(f, None)
-            if header is not None:
-                check_header(header.rstrip("\n").split(","))
+            got = next(f, "").rstrip("\n").split(",")
+            if len(got) != width:
+                raise ValueError(f"{file.with_name('meta.json')}: dataset key {key!r} is "
+                                 f"{json.dumps(getattr(meta, key))}, but {file.name}'s "
+                                 f"header has {len(got) - 1} {kind} columns")
+            if got != header:
+                raise ValueError(f"{file.name}'s header is {','.join(got)!r}, expected "
+                                 f"{','.join(header)!r}")
             for n, line in enumerate(f, 1):
                 if n > count:
                     raise ValueError(f"{file.name} has more than the {count} rows "
@@ -372,12 +394,13 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     is mostly looked up, and continuous data costs one parse per field.
 
     Raises ValueError naming the file when meta.json is not the object
-    save_dataset writes (``_Meta``) or its ``dim`` differs from the feature
-    column count of samples.csv's header, a CSV's row count differs from
-    meta.json's, a row has the wrong number of fields, or a CSV is not UTF-8
-    text; and naming the row as well when a field is not a number, a sample
-    value lies outside [0, 1], a label lies outside [0, num_classes), or an
-    id of labels.csv differs from that of samples.csv.
+    save_dataset writes (``_Meta``), a CSV's header is not the one
+    save_dataset writes (naming meta.json and its ``dim`` or ``has_gt`` when
+    the width differs), a CSV's row count differs from meta.json's, a row has
+    the wrong number of fields, or a CSV is not UTF-8 text; and naming the
+    row as well when a field is not a number, a sample value lies outside
+    [0, 1], a label lies outside [0, num_classes), or an id of labels.csv
+    differs from that of samples.csv.
     """
     path = Path(path)
     meta = read_json(path / "meta.json", _Meta, "dataset")
@@ -388,12 +411,7 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     table: dict[str, float] = {}
     lookup = table.__getitem__
 
-    def check_dim(header: list[str]) -> None:  # a header of another width blames meta.json
-        if len(header) - 1 != dim:
-            raise ValueError(f"{path / 'meta.json'}: dataset key 'dim' is {dim}, but "
-                             f"samples.csv's header has {len(header) - 1} feature columns")
-
-    for i, row in _csv_rows(path / "samples.csv", count, dim + 1, check_dim):
+    for i, row in _csv_rows(path / "samples.csv", meta):
         try:
             ids[i] = int(row[0])
             fields = row[1:]
@@ -409,7 +427,7 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
     observed = np.zeros(count, dtype=np.int64)
     gt = np.zeros(count, dtype=np.int64) if meta.has_gt else None
-    for i, row in _csv_rows(path / "labels.csv", count, 2 if gt is None else 3):
+    for i, row in _csv_rows(path / "labels.csv", meta):
         try:
             row_id, observed[i] = int(row[0]), int(row[1])
             if gt is not None:

@@ -20,10 +20,10 @@ from pathlib import Path
 
 from .adversary import AttackSpec
 from .corruption import CorruptionSpec, corrupt
-from .dataio import load_dataset, parse_json, replaced_together, save_dataset
+from .dataio import from_json, load_dataset, parse_json, replaced_together, save_dataset
 from .evaluation import evaluate
 from .models import load_model
-from .trainer import TrainConfig, train
+from .trainer import EpochRecord, TrainConfig, train
 
 
 class _UsageError(Exception):
@@ -57,7 +57,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file of config overrides")
     p.add_argument("--data", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--method", choices=["oat", "pgd-at"])
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -124,8 +123,6 @@ def _cmd_train(args) -> int:
     try:
         if not isinstance(overrides, dict):
             raise ValueError("--config must hold a JSON object")
-        if args.method:
-            overrides["method"] = args.method.replace("-", "_")
         config = TrainConfig.from_dict(overrides)
     except ValueError as err:  # the defaults pass, so a --config was given and is at fault
         raise _UsageError(f"{args.config}: {err}") from None
@@ -168,50 +165,6 @@ def _round2(x):
     return None if x is None else round(x, 2)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no number
-
-
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-def _is_counts(v) -> bool:
-    return isinstance(v, list) and all(map(_is_int, v))
-
-
-# each metrics.jsonl field oat report reads: the test its value must pass and
-# what that test asks for
-_FIELDS = {
-    "epoch": (_is_int, "an integer"),
-    "clean_accuracy": (_is_number, "a number"),
-    "robust_accuracy": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
-                        "an object of numbers"),
-    "refurbished_nr": (lambda v: v is None or _is_number(v), "a number or null"),
-    "dist_l1_prior": (_is_number, "a number"),
-    "dist_l1_estimated": (_is_number, "a number"),
-    "prior_counts": (_is_counts, "a list of integers"),
-    "estimated_counts": (_is_counts, "a list of integers"),
-    "gt_counts": (lambda v: v is None or _is_counts(v), "a list of integers or null"),
-}
-
-
-def _require(rec: dict, keys: tuple[str, ...], path: Path, line: int) -> None:
-    """Raise ValueError naming the file, line and key unless ``rec`` holds
-    each of ``keys``, every ``_FIELDS`` key it holds has the right type, and
-    its class-count lists agree in length."""
-    for key in keys:
-        if key not in rec:
-            raise ValueError(f"{path} line {line}: record has no {key!r}")
-    for key, (ok, what) in _FIELDS.items():
-        if key in rec and not ok(rec[key]):
-            raise ValueError(f"{path} line {line}: {key!r} must be {what}, "
-                             f"got {json.dumps(rec[key])}")
-    counts = ("prior_counts", "estimated_counts", "gt_counts")
-    if len({len(rec[key]) for key in counts if rec.get(key) is not None}) > 1:
-        raise ValueError(f"{path} line {line}: {', '.join(counts)} differ in length")
-
-
 def _cmd_report(args) -> int:
     run = Path(args.run)
     report: dict = {}
@@ -226,23 +179,21 @@ def _cmd_report(args) -> int:
     if metrics_file.exists():
         for number, line in enumerate(metrics_file.read_text().splitlines(), 1):
             rec = parse_json(metrics_file, line, number)
-            if not isinstance(rec, dict):
-                raise ValueError(f"{metrics_file} line {number}: record is not a JSON object")
-            if "error" in rec:
+            if isinstance(rec, dict) and "error" in rec:
                 epochs.append({"epoch": rec.get("epoch"), "error": rec["error"]})
                 continue
-            _require(rec, ("epoch", "clean_accuracy", "robust_accuracy")
-                     + (("prior_counts", "gt_counts") if "estimated_counts" in rec else ()),
-                     metrics_file, number)
-            last = rec
+            try:
+                last = from_json(EpochRecord, rec, "record", defaults=False)
+            except ValueError as err:
+                raise ValueError(f"{metrics_file} line {number}: {err}") from None
             row = {
-                "epoch": rec["epoch"],
-                "clean_accuracy": _round2(rec["clean_accuracy"]),
-                "refurbished_nr": _round2(rec.get("refurbished_nr")),
-                "dist_l1_prior": _round2(rec.get("dist_l1_prior")),
-                "dist_l1_estimated": _round2(rec.get("dist_l1_estimated")),
+                "epoch": last.epoch,
+                "clean_accuracy": _round2(last.clean_accuracy),
+                "refurbished_nr": _round2(last.refurbished_nr),
+                "dist_l1_prior": _round2(last.dist_l1_prior),
+                "dist_l1_estimated": _round2(last.dist_l1_estimated),
             }
-            for name, ra in rec["robust_accuracy"].items():
+            for name, ra in last.robust_accuracy.items():
                 row[f"robust_{name}"] = _round2(ra)
             epochs.append(row)
         report["epochs"] = epochs
@@ -251,13 +202,13 @@ def _cmd_report(args) -> int:
     if summary_file.exists():
         report["summary"] = parse_json(summary_file, summary_file.read_text())
 
-    if last is not None and "estimated_counts" in last:
-        estimated, gt = last["estimated_counts"], last["gt_counts"]
+    if last is not None and last.estimated_counts is not None:
+        estimated, gt = last.estimated_counts, last.gt_counts
         report["distribution"] = {
-            "epoch": last["epoch"],
+            "epoch": last.epoch,
             "rows": [{"class": c, "prior_count": prior, "estimated_count": estimated[c],
                       "gt_count": None if gt is None else gt[c]}
-                     for c, prior in enumerate(last["prior_counts"])],
+                     for c, prior in enumerate(last.prior_counts)],
             "estimated_total": sum(estimated),
         }
 

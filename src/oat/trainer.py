@@ -3,19 +3,16 @@ label-distribution estimation, logits adjustment, soft-label training, and
 the plain PGD-AT baseline.
 
 Every run writes a self-contained directory: config.json, metrics.jsonl (one
-record per epoch, the run's only per-epoch output), summary.json, and best/ +
-last/ checkpoints. An ``oat`` record carries the class counts of the observed
-labels (``prior_counts``), of the oracle's predictions (``estimated_counts``)
-and of the ground truth (``gt_counts``, null when the data has none). "Best"
-is the epoch with the highest PGD robust accuracy on the test set; best/ is
-rewritten, before the epoch's record, as soon as an epoch improves on it.
-Any exception inside an epoch, evaluation and the best/ save included (a
-non-finite parameter refuses the save), appends one ``{"epoch", "error"}``
-record in place of the epoch's record and is raised again as
-``RuntimeError("run aborted: ...")`` chained to it, with no last/ or
-summary.json written. A run into a directory that holds an earlier run
-deletes that run's summary.json, best/ and last/ before its first epoch, so
-the directory never mixes two runs; a directory that holds anything else is
+``EpochRecord`` per epoch, the run's only per-epoch output), summary.json, and
+best/ + last/ checkpoints. "Best" is the epoch with the highest PGD robust
+accuracy on the test set; best/ is rewritten, before the epoch's record, as
+soon as an epoch improves on it. Any exception inside an epoch, evaluation and
+the best/ save included (a non-finite parameter refuses the save), appends one
+``{"epoch", "error"}`` record in place of the epoch's record and is raised
+again as ``RuntimeError("run aborted: ...")`` chained to it, with no last/ or
+summary.json written. A run into a directory that holds an earlier run deletes
+that run's summary.json, best/ and last/ before its first epoch, so the
+directory never mixes two runs; a directory that holds anything else is
 refused before anything is written.
 
 Training runs in float32 (``TRAIN_DTYPE``). Every figure in a record is
@@ -130,12 +127,13 @@ def _finite_in_train_dtype(value: float) -> bool:
 
 @dataclass
 class RunState:
-    """Everything an epoch reads or updates: models, optimizers, working labels,
-    distribution, epoch and best epoch, then the run's constants. Oracle fields
-    are None under ``pgd_at``; ``records`` repeats metrics.jsonl in memory. An
-    epoch that raises aborts the run and leaves the state half-updated. Both
-    models and their optimizers' buffers are ``TRAIN_DTYPE``: each model is
-    drawn in float64 by ``init_model`` and narrowed once, here."""
+    """Everything an epoch reads or updates: models, optimizers, working
+    labels, distribution, epoch and best epoch, then the run's constants.
+    Oracle fields are None under ``pgd_at``; ``records`` repeats metrics.jsonl
+    in memory, as dicts. An epoch that raises aborts the run and leaves the
+    state half-updated. Both models and their optimizers' buffers are
+    ``TRAIN_DTYPE``: each model is drawn in float64 by ``init_model`` and
+    narrowed once, here."""
     config: TrainConfig
     rng: SplitMix64
     model: ModelParams
@@ -248,6 +246,41 @@ def hard_label_loss(at_model: ModelParams, x_adv: np.ndarray,
 RUN_ENTRIES = ("best", "config.json", "last", "metrics.jsonl", "summary.json")
 
 
+@dataclass(kw_only=True)
+class EpochRecord:
+    """One epoch's line of metrics.jsonl, its keys in field order. The
+    oracle's fields (``refurbished_nr`` through ``dist_l1_estimated``) are
+    None under ``pgd_at``; without ground truth, ``refurbished_nr``,
+    ``gt_counts`` and both distances are None. ``losses`` holds the robust
+    model's loss parts, then the oracle's. Raises ValueError if a robust
+    accuracy exceeds the clean one or the class-count lists differ in
+    length; ``oat report`` reads each line back with ``from_json``."""
+    epoch: int
+    clean_accuracy: float
+    robust_accuracy: dict[str, float]
+    lr_model: float
+    lr_oracle: float | None
+    adjustment_enabled: bool
+    refurbished_nr: float | None = None
+    refurbished_count: int | None = None
+    clean_count: int | None = None
+    noisy_count: int | None = None
+    empty_clean_batches: int | None = None
+    prior_counts: list[int] | None = None
+    estimated_counts: list[int] | None = None
+    gt_counts: list[int] | None = None
+    dist_l1_prior: float | None = None
+    dist_l1_estimated: float | None = None
+    losses: dict[str, float]
+
+    def __post_init__(self):
+        MetricsRecord(self.clean_accuracy, self.robust_accuracy)  # robust <= clean
+        counts = [c for c in (self.prior_counts, self.estimated_counts, self.gt_counts)
+                  if c is not None]
+        if len(set(map(len, counts))) > 1:
+            raise ValueError("prior_counts, estimated_counts, gt_counts differ in length")
+
+
 def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
           out_dir: str | Path) -> RunState:
     """Run the configured method and persist metrics plus best/last checkpoints.
@@ -282,15 +315,15 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
             state.epoch = epoch
             try:
                 record = run_epoch(state, ds, test)
-                robust = record["robust_accuracy"][config.eval_attack.name()]
+                robust = record.robust_accuracy[config.eval_attack.name()]
                 if robust > state.best_robust:
                     save_model(state.model, out_dir / "best")
                     state.best_robust, state.best_epoch = robust, epoch
             except Exception as err:
                 metrics.write(json.dumps({"epoch": epoch, "error": str(err)}) + "\n")
                 raise RuntimeError(f"run aborted: {err}") from err
-            state.records.append(record)
-            metrics.write(json.dumps(record) + "\n")
+            state.records.append(dataclasses.asdict(record))
+            metrics.write(json.dumps(state.records[-1]) + "\n")
 
     save_model(state.model, out_dir / "last")
     with replaced_together(out_dir, ("summary.json",)) as temps:
@@ -300,7 +333,7 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
     return state
 
 
-def run_epoch(state: RunState, ds: LabeledDataset, test: LabeledDataset) -> dict:
+def run_epoch(state: RunState, ds: LabeledDataset, test: LabeledDataset) -> EpochRecord:
     """Epoch ``state.epoch``'s phases in order (the oracle epoch and distribution
     estimate under ``oat``, the adversarial pass, the evaluation); returns its record."""
     oracle_stats = None
@@ -335,29 +368,23 @@ def _at_epoch(state: RunState, ds: LabeledDataset) -> dict[str, float]:
 
 
 def _evaluate_epoch(state: RunState, test: LabeledDataset, at_losses: dict[str, float],
-                    oracle_stats: OracleEpochRecord | None) -> dict:
+                    oracle_stats: OracleEpochRecord | None) -> EpochRecord:
     config, attack, gt = state.config, state.config.eval_attack, state.gt
     model = cast(state.model, np.float64)  # the model a checkpoint of this epoch holds
-    ca = accuracy(model, test.samples, test.gt_labels)
-    ra = robust_accuracy(model, test, attack, config.seed)
-
-    losses = dict(at_losses)
-    record: dict = {
-        "epoch": state.epoch,
-        **MetricsRecord(ca, {attack.name(): ra}).to_dict(),
-        "lr_model": lr_at_epoch(config, state.epoch),
-        "lr_oracle": config.lr if config.method == "oat" else None,
-        "adjustment_enabled": config.adjustment_enabled if config.method == "oat" else False,
-    }
-    if config.method == "oat":
-        oracle_record = dataclasses.asdict(oracle_stats)
-        losses.update(oracle_record.pop("losses"))
-        record.update(oracle_record, prior_counts=list(state.prior.counts),
-                      estimated_counts=list(state.distribution.counts),
-                      gt_counts=None if gt is None else list(gt.counts))
+    oat = config.method == "oat"
+    losses, oracle = dict(at_losses), {}
+    if oat:
+        oracle = dataclasses.asdict(oracle_stats)
+        losses.update(oracle.pop("losses"))
+        oracle.update(prior_counts=list(state.prior.counts),
+                      estimated_counts=list(state.distribution.counts))
         if gt is not None:
-            record["dist_l1_prior"] = distribution_error(state.prior.counts, gt.counts)
-            record["dist_l1_estimated"] = distribution_error(
-                state.distribution.counts, gt.counts)
-    record["losses"] = losses
-    return record
+            oracle.update(
+                gt_counts=list(gt.counts),
+                dist_l1_prior=distribution_error(state.prior.counts, gt.counts),
+                dist_l1_estimated=distribution_error(state.distribution.counts, gt.counts))
+    return EpochRecord(
+        epoch=state.epoch, clean_accuracy=accuracy(model, test.samples, test.gt_labels),
+        robust_accuracy={attack.name(): robust_accuracy(model, test, attack, config.seed)},
+        lr_model=lr_at_epoch(config, state.epoch), lr_oracle=config.lr if oat else None,
+        adjustment_enabled=oat and config.adjustment_enabled, **oracle, losses=losses)

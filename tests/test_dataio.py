@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -292,6 +293,80 @@ def test_load_dataset_rejects_malformed_meta(tmp_path, key, value, named):
     with pytest.raises(ValueError) as info:
         load_dataset(path)
     assert str(info.value) == f"{path / 'meta.json'}: {named}"
+
+
+# save_dataset's headers are id,f0,f1,f2 and id,observed_label[,gt_label]: a
+# header of another width blames the meta.json key that sets the width, and one
+# of the same width with other names blames the file
+_HEADERS = {
+    "labels-swapped": (True, "labels.csv", "id,gt_label,observed_label",
+                       "labels.csv's header is 'id,gt_label,observed_label', "
+                       "expected 'id,observed_label,gt_label'"),
+    "labels-no-gt-over-gt-rows": (True, "labels.csv", "id,observed_label",
+                                  "{meta}: dataset key 'has_gt' is true, but labels.csv's "
+                                  "header has 1 label columns"),
+    "labels-gt-without-gt": (False, "labels.csv", "id,observed_label,gt_label",
+                             "{meta}: dataset key 'has_gt' is false, but labels.csv's "
+                             "header has 2 label columns"),
+    "labels-renamed": (True, "labels.csv", "x,y,z",
+                       "labels.csv's header is 'x,y,z', expected 'id,observed_label,gt_label'"),
+    "labels-empty-line": (True, "labels.csv", "",
+                          "{meta}: dataset key 'has_gt' is true, but labels.csv's header "
+                          "has 0 label columns"),
+    "samples-renamed": (True, "samples.csv", "a,b,c,d",
+                        "samples.csv's header is 'a,b,c,d', expected 'id,f0,f1,f2'"),
+    "samples-reordered": (True, "samples.csv", "id,f0,f2,f1",
+                          "samples.csv's header is 'id,f0,f2,f1', expected 'id,f0,f1,f2'"),
+    "samples-wider": (True, "samples.csv", "id,f0,f1,f2,f3",
+                      "{meta}: dataset key 'dim' is 3, but samples.csv's header has 4 "
+                      "feature columns"),
+}
+
+
+@pytest.mark.parametrize("gt,name,header,named", _HEADERS.values(), ids=_HEADERS)
+def test_load_dataset_rejects_a_header_save_dataset_does_not_write(tmp_path, gt, name, header,
+                                                                   named):
+    path = _saved(tmp_path)
+    if not gt:
+        save_dataset(dataclasses.replace(load_dataset(path), gt_labels=None), path)
+    _edit_lines(path / name, lambda lines: [header + "\r\n"] + lines[1:])
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == named.format(meta=path / "meta.json")
+
+
+@dataclasses.dataclass
+class _Hinted:
+    counts: list[int]
+    maybe: float | None
+    table: dict[str, float]
+
+
+@pytest.mark.parametrize("key,value,accepted", [
+    ("counts", [1, 2], True),
+    ("counts", [1, True], False),   # JSON true is no integer
+    ("counts", None, False),        # null only where the hint allows it
+    ("maybe", None, True),
+    ("maybe", 1, True),             # an integer passes as a float
+    ("maybe", float("nan"), False),
+    ("maybe", [0.5], False),
+    ("table", {"a": 1.0}, True),
+    ("table", {"a": float("nan")}, False),
+    ("table", {"a": None}, False),
+    ("table", None, False),
+    ("table", [1.0], False),
+], ids=["list", "bool-in-list", "null-list", "null-optional", "int-optional",
+        "nan-optional", "list-optional", "dict", "nan-in-dict", "null-in-dict", "null-dict",
+        "list-for-dict"])
+def test_from_json_checks_list_optional_and_dict_hints(key, value, accepted):
+    d = {"counts": [1], "maybe": 0.5, "table": {}, key: value}
+    if accepted:
+        assert getattr(dataio.from_json(_Hinted, d, "hinted"), key) == value
+    else:
+        with pytest.raises(ValueError) as info:
+            dataio.from_json(_Hinted, d, "hinted")
+        hint = dataclasses.fields(_Hinted)[list(d).index(key)].type
+        assert str(info.value) == f"hinted key {key!r} must be {hint}, got {value!r}"
 
 
 @pytest.mark.parametrize("name,row,field,text,named", [

@@ -256,7 +256,7 @@ def test_cli_train_malformed_config_exits_1(tmp_path, capsys, text, named):
     config.write_text(text)
     data = _make_dataset_dir(tmp_path, "data", per_class=4)
     code = cli(["train", "--config", str(config), "--data", str(data),
-                "--test", str(data), "--method", "oat", "--out", str(tmp_path / "run")])
+                "--test", str(data), "--out", str(tmp_path / "run")])
     assert code == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -280,7 +280,7 @@ def test_cli_train_malformed_meta_exits_2(tmp_path, capsys):
     meta = json.loads((data / "meta.json").read_text())
     del meta["count"]
     (data / "meta.json").write_text(json.dumps(meta))
-    code = cli(["train", "--data", str(data), "--test", str(data), "--method", "oat",
+    code = cli(["train", "--data", str(data), "--test", str(data),
                 "--out", str(tmp_path / "run")])
     assert code == 2
     assert f"{data / 'meta.json'}: missing dataset key(s): count" in capsys.readouterr().err
@@ -301,7 +301,7 @@ def test_cli_names_a_truncated_meta_json_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("text,named", [
-    ('{"epochs": "ten"}', "config key 'epochs' must be int, got 'ten'"),
+    ('{"method": "pgd_at", "epochs": "ten"}', "config key 'epochs' must be int, got 'ten'"),
     ("[1, 2]", "--config must hold a JSON object"),
 ], ids=["bad-value", "not-an-object"])
 def test_cli_train_names_a_config_it_rejects_exits_1(tmp_path, capsys, text, named):
@@ -309,7 +309,7 @@ def test_cli_train_names_a_config_it_rejects_exits_1(tmp_path, capsys, text, nam
     config.write_text(text)
     data = _make_dataset_dir(tmp_path, "data", per_class=4)
     code = cli(["train", "--config", str(config), "--data", str(data),
-                "--test", str(data), "--method", "pgd-at", "--out", str(tmp_path / "run")])
+                "--test", str(data), "--out", str(tmp_path / "run")])
     assert code == 1
     assert capsys.readouterr().err == f"oat: error: {config}: {named}\n"
     assert not (tmp_path / "run").exists()
@@ -366,7 +366,7 @@ def test_cli_full_chain(tmp_path, capsys):
     config = {
         "epochs": 2, "batch_size": 16, "lr": 0.01, "seed": 1,
         "lr_decay_epochs": [], "k": 5, "encoder_widths": [8], "feature_dim": 6,
-        "eval_steps": 2,
+        "eval_steps": 2, "method": "oat",
         "attack": {"epsilon": 0.03, "alpha": 0.01, "steps": 2},
         "augment": {"flip_prob": 0.0},
     }
@@ -374,7 +374,7 @@ def test_cli_full_chain(tmp_path, capsys):
     config_file.write_text(json.dumps(config))
     run = tmp_path / "run"
     assert cli(["train", "--config", str(config_file), "--data", str(noisy),
-                "--test", str(test_dir), "--method", "oat", "--out", str(run)]) == 0
+                "--test", str(test_dir), "--out", str(run)]) == 0
     capsys.readouterr()
 
     out_file = tmp_path / "metrics.json"
@@ -397,9 +397,23 @@ def test_cli_full_chain(tmp_path, capsys):
 
 
 def _oat_record(epoch, estimated, gt):
+    """A full ``oat`` record: every EpochRecord key, with these class counts."""
     return {"epoch": epoch, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25},
-            "refurbished_nr": 0.1, "prior_counts": [6, 3, 1],
-            "estimated_counts": estimated, "gt_counts": gt}
+            "lr_model": 0.05, "lr_oracle": 0.05, "adjustment_enabled": True,
+            "refurbished_nr": None if gt is None else 0.1, "refurbished_count": 2,
+            "clean_count": 7, "noisy_count": 3, "empty_clean_batches": 0,
+            "prior_counts": [6, 3, 1], "estimated_counts": estimated, "gt_counts": gt,
+            "dist_l1_prior": None if gt is None else 0.1,
+            "dist_l1_estimated": None if gt is None else 0.05,
+            "losses": {"soft_ce": 1.5, "model_total": 1.5, "oracle_total": 2.0}}
+
+
+def _pgd_at_record(epoch):
+    """A full ``pgd_at`` record: the oracle's keys are null."""
+    return {**_oat_record(epoch, None, None), "lr_oracle": None, "adjustment_enabled": False,
+            "refurbished_count": None, "clean_count": None, "noisy_count": None,
+            "empty_clean_batches": None, "prior_counts": None,
+            "losses": {"hard_ce": 1.5, "model_total": 1.5}}
 
 
 def test_cli_report_distribution_comes_from_the_last_non_error_record(tmp_path, capsys):
@@ -424,7 +438,7 @@ def test_cli_report_names_the_line_it_cannot_parse_exits_2(tmp_path, capsys):
     # a run killed mid-write leaves a partial last line
     run = tmp_path / "run"
     run.mkdir()
-    record = json.dumps({"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {}})
+    record = json.dumps(_pgd_at_record(0))
     (run / "metrics.jsonl").write_text(record + "\n" + record[:20])
     assert cli(["report", "--run", str(run)]) == 2
     captured = capsys.readouterr()
@@ -443,21 +457,44 @@ def test_cli_report_names_the_truncated_json_file_exits_2(tmp_path, capsys, name
     assert captured.err.startswith(f"oat: error: {run / name} line 3, column 11: ")
 
 
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+_PGD_AT_BEFORE_EPOCH_RECORD = {  # a pgd_at line as written before every key was required
+    "epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25}, "lr_model": 0.05,
+    "lr_oracle": None, "adjustment_enabled": False,
+    "losses": {"hard_ce": 1.5, "model_total": 1.5}}
+
+
 @pytest.mark.parametrize("record,complaint", [
-    ({"epoch": 0, "clean_accuracy": 0.5}, "record has no 'robust_accuracy'"),
-    ({"clean_accuracy": 0.5, "robust_accuracy": {}}, "record has no 'epoch'"),
-    ({k: v for k, v in _oat_record(0, [5, 4, 1], None).items() if k != "prior_counts"},
-     "record has no 'prior_counts'"),
-    ([0, 0.5], "record is not a JSON object"),
-    ("an error", "record is not a JSON object"),
+    (_without(_oat_record(0, [5, 4, 1], None), "robust_accuracy"),
+     "missing record key(s): robust_accuracy"),
+    (_without(_oat_record(0, [5, 4, 1], None), "epoch"), "missing record key(s): epoch"),
+    (_without(_oat_record(0, [5, 4, 1], None), "prior_counts"),
+     "missing record key(s): prior_counts"),
+    ([0, 0.5], "record must hold a JSON object, not a list"),
+    ("an error", "record must hold a JSON object, not a str"),
     (_oat_record(0, [5, 4], None),
      "prior_counts, estimated_counts, gt_counts differ in length"),
+    ({**_oat_record(0, [5, 4, 1], None), "clean_accuracy": float("nan")},
+     "record key 'clean_accuracy' must be float, got nan"),
+    ({**_pgd_at_record(0), "robust_accuracy": {"pgd20": float("inf")}},
+     "record key 'robust_accuracy' must be dict[str, float], got {'pgd20': inf}"),
+    ({**_pgd_at_record(0), "robust_accuracy": {"pgd20": 0.75}},
+     "robust accuracy under pgd20 (0.75) exceeds clean accuracy (0.5)"),
+    ({**_without(_pgd_at_record(0), "clean_accuracy"), "clean_acuracy": 0.5},
+     "unknown record key(s): clean_acuracy"),
+    (_PGD_AT_BEFORE_EPOCH_RECORD,
+     "missing record key(s): refurbished_nr, refurbished_count, clean_count, noisy_count, "
+     "empty_clean_batches, prior_counts, estimated_counts, gt_counts, dist_l1_prior, "
+     "dist_l1_estimated"),
 ])
 def test_cli_report_names_the_record_it_cannot_read_exits_2(tmp_path, capsys, record,
                                                            complaint):
     run = tmp_path / "run"
     run.mkdir()
-    good = {"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {}}
+    good = _pgd_at_record(0)
     (run / "metrics.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
     assert cli(["report", "--run", str(run)]) == 2
     captured = capsys.readouterr()
@@ -466,14 +503,16 @@ def test_cli_report_names_the_record_it_cannot_read_exits_2(tmp_path, capsys, re
 
 
 _WRONG_TYPES = {
-    "clean_accuracy": ("0.5", 'must be a number, got "0.5"'),
-    "robust_accuracy": ([0.25], "must be an object of numbers, got [0.25]"),
-    "refurbished_nr": ("0.1", 'must be a number or null, got "0.1"'),
-    "prior_counts": (6, "must be a list of integers, got 6"),
-    "estimated_counts": ([5, "4", 1], 'must be a list of integers, got [5, "4", 1]'),
-    "gt_counts": ({"0": 5}, 'must be a list of integers or null, got {"0": 5}'),
-    "dist_l1_prior": (None, "must be a number, got null"),
-    "dist_l1_estimated": (True, "must be a number, got true"),
+    "clean_accuracy": ("0.5", "float, got '0.5'"),
+    "robust_accuracy": ([0.25], "dict[str, float], got [0.25]"),
+    "refurbished_nr": ("0.1", "float | None, got '0.1'"),
+    "prior_counts": (6, "list[int] | None, got 6"),
+    "estimated_counts": ([5, "4", 1], "list[int] | None, got [5, '4', 1]"),
+    "gt_counts": ({"0": 5}, "list[int] | None, got {'0': 5}"),
+    "dist_l1_prior": ([0.1], "float | None, got [0.1]"),
+    "dist_l1_estimated": (True, "float | None, got True"),
+    "lr_model": ("0.05", "float, got '0.05'"),
+    "losses": ({"soft_ce": "1.5"}, "dict[str, float], got {'soft_ce': '1.5'}"),
 }
 
 
@@ -481,22 +520,21 @@ _WRONG_TYPES = {
 def test_cli_report_names_the_key_of_a_value_of_the_wrong_type_exits_2(tmp_path, capsys, key):
     run = tmp_path / "run"
     run.mkdir()
-    good = {**_oat_record(0, [5, 4, 1], [5, 4, 1]), "dist_l1_prior": 0.1,
-            "dist_l1_estimated": 0.05}
+    good = _oat_record(0, [5, 4, 1], [5, 4, 1])
     value, complaint = _WRONG_TYPES[key]
     lines = [json.dumps(good), json.dumps({**good, "epoch": 1, key: value})]
     (run / "metrics.jsonl").write_text("\n".join(lines) + "\n")
     assert cli(["report", "--run", str(run)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"oat: error: {run / 'metrics.jsonl'} line 2: {key!r} {complaint}\n"
+    assert captured.err == (f"oat: error: {run / 'metrics.jsonl'} line 2: "
+                            f"record key {key!r} must be {complaint}\n")
 
 
 def test_cli_report_pgd_at_run_has_no_distribution(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
-    record = {"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25}}
-    (run / "metrics.jsonl").write_text(json.dumps(record) + "\n")
+    (run / "metrics.jsonl").write_text(json.dumps(_pgd_at_record(0)) + "\n")
     assert cli(["report", "--run", str(run)]) == 0
     assert "distribution" not in json.loads(capsys.readouterr().out)
 
@@ -600,7 +638,7 @@ def _rows(ds: LabeledDataset, keep: np.ndarray) -> LabeledDataset:
 
 
 @pytest.mark.parametrize("method,rows,named", [
-    ("pgd-at", "none", "the training set has no rows"),
+    ("pgd_at", "none", "the training set has no rows"),
     ("oat", "none", "the training set has no rows"),
     ("oat", "no class 2", "cannot oversample: class 2 has no samples"),
 ])
@@ -610,11 +648,10 @@ def test_cli_train_rejects_a_bad_training_set_before_touching_the_run(
     config_file = tmp_path / "cfg.json"
     config_file.write_text(json.dumps({
         "epochs": 1, "batch_size": 16, "lr_decay_epochs": [], "k": 3, "encoder_widths": [6],
-        "feature_dim": 5, "eval_steps": 1, "attack": {"epsilon": 0.03, "alpha": 0.01,
-                                                      "steps": 1}}))
+        "feature_dim": 5, "eval_steps": 1, "method": method,
+        "attack": {"epsilon": 0.03, "alpha": 0.01, "steps": 1}}))
     run = tmp_path / "run"
-    argv = ["train", "--config", str(config_file), "--test", str(data), "--method", method,
-            "--out", str(run)]
+    argv = ["train", "--config", str(config_file), "--test", str(data), "--out", str(run)]
     assert cli(argv + ["--data", str(data)]) == 0
     before = dir_bytes(run)
     ds = load_dataset(data)
@@ -642,15 +679,14 @@ def test_cli_train_determinism(tmp_path, capsys):
     data = _make_dataset_dir(tmp_path, "det", per_class=12, seed=4)
     config = {"epochs": 2, "batch_size": 16, "lr": 0.01, "seed": 5,
               "lr_decay_epochs": [], "k": 3, "encoder_widths": [6],
-              "feature_dim": 5, "eval_steps": 2,
+              "feature_dim": 5, "eval_steps": 2, "method": "oat",
               "attack": {"epsilon": 0.03, "alpha": 0.01, "steps": 2},
               "augment": {"flip_prob": 0.0}}
     config_file = tmp_path / "cfg.json"
     config_file.write_text(json.dumps(config))
     for name in ("r1", "r2"):
         assert cli(["train", "--config", str(config_file), "--data", str(data),
-                    "--test", str(data), "--method", "oat",
-                    "--out", str(tmp_path / name)]) == 0
+                    "--test", str(data), "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "r1" / "metrics.jsonl").read_text() == \
         (tmp_path / "r2" / "metrics.jsonl").read_text()
 
@@ -706,8 +742,7 @@ def test_failed_eval_out_leaves_previous_file(tmp_path, monkeypatch, capsys):
 def test_python_dash_m_runs_the_cli(tmp_path):
     run = tmp_path / "run"
     run.mkdir()
-    record = {"epoch": 0, "clean_accuracy": 0.5, "robust_accuracy": {"pgd20": 0.25}}
-    (run / "metrics.jsonl").write_text(json.dumps(record) + "\n")
+    (run / "metrics.jsonl").write_text(json.dumps(_pgd_at_record(0)) + "\n")
     env = dict(os.environ, PYTHONPATH=str(Path(oat.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "oat.evalcli",
                            "report", "--run", str(run)],

@@ -84,7 +84,7 @@ def test_an_epoch_trains_in_float32_and_evaluates_in_float64(monkeypatch, method
     for model, opt in models:
         for p, v in zip(model.parameters(), opt.velocity):
             assert p.data.dtype == p.grad.dtype == v.dtype == f32
-    assert isinstance(record["clean_accuracy"], float)
+    assert isinstance(record.clean_accuracy, float)
 
 
 # sha256 of a float64 oracle and robust model after three SGD steps through

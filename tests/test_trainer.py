@@ -321,7 +321,7 @@ def test_oracle_batch_graph_is_seven_mlps_three_losses_and_two_adds(monkeypatch)
     # neg_softmax_mse; two adds sum the terms. A batch without clean rows has
     # the contrastive term alone.
     record, graphs = _first_epoch_graphs(monkeypatch)
-    assert graphs["oracle"].count(4) == record["empty_clean_batches"]
+    assert graphs["oracle"].count(4) == record.empty_clean_batches
     assert 12 in graphs["oracle"] and set(graphs["oracle"]) <= {4, 12}
 
 
@@ -365,10 +365,32 @@ def test_run_directory_holds_exactly_the_run_files(tmp_path, method):
         ["best", "config.json", "last", "metrics.jsonl", "summary.json"]
     for checkpoint in ("best", "last"):
         assert not any(p.name.endswith(".tmp") for p in (run / checkpoint).iterdir())
-    records = _records(run)
-    count_keys = {"prior_counts", "estimated_counts", "gt_counts"}
-    expected = count_keys if method == "oat" else set()
-    assert all(count_keys & set(r) == expected for r in records)
+    for record in _records(run):  # pgd_at's class counts are null
+        counts = ("prior_counts", "estimated_counts", "gt_counts")
+        assert {record[key] is None for key in counts} == {method == "pgd_at"}
+
+
+@pytest.mark.parametrize("run_kind", ["oat", "oat-without-gt", "pgd_at"])
+def test_every_record_holds_exactly_epoch_record_fields_and_reads_back(tmp_path, capsys,
+                                                                       run_kind):
+    train_ds, test_ds = _small_data(seed=1)
+    if run_kind == "oat-without-gt":
+        train_ds = dataclasses.replace(train_ds, gt_labels=None)
+    run = tmp_path / "run"
+    train(_fast_config(method=run_kind.split("-")[0], epochs=2, lr_decay_epochs=()),
+          train_ds, test_ds, run)
+    no_gt = {"refurbished_nr", "gt_counts", "dist_l1_prior", "dist_l1_estimated"}
+    null = {"oat": set(), "oat-without-gt": no_gt,
+            "pgd_at": no_gt | {"lr_oracle", "refurbished_count", "clean_count", "noisy_count",
+                               "empty_clean_batches", "prior_counts",
+                               "estimated_counts"}}[run_kind]
+    for record in _records(run):
+        assert list(record) == [f.name for f in dataclasses.fields(trainer.EpochRecord)]
+        assert {key for key, value in record.items() if value is None} == null
+    assert cli(["report", "--run", str(run)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [row["epoch"] for row in report["epochs"]] == [0, 1]
+    assert ("distribution" in report) == (run_kind != "pgd_at")
 
 
 def test_rerun_into_a_run_directory_keeps_nothing_of_the_earlier_run(tmp_path):
@@ -423,7 +445,7 @@ def test_oat_records_without_ground_truth_hold_null_gt_counts(tmp_path):
     [record] = _records(tmp_path / "run")
     assert record["gt_counts"] is None
     assert record["prior_counts"] == list(class_counts(train_ds).counts)
-    assert "dist_l1_prior" not in record and "dist_l1_estimated" not in record
+    assert record["dist_l1_prior"] is None and record["dist_l1_estimated"] is None
 
 
 def test_dist_l1_estimated_is_over_the_raw_estimated_counts(tmp_path, monkeypatch):
