@@ -1,6 +1,6 @@
 """Compare two grid tables written by ``grid/run.py``.
 
-    python grid/compare.py BENCH_grid_f64.json BENCH_grid_f32.json
+    python grid/compare.py BENCH_grid_f32.json BENCH_grid_check.json
 
 prints one Markdown row per (cell, run, figure): the baseline's median and
 seed spread (max - min), the candidate's median, their difference, and

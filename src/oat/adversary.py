@@ -20,6 +20,24 @@ stepped and projected in place; the caller's batch is never written. The
 step ``alpha * sign(adj)`` is taken in the adjoint's dtype, so a float32
 model steps by ``float32(alpha)``.
 
+Within one call each step is a pure function of the attacked input: the
+batch, labels, model arrays, prior shift, alpha and epsilon are fixed, and
+nothing random is drawn after the start. Sign steps of a fixed size on a
+clipped box often revisit a state, and from then on the states repeat. So
+the attack runs Brent's cycle detection on the attacked input's bits: one
+saved copy of them, one more batch-sized buffer per call, holds the start
+and then the state after steps 1, 2, ..., 8, 10, 12, 15, 18, 22, ..., each a
+quarter further on than the last, and each step's state is compared with
+it, first at one element that differed at the last full comparison, and in
+full only where that element matches. Brent's doubling (steps 1, 2, 4, 8,
+...) is as exact; the quarter steps exit sooner on evaluation's long
+attacks, because the saved state enters the cycle sooner after it starts.
+A match after step t with the copy of step m means every later state
+repeats with period t - m, so the attack runs only the
+``(steps - t) % (t - m)`` steps that remain modulo the period and returns
+what running every step returns, bit for bit. Comparing bits rather than
+values keeps -0.0 and +0.0 apart and lets NaN match itself.
+
 When a class-count prior is passed, the loss is computed on logits shifted by
 its log; the shift vector is normalized by its maximum so a uniform prior is
 exactly the zero vector and the attack output is bit-identical to the
@@ -66,6 +84,9 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
                prior: ClassCounts | None = None) -> np.ndarray:
     """Iterative sign-gradient ascent projected onto the eps ball and [0,1] box;
     with a ``prior``, the attacked loss sees logits shifted by its log.
+    Once the attacked batch repeats an earlier step's bits, it runs only the
+    steps that remain modulo the period (see the module docstring), so the
+    output is that of ``spec.steps`` steps, bit for bit.
 
     ``x`` must be (B, input_dim), ``y`` must hold B labels in
     [0, num_classes), a ``prior`` must count num_classes classes, and a CW
@@ -108,7 +129,16 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
     # each step; adv is a fresh array, so the steps below update it in place
     model_in = adv if adv.dtype == dtype else np.empty(adv.shape, dtype)
     step = np.empty(adv.shape, dtype)  # np.sign into its own input is slow
-    for _ in range(spec.steps):
+    # Brent's cycle detection on adv's bits: the mark holds the state after
+    # step mark_at and moves to step next_mark, each a quarter further on
+    # than the last (1, 2, ..., 8, 10, 12, 15, ...); bits is a view, so it
+    # follows adv's in-place updates. The probe is the flat index of an
+    # element that differed from the mark at the last full comparison, so a
+    # state that is still moving mostly costs one element's comparison a step.
+    bits = adv.view(np.uint64)
+    mark, mark_at, next_mark, probe = bits.copy(), 0, 1, 0
+    t, end = 0, spec.steps
+    while t < end:
         if model_in is not adv:
             np.copyto(model_in, adv)
         acts = ad.mlp_activations(model_in, encoder)
@@ -134,4 +164,16 @@ def pgd_attack(model: ModelParams, x: np.ndarray, y: np.ndarray,
         adv.clip(-spec.epsilon, spec.epsilon, out=adv)
         adv += x
         adv.clip(0.0, 1.0, out=adv)
+        t += 1
+        if bits.item(probe) == mark.item(probe):
+            # the first element that differs from the mark, or 0 if none does
+            probe = (bits != mark).argmax()
+            if bits.item(probe) == mark.item(probe):
+                # the state after step t is the one after step mark_at, so
+                # the states repeat with period t - mark_at from here on:
+                # `end` steps reach the state that the remainder reaches
+                end = t + (end - t) % (t - mark_at)
+        if t == next_mark:
+            np.copyto(mark, bits)
+            mark_at, next_mark = t, t + max(1, t // 4)
     return adv

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. The metrics come from
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .corruption import CorruptionSpec, corrupt
 from .dataio import from_json, load_dataset, parse_json, replaced_together, save_dataset
 from .evaluation import evaluate
 from .models import load_model
-from .trainer import EpochRecord, TrainConfig, train
+from .trainer import EpochRecord, ErrorRecord, TrainConfig, train
 
 
 class _UsageError(Exception):
@@ -165,13 +166,30 @@ def _round2(x):
     return None if x is None else round(x, 2)
 
 
+def _finite_json(path: Path, value, key=None):
+    """Raise ValueError naming ``path`` and the key of a NaN or infinite
+    number anywhere in the parsed JSON ``value``: ``parse_json`` takes them,
+    but the report's output is JSON, which cannot hold them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        where = "top-level value" if key is None else f"key {key!r}"
+        raise ValueError(f"{path}: {where} must be a finite number, got {value}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _finite_json(path, v, k)
+    elif isinstance(value, list):
+        for v in value:
+            _finite_json(path, v, key)
+    return value
+
+
 def _cmd_report(args) -> int:
     run = Path(args.run)
     report: dict = {}
 
     provenance_file = run / "corruption.json"
     if provenance_file.exists():
-        report["provenance"] = parse_json(provenance_file, provenance_file.read_text())
+        report["provenance"] = _finite_json(
+            provenance_file, parse_json(provenance_file, provenance_file.read_text()))
 
     metrics_file = run / "metrics.jsonl"
     epochs = []
@@ -179,13 +197,15 @@ def _cmd_report(args) -> int:
     if metrics_file.exists():
         for number, line in enumerate(metrics_file.read_text().splitlines(), 1):
             rec = parse_json(metrics_file, line, number)
-            if isinstance(rec, dict) and "error" in rec:
-                epochs.append({"epoch": rec.get("epoch"), "error": rec["error"]})
-                continue
+            schema = ErrorRecord if isinstance(rec, dict) and "error" in rec else EpochRecord
             try:
-                last = from_json(EpochRecord, rec, "record", defaults=False)
+                parsed = from_json(schema, rec, "record", defaults=False)
             except ValueError as err:
                 raise ValueError(f"{metrics_file} line {number}: {err}") from None
+            if schema is ErrorRecord:
+                epochs.append(dataclasses.asdict(parsed))
+                continue
+            last = parsed
             row = {
                 "epoch": last.epoch,
                 "clean_accuracy": _round2(last.clean_accuracy),
@@ -200,7 +220,8 @@ def _cmd_report(args) -> int:
 
     summary_file = run / "summary.json"
     if summary_file.exists():
-        report["summary"] = parse_json(summary_file, summary_file.read_text())
+        report["summary"] = _finite_json(
+            summary_file, parse_json(summary_file, summary_file.read_text()))
 
     if last is not None and last.estimated_counts is not None:
         estimated, gt = last.estimated_counts, last.gt_counts

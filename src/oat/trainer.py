@@ -7,9 +7,9 @@ Every run writes a self-contained directory: config.json, metrics.jsonl (one
 best/ + last/ checkpoints. "Best" is the epoch with the highest PGD robust
 accuracy on the test set; best/ is rewritten, before the epoch's record, as
 soon as an epoch improves on it. Any exception inside an epoch, evaluation and
-the best/ save included (a non-finite parameter refuses the save), appends one
-``{"epoch", "error"}`` record in place of the epoch's record and is raised
-again as ``RuntimeError("run aborted: ...")`` chained to it, with no last/ or
+the best/ save included (a non-finite parameter refuses the save), appends an
+``ErrorRecord`` in place of the epoch's record and is raised again as
+``RuntimeError("run aborted: ...")`` chained to it, with no last/ or
 summary.json written. A run into a directory that holds an earlier run deletes
 that run's summary.json, best/ and last/ before its first epoch, so the
 directory never mixes two runs; a directory that holds anything else is
@@ -281,6 +281,14 @@ class EpochRecord:
             raise ValueError("prior_counts, estimated_counts, gt_counts differ in length")
 
 
+@dataclass
+class ErrorRecord:
+    """The metrics.jsonl line of an epoch that raised, in place of its
+    ``EpochRecord``: the epoch and the exception's message."""
+    epoch: int
+    error: str
+
+
 def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
           out_dir: str | Path) -> RunState:
     """Run the configured method and persist metrics plus best/last checkpoints.
@@ -320,7 +328,8 @@ def train(config: TrainConfig, ds: LabeledDataset, test: LabeledDataset,
                     save_model(state.model, out_dir / "best")
                     state.best_robust, state.best_epoch = robust, epoch
             except Exception as err:
-                metrics.write(json.dumps({"epoch": epoch, "error": str(err)}) + "\n")
+                error = ErrorRecord(epoch, str(err))
+                metrics.write(json.dumps(dataclasses.asdict(error)) + "\n")
                 raise RuntimeError(f"run aborted: {err}") from err
             state.records.append(dataclasses.asdict(record))
             metrics.write(json.dumps(state.records[-1]) + "\n")

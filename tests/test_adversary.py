@@ -261,3 +261,42 @@ def test_pgd_attack_leaves_the_callers_batch_unchanged(monkeypatch, dtype, loss_
             adv = pgd_attack(model, x, y, spec, SplitMix64(2).fork("a"), prior)
             assert not np.shares_memory(adv, x)
             assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
+def test_pgd_attack_exits_exactly_once_its_state_repeats(monkeypatch, dtype, loss_kind):
+    """Once the attacked batch repeats an earlier step's bits, the attack runs
+    only the remainder of the steps modulo the period, and its output is
+    still bitwise the reference's, which runs every step. Seed 2's 4-row
+    batch repeats with period 2 from step 10 in all four cases, so both the
+    exit and each remainder are reached within 40 steps."""
+    model = cast(init_model(TINY_ARCH, AT_MODEL, seed=2), dtype)
+    rng = SplitMix64(2).fork("cycle")
+    x = _rand_batch(rng, 4, 5)
+    y = np.array([rng.randint(3) for _ in range(4)])
+    forwards, forward = [], ad.mlp_activations
+
+    def counted_forward(x, layers):
+        forwards.append(len(x))
+        return forward(x, layers)
+
+    monkeypatch.setattr(ad, "mlp_activations", counted_forward)
+    ran, states = [], []
+    for steps in range(1, 41):
+        spec = AttackSpec(epsilon=0.1, alpha=0.025, steps=steps, loss_kind=loss_kind)
+        want = reference_pgd_attack(model, x, y, spec, SplitMix64(1).fork("a"))
+        forwards.clear()
+        got = pgd_attack(model, x, y, spec, SplitMix64(1).fork("a"))
+        assert got.tobytes() == want.tobytes()
+        ran.append(len(forwards) // 2)  # one encoder and one head forward a step
+        states.append(want.tobytes())
+    # the reference's first repeat: the state after step `repeat` is the one
+    # `period` steps before it
+    repeat = next(k for k in range(2, 41) if states[k - 1] in states[:k - 1])
+    period = repeat - states.index(states[repeat - 1]) - 1
+    assert period >= 2
+    # the attack exits at some step t >= repeat and then runs (steps - t) % period
+    t = next(s for s in range(1, 41) if ran[s - 1] < s) - period
+    assert t >= repeat
+    assert ran == [s if s < t else t + (s - t) % period for s in range(1, 41)]

@@ -457,6 +457,27 @@ def test_cli_report_names_the_truncated_json_file_exits_2(tmp_path, capsys, name
     assert captured.err.startswith(f"oat: error: {run / name} line 3, column 11: ")
 
 
+@pytest.mark.parametrize("name", ["summary.json", "corruption.json"])
+@pytest.mark.parametrize("text,complaint", [
+    ('{"best_epoch": 1, "best_robust_accuracy": NaN, "last_epoch": Infinity}',
+     "key 'best_robust_accuracy' must be a finite number, got nan"),
+    ('{"final_counts": [4, -Infinity]}', "key 'final_counts' must be a finite number, got -inf"),
+    ('{"seed": 1, "realized": {"nr": 0.4, "ir": Infinity}}',
+     "key 'ir' must be a finite number, got inf"),
+    ("NaN", "top-level value must be a finite number, got nan"),
+], ids=["nan", "list", "nested", "top-level"])
+def test_cli_report_names_the_key_of_a_non_finite_number_exits_2(tmp_path, capsys, name, text,
+                                                                 complaint):
+    # the report copies both files into its output, which must stay JSON
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / name).write_text(text)
+    assert cli(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oat: error: {run / name}: {complaint}\n"
+
+
 def _without(record, key):
     return {k: v for k, v in record.items() if k != key}
 
@@ -489,6 +510,15 @@ _PGD_AT_BEFORE_EPOCH_RECORD = {  # a pgd_at line as written before every key was
      "missing record key(s): refurbished_nr, refurbished_count, clean_count, noisy_count, "
      "empty_clean_batches, prior_counts, estimated_counts, gt_counts, dist_l1_prior, "
      "dist_l1_estimated"),
+    # a record with an "error" key is an ErrorRecord
+    ({"epoch": "zero", "error": 5}, "record key 'epoch' must be int, got 'zero'"),
+    ({"epoch": 1, "error": 5}, "record key 'error' must be str, got 5"),
+    ({"error": "non-finite oracle loss"}, "missing record key(s): epoch"),
+    ({**_pgd_at_record(1), "error": "non-finite oracle loss"},
+     "unknown record key(s): adjustment_enabled, clean_accuracy, clean_count, "
+     "dist_l1_estimated, dist_l1_prior, empty_clean_batches, estimated_counts, gt_counts, "
+     "losses, lr_model, lr_oracle, noisy_count, prior_counts, refurbished_count, "
+     "refurbished_nr, robust_accuracy"),
 ])
 def test_cli_report_names_the_record_it_cannot_read_exits_2(tmp_path, capsys, record,
                                                            complaint):
