@@ -23,12 +23,11 @@ the acceptance config, as an ``oat train --config`` file holds them, and its
 labels, ``observed`` or ``gt`` (hidden true). ``oat``; ``oat_no_adjust``
 (logits adjustment off); ``pgd_at``; ``ceiling`` (``pgd_at`` on the true
 labels); ``erm`` (``pgd_at`` at epsilon = alpha = 0, plain training). Every
-run is evaluated each epoch with PGD-20 at the acceptance epsilon, except
-``erm``, whose records attack at its own epsilon 0: its robust figures are
-``evaluate`` of its best/ and last/ checkpoints at the acceptance attack and
-the run's seed. A record's robust accuracy is ``evaluate`` of that epoch's
-checkpoint at the run's seed too, so every robust figure in the table comes
-from one estimator.
+figure but ``best_epoch`` and ``wall_s`` is ``evaluate`` of the run's best/ or
+last/ checkpoint with PGD-20 at the acceptance epsilon and the run's seed, so
+every run, ``erm`` included (its records attack at its own epsilon 0), is
+scored by one estimator. For every other run these are its records' figures,
+since a record is ``evaluate`` of its epoch's checkpoint at the run's seed.
 
 Figures per run: ``best_epoch`` (the trainer's choice, the highest robust
 accuracy on the test set), ``best_clean`` and ``best_robust`` at that epoch,
@@ -97,18 +96,15 @@ def run_inputs(name: str, ds, seed: int):
     return config, ds if labels == "observed" else ds.with_observed(ds.gt_labels)
 
 
-def run_figures(name: str, cfg: TrainConfig, ds, test, out_dir: Path) -> dict:
+def run_figures(cfg: TrainConfig, ds, test, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     state = train(cfg, ds, test, out_dir)
     wall = time.perf_counter() - t0
-    records = [json.loads(line) for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
     figures = {"best_epoch": state.best_epoch}
-    for which, record in (("best", records[state.best_epoch]), ("last", records[-1])):
-        figures[f"{which}_clean"] = record["clean_accuracy"]
-        if name == "erm":  # its records attack at epsilon 0
-            record = evaluate(load_model(out_dir / which), test, [EVAL_ATTACK],
-                              seed=cfg.seed).to_dict()
-        figures[f"{which}_robust"] = record["robust_accuracy"][EVAL_ATTACK.name()]
+    for which in ("best", "last"):
+        record = evaluate(load_model(out_dir / which), test, [EVAL_ATTACK], seed=cfg.seed)
+        figures[f"{which}_clean"] = record.clean_accuracy
+        figures[f"{which}_robust"] = record.robust_accuracy[EVAL_ATTACK.name()]
     figures["wall_s"] = round(wall, 2)
     return figures
 
@@ -125,7 +121,7 @@ def main() -> int:
                 per_seed = {}
                 for seed in SEEDS:
                     cfg, train_ds = run_inputs(name, ds, seed)
-                    per_seed[str(seed)] = run_figures(name, cfg, train_ds, test,
+                    per_seed[str(seed)] = run_figures(cfg, train_ds, test,
                                                       Path(work) / f"{cell}-{name}-{seed}")
                     print(json.dumps({"cell": cell, "run": name, "seed": seed,
                                       **per_seed[str(seed)]}), flush=True)

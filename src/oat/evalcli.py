@@ -65,7 +65,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--attack", choices=["pgd20", "pgd100", "cw100", "none"], default="pgd20")
     p.add_argument("--eps", type=_parse_eps, default=TrainConfig().attack.epsilon)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the attack (default 0); a run's seed reproduces its record")
     p.add_argument("--out", help="write the metrics record to this file")
 
     p = sub.add_parser("report", help="aggregate a run or corruption directory")

@@ -21,8 +21,7 @@ import numpy as np
 
 from .adversary import AttackSpec, pgd_attack
 from .dataio import LabeledDataset
-from .models import ModelParams
-from .oracle import predict_probs
+from .models import ModelParams, predict_probs
 from .rng import SplitMix64
 
 BATCH_SIZE = 256  # rows per evaluation batch; each batch forks its own attack stream
@@ -87,8 +86,12 @@ def robust_accuracy(model: ModelParams, ds: LabeledDataset, attack: AttackSpec,
 def evaluate(model: ModelParams, test: LabeledDataset,
              attacks: list[AttackSpec], seed: int = 0) -> MetricsRecord:
     """Clean accuracy plus ``robust_accuracy`` at ``seed`` per attack. Raises
-    ValueError if ``test``'s dim or num_classes differs from the model's
-    arch."""
+    ValueError if two attacks share a name, naming both positions, or if
+    ``test``'s dim or num_classes differs from the model's arch."""
+    names = [attack.name() for attack in attacks]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ValueError(f"attacks {names.index(name)} and {j} share the name {name!r}")
     check_test_set(test)
     arch = model.arch
     if test.dim != arch.input_dim or test.num_classes != arch.num_classes:

@@ -9,7 +9,8 @@ robust model's features.
 ``init_model`` draws float64 parameters, and ``cast`` copies a model into
 another dtype: the trainer trains float32 copies and evaluates float64 ones.
 Checkpoints hold float64 on disk, which widens float32 exactly, and
-``load_model`` returns a float64 model.
+``load_model`` returns a float64 model. ``predict_probs`` and ``embed``, the
+package's inference, each run one forward of the whole array, detached.
 """
 
 from __future__ import annotations
@@ -156,6 +157,17 @@ def detached(params: ModelParams) -> ModelParams:
     are visible, but no gradient ever reaches the model through this view.
     """
     return _map_layers(params, lambda w, b: (ad.detach(w), ad.detach(b)))
+
+
+def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Softmax class probabilities in the model's dtype; no gradient graph."""
+    return ad.softmax(forward_logits(detached(params), x).data)
+
+
+def embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Encoder features in float64 whatever the model's dtype, so ``knn_split``
+    judges distances and ties in float64; no gradient graph."""
+    return forward_features(detached(params), x).data.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ The oracle's job is to fit the training set's correct labeling, not to
 generalize: it relabels samples it is confident about, votes with exact
 k-nearest neighbors in its own feature space to decide which labels to trust,
 and trains with a two-view stop-gradient cosine loss alongside cross-entropy
-on the trusted subset.
+on the trusted subset. Its inference, ``predict_probs`` and ``embed``, comes
+from ``oat.models``, and both names import from here too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value
 from .dataio import LabeledDataset, require
-from .models import ModelParams, detached, forward_features, forward_logits, project_predict
+from .models import (ModelParams, detached, embed, forward_features, forward_logits,
+                     predict_probs, project_predict)
 from .rng import SplitMix64
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,27 +105,6 @@ class AugmentationPolicy:
 # ---------------------------------------------------------------------------
 # refurbishment and splitting
 # ---------------------------------------------------------------------------
-
-def _batched(fn, x: np.ndarray, batch: int = 512) -> np.ndarray:
-    # zero rows still make one chunk, so the result keeps its column count
-    return np.concatenate([fn(x[start:start + batch])
-                           for start in range(0, max(len(x), 1), batch)])
-
-
-def predict_probs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities of a detached view, in the model's dtype:
-    no gradient graph."""
-    frozen = detached(params)
-    return _batched(lambda b: ad.softmax(forward_logits(frozen, b).data), x)
-
-
-def embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Encoder features of a detached view, computed in the model's dtype and
-    returned in float64, so ``knn_split`` judges distances and ties in float64
-    whatever the model's dtype: no gradient graph."""
-    frozen = detached(params)
-    return _batched(lambda b: forward_features(frozen, b).data, x).astype(np.float64, copy=False)
-
 
 def refurbish(oracle: ModelParams, ds: LabeledDataset, theta_r: float) -> RefurbishedLabels:
     """Replace a label with the oracle argmax when max confidence >= theta_r."""
@@ -280,8 +261,8 @@ def oracle_interaction_loss(oracle: ModelParams, at_model: ModelParams,
     """Negated MSE between the two models' softmax outputs; pushes the oracle
     away from the robust model's predictions. The robust model's branch is a
     constant here."""
-    model_probs = ad.softmax(forward_logits(detached(at_model), clean_batch).data)
-    return ad.neg_softmax_mse(forward_logits(oracle, clean_batch), model_probs)
+    return ad.neg_softmax_mse(forward_logits(oracle, clean_batch),
+                              predict_probs(at_model, clean_batch))
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,9 @@ from .dataio import LabeledDataset, from_json, replaced_together, require
 from .evaluation import (MetricsRecord, accuracy, check_test_set,
                          distribution_error, robust_accuracy)
 from .models import (AT_MODEL, ORACLE, ArchSpec, ModelParams, cast, detached,
-                     forward_features, forward_logits, init_model, project_predict,
-                     save_model)
-from .oracle import AugmentationPolicy, OracleEpochRecord, oracle_epoch, predict_probs
+                     forward_features, forward_logits, init_model, predict_probs,
+                     project_predict, save_model)
+from .oracle import AugmentationPolicy, OracleEpochRecord, oracle_epoch
 from .rng import SplitMix64
 
 

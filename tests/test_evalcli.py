@@ -16,8 +16,7 @@ from oat.dataio import (LabeledDataset, SyntheticSpec, gen_synthetic, load_datas
 from oat.evalcli import _build_parser, cli
 from oat.evaluation import (BATCH_SIZE, MetricsRecord, accuracy, distribution_error,
                             evaluate, robust_accuracy)
-from oat.models import AT_MODEL, ArchSpec, init_model, load_model, save_model
-from oat.oracle import predict_probs
+from oat.models import AT_MODEL, ArchSpec, init_model, load_model, predict_probs, save_model
 from oat.rng import SplitMix64
 
 from helpers import (TINY_ARCH, dir_bytes, leaves_model_untouched, readme_quickstart,
@@ -66,6 +65,17 @@ def test_evaluate_more_steps_never_helps_much():
     strong = AttackSpec(epsilon=0.3, alpha=0.075, steps=12)
     record = evaluate(model, ds, [weak, strong], seed=3)
     assert record.robust_accuracy["pgd12"] <= record.robust_accuracy["pgd4"] + 0.005
+
+
+def test_evaluate_rejects_two_attacks_that_share_a_name():
+    # a name keys one figure, and AttackSpec.name() ignores epsilon and alpha
+    model, ds = _separable_model_and_data()
+    attacks = [AttackSpec(0.01, 0.0025, 20), AttackSpec(0.3, 0.075, 20)]
+    assert attacks[0].name() == attacks[1].name() == "pgd20"
+    with pytest.raises(ValueError, match="attacks 0 and 1 share the name 'pgd20'"):
+        evaluate(model, ds, attacks)
+    with pytest.raises(ValueError, match="attacks 1 and 2 share the name 'pgd20'"):
+        evaluate(model, ds, [AttackSpec(0.3, 0.075, 4), *attacks])
 
 
 def test_evaluate_deterministic():

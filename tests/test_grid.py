@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from oat.dataio import SyntheticSpec, gen_synthetic
+from oat.trainer import TrainConfig
 
 GRID = Path(__file__).resolve().parent.parent / "grid"
 
@@ -42,9 +43,24 @@ def test_every_run_yields_every_figure(grid, tmp_path, name):
     test = gen_synthetic(SyntheticSpec(3, 16, 4, 0.1, seed=2))
     config, train_ds = grid.run_inputs(name, ds, 1)
     config = dataclasses.replace(config, epochs=2, lr_decay_epochs=(), k=5)
-    figures = grid.run_figures(name, config, train_ds, test, tmp_path / "run")
+    figures = grid.run_figures(config, train_ds, test, tmp_path / "run")
     assert list(figures) == list(grid.FIGURES)
     assert 0.0 <= figures["best_robust"] <= figures["best_clean"] <= 1.0
+
+
+def test_best_and_last_figures_are_the_runs_records(grid, tmp_path):
+    # run_figures scores best/ and last/ with evaluate at the run's seed, which
+    # is how the trainer scores each epoch's record
+    ds = gen_synthetic(SyntheticSpec(3, 16, 60, 0.1, seed=1))
+    test = gen_synthetic(SyntheticSpec(3, 16, 20, 0.1, seed=2))
+    config, train_ds = grid.run_inputs("oat", ds, 2)
+    assert config == TrainConfig(seed=2)
+    figures = grid.run_figures(config, train_ds, test, tmp_path / "run")
+    lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for which, record in (("best", records[figures["best_epoch"]]), ("last", records[-1])):
+        assert figures[f"{which}_clean"] == record["clean_accuracy"]
+        assert figures[f"{which}_robust"] == record["robust_accuracy"][grid.EVAL_ATTACK.name()]
 
 
 def test_compare_flags_a_median_outside_the_seed_spread(tmp_path, capsys):

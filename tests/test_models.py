@@ -1,9 +1,11 @@
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oat
 from oat import autodiff as ad
 from oat.models import (AT_MODEL, ORACLE, ArchSpec, detached, forward_features,
                         forward_logits, init_model, load_model, project_predict,
@@ -324,3 +326,22 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
     back = load_model(path)
     for pa, pb in zip(old.parameters(), back.parameters()):
         assert np.array_equal(pa.data, pb.data)
+
+
+@pytest.mark.parametrize("module", ["evaluation", "models"])
+def test_inference_and_evaluation_import_no_method_module(module):
+    # inference lives in models, so scoring a model needs neither the oracle's
+    # method nor the training loop
+    imported = set()
+    for node in ast.walk(ast.parse((Path(oat.__file__).parent / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ("oat." if node.level else "") + (node.module or "")
+            if node.module is None:  # from . import oracle
+                imported |= {base + alias.name for alias in node.names}
+            else:
+                imported.add(base)
+    method = {name for name in imported
+              if name.split(".")[:2] in (["oat", "oracle"], ["oat", "trainer"])}
+    assert not method, f"oat.{module} imports {sorted(method)}"

@@ -341,7 +341,7 @@ def test_embed_of_zero_rows_keeps_feature_columns():
 def test_oversampled_copies_embed_bit_identically():
     # knn_split answers each distinct feature row once, so its speed on the
     # oversampled set rests on copies embedding to the same bits wherever
-    # they fall in embed's 512-row batches
+    # they fall among the rows of embed's one forward
     ds = gen_synthetic(SyntheticSpec(num_classes=4, dim=16, per_class=200,
                                      cluster_spread=0.1, seed=3))
     ds = apply_exponential_imbalance(ds, ir=0.1, seed=3)

@@ -18,8 +18,8 @@ from oat.corruption import ClassCounts, apply_symmetric_noise, class_counts
 from oat.dataio import SyntheticSpec, gen_synthetic, save_dataset
 from oat.evalcli import cli
 from oat.evaluation import distribution_error
-from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model
-from oat.oracle import AugmentationPolicy, predict_probs
+from oat.models import AT_MODEL, ORACLE, forward_logits, init_model, load_model, predict_probs
+from oat.oracle import AugmentationPolicy
 from oat.rng import SplitMix64
 from oat.trainer import (TrainConfig, adjust_logits, at_model_loss,
                          estimate_label_distribution, lr_at_epoch, train)
